@@ -6,11 +6,11 @@ Supported kinds:
   hyperbolic        d(i, g.i) in the curvature -1 upper half-plane; t-scale
   rep_form(f0)      coefficient norm of the substituted binary form; T-scale
   height(p)         S-arithmetic height ||A||_F * |g|_p; T-scale
-  weighted_product  L^p combination of component gauges (product groups)
 
 Thresholds are compared exactly wherever the underlying quantity is an integer
 or rational (squared norms, form norms), so enumeration never depends on
-floating-point rounding at the boundary.
+floating-point rounding at the boundary.  Integer-keyed gauges (integer r,
+r = inf, hyperbolic, height) reduce the test to key(entries) <= gauge_cap.
 """
 from __future__ import annotations
 
@@ -30,13 +30,12 @@ __all__ = [
     "hyperbolic_gauge",
     "rep_form_gauge",
     "height_gauge",
-    "weighted_product_gauge",
     "parse_gauge",
     "gauge_eval",
     "gauge_leq",
+    "gauge_cap",
+    "gauge_key",
     "gauge_eval_real",
-    "mobius_distance",
-    "mobius_distance_direct",
     "forms_substitute",
     "form_norm_sq",
     "unit_circle_min",
@@ -216,9 +215,6 @@ class Gauge:
     r: float | None = None
     form: BinaryForm | None = None
     prime: int | None = None
-    components: tuple["Gauge", ...] = ()
-    weights: tuple[float, ...] = ()
-    exponent: float | None = None
     scale: str = "T"
     symmetric: bool = True
     bi_K_invariant: bool = False
@@ -242,23 +238,7 @@ class Gauge:
             return n == 2  # the 2x2 adjugate permutes entries up to sign
         if self.kind in ("hyperbolic", "height"):
             return n == 2
-        if self.kind == "weighted_product":
-            return all(c.is_symmetric(n) for c in self.components)
         return False
-
-    def identity_value(self, n: int = 2) -> float:
-        if self.kind == "rnorm":
-            return 1.0 if math.isinf(self.r) else n ** (1.0 / self.r)
-        if self.kind == "hyperbolic":
-            return 0.0
-        if self.kind == "rep_form":
-            return math.sqrt(float(form_norm_sq(self.form)))
-        if self.kind == "height":
-            return math.sqrt(n)
-        if self.kind == "weighted_product":
-            vals = [c.identity_value(n) for c in self.components]
-            return sum(w * v ** self.exponent for w, v in zip(self.weights, vals)) ** (1.0 / self.exponent)
-        raise SpecError(f"unknown gauge kind {self.kind!r}")
 
     def dt_dlogT(self) -> float:
         """Asymptotic derivative of the native t-parameter w.r.t. log T.
@@ -317,18 +297,6 @@ def height_gauge(p: int) -> Gauge:
                  bi_K_invariant=False)
 
 
-def weighted_product_gauge(components: Sequence[Gauge], weights: Sequence[float],
-                           exponent: float = 1.0) -> Gauge:
-    if len(components) != len(weights) or not components:
-        raise SpecError("weighted_product needs matching nonempty components and weights")
-    if exponent < 1:
-        raise SpecError(f"weighted_product exponent must be >= 1, got {exponent}")
-    return Gauge(kind="weighted_product", components=tuple(components),
-                 weights=tuple(float(w) for w in weights), exponent=float(exponent),
-                 scale=components[0].scale,
-                 symmetric=all(c.symmetric for c in components), bi_K_invariant=False)
-
-
 def parse_gauge(spec: str) -> Gauge:
     """Parse a CLI gauge string: rnorm:2, rnorm:inf, hyperbolic,
     form:deg=4:coeffs=1,0,0,0,1, height:p=2."""
@@ -375,57 +343,77 @@ def gauge_eval(gauge: Gauge, g: GroupElement) -> float:
         _require_integral_2x2(g, "rep_form gauge")
         return math.sqrt(float(form_norm_sq(forms_substitute(gauge.form, g))))
     if gauge.kind == "height":
-        if g.n != 2:
-            raise SpecError("height gauge is implemented for n = 2")
-        if g.p_power > 0 and gauge.prime != g.prime:
-            raise SpecError(f"height prime {gauge.prime} != element prime {g.prime}")
+        _require_height_element(gauge, g)
         # H(g) = ||g||_F * |g|_p = ||A||_F for the canonical representation p^{-k} A
         return math.sqrt(float(sum(e * e for e in g.entries_flat())))
-    if gauge.kind == "weighted_product":
-        raise SpecError("weighted_product gauges evaluate on tuples of factor "
-                        "elements; use gauge_eval_product")
     raise SpecError(f"unknown gauge kind {gauge.kind!r}")
 
 
-def gauge_eval_product(gauge: Gauge, gs: Sequence[GroupElement]) -> float:
-    if gauge.kind != "weighted_product":
-        raise SpecError("gauge_eval_product needs a weighted_product gauge")
-    if len(gs) != len(gauge.components):
-        raise SpecError("component count mismatch")
-    p = gauge.exponent
-    total = sum(w * gauge_eval(c, g) ** p
-                for w, c, g in zip(gauge.weights, gauge.components, gs))
-    return total ** (1.0 / p)
+def _integer_keyed(gauge: Gauge) -> bool:
+    if gauge.kind == "rnorm":
+        return math.isinf(gauge.r) or gauge.r == int(gauge.r)
+    return gauge.kind in ("hyperbolic", "height")
+
+
+def _key(gauge: Gauge, flat: Sequence[int]) -> int:
+    """max |e| (r = inf), sum |e|^r (integer r), or sum e^2 (hyperbolic, height)."""
+    if gauge.kind == "rnorm" and gauge.r != 2:
+        if math.isinf(gauge.r):
+            return max(abs(e) for e in flat)
+        r = int(gauge.r)
+        return sum(abs(e) ** r for e in flat)
+    return sum(e * e for e in flat)
+
+
+@lru_cache(maxsize=4096)
+def gauge_cap(gauge: Gauge, threshold: float, level: int = 1) -> int | None:
+    """Largest integer key inside the closed ball gauge <= threshold, or None.
+
+    For an integer-keyed gauge, gauge(g) <= threshold holds exactly when the
+    key of g's integer entries is at most this cap: sum e^2 against T^2
+    (rnorm:2, height) or 2 cosh t (hyperbolic), sum |e|^r against T^r, max |e|
+    against T.  level = p^k scales an r-norm threshold for an element p^{-k} A.
+    None for gauges without an integer key (forms, fractional r).
+    """
+    if not _integer_keyed(gauge):
+        return None
+    if gauge.kind == "hyperbolic":
+        return -1 if threshold < 0 else math.floor(2.0 * math.cosh(threshold))
+    if gauge.kind == "height":
+        return math.floor(Fraction(threshold) ** 2)
+    thr = Fraction(threshold) * level
+    return math.floor(thr if math.isinf(gauge.r) else thr ** int(gauge.r))
+
+
+def gauge_key(gauge: Gauge, g: GroupElement) -> int | None:
+    """Key with gauge(g) <= T iff key <= gauge_cap(gauge, T), or None.
+
+    None where no cap shared by all elements exists: gauges without an integer
+    key, and r-norms of elements with a p-power denominator (their cap depends
+    on the level).  Elements the gauge does not measure raise as in gauge_eval.
+    """
+    if not _integer_keyed(gauge):
+        return None
+    if gauge.kind == "hyperbolic":
+        _require_integral_2x2(g, "hyperbolic gauge")
+    elif gauge.kind == "height":
+        _require_height_element(gauge, g)
+    elif g.p_power:
+        return None
+    return _key(gauge, g.entries_flat())
 
 
 def gauge_leq(gauge: Gauge, g: GroupElement, threshold: float) -> bool:
-    """Exact closed-sublevel test gauge(g) <= threshold (rational comparisons)."""
-    if gauge.kind == "rnorm":
-        flat = g.entries_flat()
-        if g.p_power:
-            thr = Fraction(threshold) * g.prime ** g.p_power
-        else:
-            thr = Fraction(threshold)
-        r = gauge.r
-        if math.isinf(r):
-            return max(abs(e) for e in flat) <= thr
-        if r == 1:
-            return sum(abs(e) for e in flat) <= thr
-        if r == int(r):
-            ri = int(r)
-            return sum(abs(e) ** ri for e in flat) <= thr ** ri
-        return gauge_eval(gauge, g) <= threshold
-    if gauge.kind == "hyperbolic":
-        _require_integral_2x2(g, "hyperbolic gauge")
-        if threshold < 0:
-            return False
-        return sum(e * e for e in g.entries_flat()) <= 2.0 * math.cosh(threshold)
+    """Exact closed-sublevel test gauge(g) <= threshold (integer or rational comparisons)."""
     if gauge.kind == "rep_form":
         _require_integral_2x2(g, "rep_form gauge")
         return form_norm_sq(forms_substitute(gauge.form, g)) <= Fraction(threshold) ** 2
-    if gauge.kind == "height":
-        return sum(e * e for e in g.entries_flat()) <= Fraction(threshold) ** 2
-    return gauge_eval(gauge, g) <= threshold
+    if not _integer_keyed(gauge):
+        return gauge_eval(gauge, g) <= threshold
+    if gauge.kind == "hyperbolic":
+        _require_integral_2x2(g, "hyperbolic gauge")
+    level = g.prime ** g.p_power if gauge.kind == "rnorm" and g.p_power else 1
+    return _key(gauge, g.entries_flat()) <= gauge_cap(gauge, threshold, level)
 
 
 def gauge_eval_real(gauge: Gauge, mat: Sequence[Sequence[float]]) -> float:
@@ -446,23 +434,11 @@ def _require_integral_2x2(g: GroupElement, what: str) -> None:
         raise SpecError(f"{what} needs an integral 2x2 element, got n={g.n}, k={g.p_power}")
 
 
-# ---------------------------------------------------------------------------
-# hyperbolic distance, two routes
-# ---------------------------------------------------------------------------
-
-def mobius_distance(g: GroupElement) -> float:
-    """d(i, g.i) in curvature -1 via the identity cosh d = ||g||_F^2 / 2."""
-    _require_integral_2x2(g, "mobius_distance")
-    return math.acosh(max(1.0, float(g.frobenius_sq()) / 2.0))
-
-
-def mobius_distance_direct(g: GroupElement) -> float:
-    """Same distance via the explicit Moebius action on z = i (independent route)."""
-    _require_integral_2x2(g, "mobius_distance_direct")
-    (a, b), (c, d) = g.entries
-    z = (a * 1j + b) / (c * 1j + d)
-    w = z - 1j
-    return math.acosh(1.0 + (w.real * w.real + w.imag * w.imag) / (2.0 * z.imag))
+def _require_height_element(gauge: Gauge, g: GroupElement) -> None:
+    if g.n != 2:
+        raise SpecError("height gauge is implemented for n = 2")
+    if g.p_power > 0 and gauge.prime != g.prime:
+        raise SpecError(f"height prime {gauge.prime} != element prime {g.prime}")
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import BudgetError, SpecError
 from .gauges import (
@@ -19,7 +19,9 @@ from .gauges import (
     entry_bound,
     form_norm_sq,
     forms_substitute,
+    gauge_cap,
     gauge_eval,
+    gauge_key,
     gauge_leq,
 )
 from .groups import (
@@ -122,17 +124,6 @@ def _row_cap_sq(gauge: Gauge, threshold: float) -> float | None:
     if gauge.kind == "hyperbolic":
         return 2.0 * math.cosh(threshold)
     return None
-
-
-def _iter_sl2z_rows(bound: int, cap_sq: float | None) -> Iterator[tuple[int, int]]:
-    for a in range(-bound, bound + 1):
-        aa = a * a
-        for b in range(-bound, bound + 1):
-            if math.gcd(a, b) != 1:
-                continue
-            if cap_sq is not None and aa + b * b > cap_sq:
-                continue
-            yield a, b
 
 
 def _sl2z_chunk(
@@ -349,6 +340,20 @@ def _sl2_fixed_det(
                     yield el
 
 
+def _check_ball(group: str, gauge: Gauge, threshold: float, budget: int | None) -> None:
+    """Reject unsupported pairs and bad thresholds, then apply the budget gate."""
+    _check_supported(group, gauge)
+    if threshold <= 0:
+        raise SpecError(f"threshold must be positive, got {threshold}")
+    cap = _resolve_budget(budget)
+    est = estimate_count(group, gauge, threshold)
+    if est > cap:
+        raise BudgetError(
+            f"estimated {est} elements for {group} ball at threshold {threshold:g} "
+            f"exceeds budget {cap}"
+        )
+
+
 def enumerate_ball(
     group: str,
     gauge: Gauge,
@@ -363,22 +368,115 @@ def enumerate_ball(
     reproducible across thread counts.  Raises BudgetError before touching the
     ball if the a-priori estimate exceeds the budget.
     """
-    _check_supported(group, gauge)
-    if threshold <= 0:
-        raise SpecError(f"threshold must be positive, got {threshold}")
-    cap = _resolve_budget(budget)
-    est = estimate_count(group, gauge, threshold)
-    if est > cap:
-        raise BudgetError(
-            f"estimated {est} elements for {group} ball at threshold {threshold:g} "
-            f"exceeds budget {cap}"
-        )
+    _check_ball(group, gauge, threshold, budget)
     if group == "sl2z":
         yield from _enumerate_sl2z(gauge, threshold, threads)
     elif group == "sl3z":
         yield from _enumerate_sl3z(gauge, threshold)
     else:
         yield from _enumerate_sl2z1p(gauge, threshold)
+
+
+def _progression_ball(
+    group: str, gauge: Gauge, caps: Sequence[int]
+) -> Iterator[tuple[int, int, int, int, int]]:
+    """(a, b, c, d, bisect_left(caps, key)) for every element with key <= caps[-1].
+
+    An element is fixed by its top row (a, b) and a shift k: the bottom row is
+    (c0, d0) + k (a/g, b/g), g = gcd(a, b), with a d0 - b c0 = det from ext_gcd
+    (det = 1 on sl2z, p^(2l) on level l of sl2z1p).  The key is convex in k, so
+    the k inside the ball form an interval: exact from isqrt of the
+    discriminant for the quadratic keys; for r = 1 and r = inf, _window_1d
+    bounds |c| and |d| and the key test trims the rest.  Order is unspecified.
+    """
+    top = caps[-1]
+    p = gauge.prime
+    norm = "sq" if gauge.kind != "rnorm" or gauge.r == 2 else ("abs" if gauge.r == 1 else "max")
+    dets = [1]
+    if group == "sl2z1p":
+        # Hadamard: det A <= ||A||_F^2 / 2, so the level ladder is finite
+        while 2 * p ** (2 * len(dets)) <= top:
+            dets.append(p ** (2 * len(dets)))
+    # top rows that leave room for a nonzero bottom row
+    if norm == "sq":
+        amax = math.isqrt(top - 1) if top >= 1 else -1
+    else:
+        amax = top - 1 if norm == "abs" else top
+    for level, det in enumerate(dets):
+        for a in range(-amax, amax + 1):
+            if norm == "sq":
+                bmax = math.isqrt(top - 1 - a * a)
+            else:
+                bmax = amax - abs(a) if norm == "abs" else amax
+            for b in range(-bmax, bmax + 1):
+                g = math.gcd(a, b)
+                if g == 0 or det % g:
+                    continue
+                _, x, y = ext_gcd(a, b)
+                m = det // g
+                c, d = -y * m, x * m  # a*d - b*c = det
+                sa, sb = a // g, b // g
+                # above level 0, p * (a matrix of the level below) is not canonical
+                skip_p = p if level and g % p == 0 else 0
+                if norm == "sq":
+                    ab = a * a + b * b
+                    A = sa * sa + sb * sb
+                    B = c * sa + d * sb
+                    disc = B * B - A * (c * c + d * d + ab - top)
+                    if disc < 0:
+                        continue
+                    r = math.isqrt(disc)
+                    klo, khi = -((B + r) // A), (r - B) // A
+                else:
+                    ab = abs(a) + abs(b) if norm == "abs" else max(abs(a), abs(b))
+                    bound = top - ab if norm == "abs" else top
+                    window = _intersect(_window_1d(c, sa, bound), _window_1d(d, sb, bound))
+                    if window is None:
+                        continue
+                    klo, khi = window
+                c += klo * sa
+                d += klo * sb
+                for _ in range(khi - klo + 1):
+                    if norm == "sq":
+                        key = ab + c * c + d * d
+                    elif norm == "abs":
+                        key = ab + abs(c) + abs(d)
+                    else:
+                        key = max(ab, abs(c), abs(d))
+                    if key <= top and not (skip_p and c % skip_p == 0 and d % skip_p == 0):
+                        yield a, b, c, d, bisect.bisect_left(caps, key)
+                    c += sa
+                    d += sb
+
+
+def _integer_caps(gauge: Gauge, thresholds: Sequence[float]) -> list[int] | None:
+    """gauge_cap at every threshold; None unless all are integers that never decrease."""
+    caps = [gauge_cap(gauge, t) for t in thresholds]
+    if None in caps or any(b < a for a, b in zip(caps, caps[1:])):
+        return None
+    return caps
+
+
+def progression_buckets(
+    group: str, gauge: Gauge, thresholds: Sequence[float], budget: int | None = None
+) -> Iterator[tuple[int, int, int, int, int]] | None:
+    """The ball at thresholds[-1] as (a, b, c, d, bucket), without building elements.
+
+    bucket is the index of the first threshold whose ball holds the element, as
+    bucket_index gives it.  Covers sl2z with rnorm:1, rnorm:2, rnorm:inf and
+    hyperbolic, and sl2z1p with height; returns None for every other ball, which
+    then needs enumerate_ball.  The checks and the budget gate of enumerate_ball
+    run first, at the call, for every ball.
+    """
+    _check_ball(group, gauge, thresholds[-1], budget)
+    if group == "sl2z":
+        covered = gauge.kind == "hyperbolic" or (gauge.kind == "rnorm" and gauge.r in (1, 2, math.inf))
+    else:
+        covered = group == "sl2z1p" and gauge.kind == "height"
+    if not covered:
+        return None
+    caps = _integer_caps(gauge, thresholds)
+    return None if caps is None else _progression_ball(group, gauge, caps)
 
 
 @dataclass(frozen=True)
@@ -430,6 +528,25 @@ def bucket_index(gauge: Gauge, el: GroupElement, thresholds: Sequence[float]) ->
     return i
 
 
+def threshold_bucketer(
+    gauge: Gauge, thresholds: Sequence[float]
+) -> Callable[[GroupElement], int]:
+    """el -> bucket_index(gauge, el, thresholds), by integer bisection where it can.
+
+    Elements with an integer key (gauge_key) are placed by bisecting the caps;
+    the rest (form gauges, fractional r) go through bucket_index.
+    """
+    caps = _integer_caps(gauge, thresholds)
+
+    def bucket(el: GroupElement) -> int:
+        key = None if caps is None else gauge_key(gauge, el)
+        if key is None:
+            return bucket_index(gauge, el, thresholds)
+        return bisect.bisect_left(caps, key)
+
+    return bucket
+
+
 def count_series(
     group: str,
     gauge: Gauge,
@@ -442,20 +559,27 @@ def count_series(
 ) -> CountSeries:
     """Cumulative lattice counts over an increasing threshold grid.
 
-    One enumeration pass at the largest threshold feeds every bucket; volumes
+    One pass over the ball at the largest threshold feeds every bucket: the
+    progression kernel where it covers the ball, else enumeration; volumes
     (when the gauge has a computable Haar volume) are normalized so that the
     ratio column tends to 1.
     """
     thr = [float(t) for t in thresholds]
     if not thr or any(b <= a for a, b in zip(thr, thr[1:])):
         raise SpecError("thresholds must be strictly increasing and nonempty")
-    if elements is None:
-        elements = list(
-            enumerate_ball(group, gauge, thr[-1], budget=budget, threads=threads)
-        )
     buckets = [0] * (len(thr) + 1)
-    for el in elements:
-        buckets[bucket_index(gauge, el, thr)] += 1
+    ball = None
+    if elements is None:
+        ball = progression_buckets(group, gauge, thr, budget)
+        if ball is None:
+            elements = enumerate_ball(group, gauge, thr[-1], budget=budget, threads=threads)
+    if ball is not None:
+        for _a, _b, _c, _d, i in ball:
+            buckets[i] += 1
+    else:
+        bucket = threshold_bucketer(gauge, thr)
+        for el in elements:
+            buckets[bucket(el)] += 1
     counts = []
     running = 0
     for i in range(len(thr)):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -12,7 +13,13 @@ from .errors import SpecError
 from .gauges import Gauge
 from .groups import GroupElement, ResidueClass, group_inv, reduce_mod, resolve_group
 from .haar import GrowthFit, fit_growth
-from .lattice import CosetHistogram, bucket_index, enumerate_ball, sl_residue_order
+from .lattice import (
+    CosetHistogram,
+    enumerate_ball,
+    progression_buckets,
+    sl_residue_order,
+    threshold_bucketer,
+)
 
 __all__ = [
     "TorusCharacter",
@@ -80,8 +87,12 @@ def _inverse_action(el: GroupElement, point: Sequence) -> tuple:
     inv = group_inv(el)
     if inv.p_power != 0:
         raise SpecError("torus action needs integral matrices (p_power 0)")
-    n = inv.n
-    rows = inv.entries
+    return _act(inv.entries, point)
+
+
+def _act(rows: Sequence[Sequence[int]], point: Sequence) -> tuple:
+    """rows . point; the one float expression behind every torus phase."""
+    n = len(rows)
     return tuple(sum(rows[i][j] * point[j] for j in range(n)) for i in range(n))
 
 
@@ -151,6 +162,20 @@ def _check_thresholds(thresholds: Sequence[float]) -> tuple[float, ...]:
     return thr
 
 
+def _one_pass(group, gauge, thr, elements, budget, threads):
+    """(kernel, None) with sl2z's progression_buckets, else (None, elements to bucket).
+
+    Call it after the observable checks: on the enumeration route the ball's
+    own checks and budget gate come after them too, at the first element.
+    """
+    if elements is not None:
+        return None, elements
+    kernel = progression_buckets(group, gauge, thr, budget) if group == "sl2z" else None
+    if kernel is not None:
+        return kernel, None
+    return None, enumerate_ball(group, gauge, thr[-1], budget=budget, threads=threads)
+
+
 def deviation_series(
     group: str,
     gauge: Gauge,
@@ -163,12 +188,15 @@ def deviation_series(
     budget: int | None = None,
     threads: int = 1,
 ) -> DeviationSeries:
-    """One enumeration pass, deviations reported at every threshold."""
+    """One pass over the ball, deviations reported at every threshold.
+
+    On sl2z the progression kernel feeds the pass (see progression_buckets);
+    other groups, form gauges and explicit elements go element by element.
+    Torus sums are fsum'd per bucket, so the order of the pass does not matter.
+    """
     desc = resolve_group(group)
     thr = _check_thresholds(thresholds)
-    if elements is None:
-        elements = enumerate_ball(group, gauge, thr[-1], budget=budget, threads=threads)
-
+    k = len(thr)
     if system == "torus":
         if not isinstance(observable, TorusCharacter):
             raise SpecError("torus system needs a TorusCharacter observable")
@@ -176,15 +204,23 @@ def deviation_series(
             raise SpecError("torus system needs a base point of matching dimension")
         if len(observable.m) != desc.n:
             raise SpecError("frequency vector dimension mismatch")
-        k = len(thr)
+        m = observable.m
         bucket_re: list[list[float]] = [[] for _ in range(k)]
         bucket_im: list[list[float]] = [[] for _ in range(k)]
-        for el in elements:
-            z = _phase(observable.m, _inverse_action(el, point))
-            i = bucket_index(gauge, el, thr)
-            if i < k:
+        kernel, elements = _one_pass(group, gauge, thr, elements, budget, threads)
+        if kernel is not None:
+            for a, b, c, d, i in kernel:
+                z = _phase(m, _act(((d, -b), (-c, a)), point))
                 bucket_re[i].append(z.real)
                 bucket_im[i].append(z.imag)
+        else:
+            bucket = threshold_bucketer(gauge, thr)
+            for el in elements:
+                z = _phase(m, _inverse_action(el, point))
+                i = bucket(el)
+                if i < k:
+                    bucket_re[i].append(z.real)
+                    bucket_im[i].append(z.imag)
         target = observable.target()
         rows = []
         re_parts: list[float] = []
@@ -207,19 +243,25 @@ def deviation_series(
             raise SpecError("coset system needs a CosetObservable (or a modulus)")
         q = observable.q
         order = sl_residue_order(desc.n, q)
-        k = len(thr)
-        buckets: list[dict[ResidueClass, int]] = [{} for _ in range(k)]
-        for el in elements:
-            i = bucket_index(gauge, el, thr)
-            if i < k:
-                cls = reduce_mod(el, q)
-                buckets[i][cls] = buckets[i].get(cls, 0) + 1
+        buckets: list[Counter[ResidueClass]] = [Counter() for _ in range(k)]
+        kernel, elements = _one_pass(group, gauge, thr, elements, budget, threads)
+        if kernel is not None:
+            residues: Counter[tuple[int, ...]] = Counter(
+                (i, a % q, b % q, c % q, d % q) for a, b, c, d, i in kernel
+            )
+            for (i, ra, rb, rc, rd), n in residues.items():
+                buckets[i][ResidueClass(q, ((ra, rb), (rc, rd)))] = n
+        else:
+            bucket = threshold_bucketer(gauge, thr)
+            for el in elements:
+                i = bucket(el)
+                if i < k:
+                    buckets[i][reduce_mod(el, q)] += 1
         rows = []
-        prefix: dict[ResidueClass, int] = {}
+        prefix: Counter[ResidueClass] = Counter()
         count = 0
         for i in range(k):
-            for cls, c in buckets[i].items():
-                prefix[cls] = prefix.get(cls, 0) + c
+            prefix.update(buckets[i])
             count += sum(buckets[i].values())
             if count == 0:
                 rows.append((thr[i], 0.0, 0))
