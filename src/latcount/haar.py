@@ -105,64 +105,73 @@ def frobenius_ball_volume(T: float) -> float:
     return 2.0 * math.pi * (T * T / 2.0 - 1.0)
 
 
-def _kak_entry_coeffs(theta1: float, theta2: float) -> tuple[np.ndarray, np.ndarray]:
-    """u, v with entries(k1 a_s k2) = u e^s + v e^{-s}."""
+def _kak_entry_coeffs(theta1: float, cos2: np.ndarray,
+                      sin2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """u, v of shape (2, 2, m) with entries(k1 a_s k2) = u e^s + v e^{-s}.
+
+    Column i belongs to the theta2 node with cosine cos2[i] and sine sin2[i].
+    """
     c1, s1 = math.cos(theta1), math.sin(theta1)
-    c2, s2 = math.cos(theta2), math.sin(theta2)
-    u = np.array([[c1 * c2, -c1 * s2], [s1 * c2, -s1 * s2]])
-    v = np.array([[-s1 * s2, -s1 * c2], [c1 * s2, c1 * c2]])
+    u = np.array([[c1 * cos2, -c1 * sin2], [s1 * cos2, -s1 * sin2]])
+    v = np.array([[-s1 * sin2, -s1 * cos2], [c1 * sin2, c1 * cos2]])
     return u, v
 
 
 def _rnorm_of_s(u: np.ndarray, v: np.ndarray, r: float, s: np.ndarray) -> np.ndarray:
+    """rnorm(u e^s + v e^{-s}) of row i at the points s[i] (or at s for every row)."""
     E = np.exp(s)
-    entries = np.abs(u[:, :, None] * E[None, None, :] + v[:, :, None] / E[None, None, :])
+    entries = np.abs(u[:, :, :, None] * E + v[:, :, :, None] / E)
     if math.isinf(r):
         return entries.max(axis=(0, 1))
     return (entries ** r).sum(axis=(0, 1)) ** (1.0 / r)
 
 
 def _refine_crossing(u: np.ndarray, v: np.ndarray, r: float, T: float,
-                     lo: float, hi: float, want_leq_left: bool) -> float:
-    """Locate the crossing of the (convex) s-profile through T inside [lo, hi]."""
+                     lo: np.ndarray, hi: np.ndarray, want_leq_left: bool) -> np.ndarray:
+    """Locate, row by row, the crossing of the (convex) s-profile through T in [lo, hi]."""
+    rows = np.arange(lo.shape[0])
     for _ in range(5):
-        s = np.linspace(lo, hi, 33)
-        vals = _rnorm_of_s(u, v, r, s)
-        inside = vals <= T
+        s = np.linspace(lo, hi, 33, axis=-1)
+        inside = _rnorm_of_s(u, v, r, s) <= T
         if want_leq_left:
-            idx = int(np.argmin(inside)) if not inside.all() else 32
+            idx = np.where(inside.all(axis=1), 32, inside.argmin(axis=1))
         else:
-            idx = int(np.argmax(inside)) if inside.any() else 32
-        idx = max(1, min(idx, 32))
-        lo, hi = s[idx - 1], s[idx]
+            idx = np.where(inside.any(axis=1), inside.argmax(axis=1), 32)
+        idx = np.clip(idx, 1, 32)
+        lo, hi = s[rows, idx - 1], s[rows, idx]
     return 0.5 * (lo + hi)
 
 
 def _sublevel_interval(u: np.ndarray, v: np.ndarray, r: float, T: float,
-                       s_cap: float) -> tuple[float, float] | None:
-    """The interval {s in [0, s_cap] : rnorm(k1 a_s k2) <= T} (convex profile)."""
+                       s_cap: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row by row, the interval {s in [0, s_cap] : rnorm(k1 a_s k2) <= T}.
+
+    The profile in s is convex.  Returns (nonempty, s_a, s_b); s_a and s_b
+    mean nothing on rows whose sublevel set is empty.
+    """
+    rows = np.arange(u.shape[2])
     grid = np.linspace(0.0, s_cap, 65)
     vals = _rnorm_of_s(u, v, r, grid)
     # locate the profile minimum (three refinement rounds)
-    i = int(vals.argmin())
-    lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, 64)]
+    i = vals.argmin(axis=1)
+    lo, hi = grid[np.maximum(i - 1, 0)], grid[np.minimum(i + 1, 64)]
     for _ in range(3):
-        s = np.linspace(lo, hi, 33)
-        vv = _rnorm_of_s(u, v, r, s)
-        j = int(vv.argmin())
-        lo, hi = s[max(j - 1, 0)], s[min(j + 1, 32)]
+        s = np.linspace(lo, hi, 33, axis=-1)
+        j = _rnorm_of_s(u, v, r, s).argmin(axis=1)
+        lo, hi = s[rows, np.maximum(j - 1, 0)], s[rows, np.minimum(j + 1, 32)]
     s_min = 0.5 * (lo + hi)
-    if float(_rnorm_of_s(u, v, r, np.array([s_min]))[0]) > T:
-        return None
-    if float(vals[0]) <= T:
-        s_a = 0.0
-    else:
-        s_a = _refine_crossing(u, v, r, T, 0.0, s_min, want_leq_left=False)
-    if float(vals[-1]) <= T:
-        s_b = s_cap
-    else:
-        s_b = _refine_crossing(u, v, r, T, s_min, s_cap, want_leq_left=True)
-    return s_a, s_b
+    nonempty = ~(_rnorm_of_s(u, v, r, s_min[:, None])[:, 0] > T)
+    s_a = np.zeros(rows.shape)
+    left = nonempty & ~(vals[:, 0] <= T)
+    if left.any():
+        s_a[left] = _refine_crossing(u[:, :, left], v[:, :, left], r, T,
+                                     s_a[left], s_min[left], want_leq_left=False)
+    s_b = np.full(rows.shape, s_cap)
+    right = nonempty & ~(vals[:, -1] <= T)
+    if right.any():
+        s_b[right] = _refine_crossing(u[:, :, right], v[:, :, right], r, T,
+                                      s_min[right], s_b[right], want_leq_left=True)
+    return nonempty, s_a, s_b
 
 
 def _sl2_kak_raw(gauge: Gauge, T: float, *, panels: int = 4, nodes: int = 16) -> float:
@@ -170,7 +179,8 @@ def _sl2_kak_raw(gauge: Gauge, T: float, *, panels: int = 4, nodes: int = 16) ->
 
     Quarter-period theta ranges suffice: shifting either angle by pi/2 permutes
     the entry magnitudes, leaving any entrywise gauge invariant; the lost factor
-    is absorbed by the calibration constant.
+    is absorbed by the calibration constant.  The sublevel search runs on all
+    theta2 nodes of one theta1 node at once; the sum keeps theta1-major order.
     """
     if gauge.kind != "rnorm":
         raise SpecError(f"KAK quadrature handles rnorm gauges, not {gauge.kind!r}")
@@ -190,15 +200,16 @@ def _sl2_kak_raw(gauge: Gauge, T: float, *, panels: int = 4, nodes: int = 16) ->
         mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
         theta_nodes.extend(mid + half * x)
         theta_weights.extend(half * w)
+    cos2 = np.array([math.cos(th) for th in theta_nodes])
+    sin2 = np.array([math.sin(th) for th in theta_nodes])
     total = 0.0
     for th1, w1 in zip(theta_nodes, theta_weights):
-        for th2, w2 in zip(theta_nodes, theta_weights):
-            u, v = _kak_entry_coeffs(th1, th2)
-            interval = _sublevel_interval(u, v, gauge.r, T, s_cap)
-            if interval is None:
-                continue
-            s_a, s_b = interval
-            total += w1 * w2 * 0.5 * (math.cosh(2.0 * s_b) - math.cosh(2.0 * s_a))
+        u, v = _kak_entry_coeffs(th1, cos2, sin2)
+        nonempty, s_a, s_b = _sublevel_interval(u, v, gauge.r, T, s_cap)
+        for w2, inside, a, b in zip(theta_weights, nonempty.tolist(),
+                                    s_a.tolist(), s_b.tolist()):
+            if inside:
+                total += w1 * w2 * 0.5 * (math.cosh(2.0 * b) - math.cosh(2.0 * a))
     return total
 
 

@@ -97,7 +97,11 @@ def _act(rows: Sequence[Sequence[int]], point: Sequence) -> tuple:
 
 
 def _phase(m: Sequence[int], coords: Sequence) -> complex:
-    total = sum(mi * ci for mi, ci in zip(m, coords))
+    return _turn(sum(mi * ci for mi, ci in zip(m, coords)))
+
+
+def _turn(total) -> complex:
+    """exp(2 pi i total), reducing total mod 1 exactly when it is a Fraction."""
     if isinstance(total, Fraction):
         frac = total - (total.numerator // total.denominator)
         return cmath.exp(2j * math.pi * float(frac))
@@ -209,8 +213,12 @@ def deviation_series(
         bucket_im: list[list[float]] = [[] for _ in range(k)]
         kernel, elements = _one_pass(group, gauge, thr, elements, budget, threads)
         if kernel is not None:
+            # _phase(m, _act(((d, -b), (-c, a)), point)) unrolled: the same
+            # products and left-to-right sums from 0, so the same floats
+            m0, m1 = m
+            x0, x1 = point
             for a, b, c, d, i in kernel:
-                z = _phase(m, _act(((d, -b), (-c, a)), point))
+                z = _turn(0 + m0 * (0 + d * x0 + -b * x1) + m1 * (0 + -c * x0 + a * x1))
                 bucket_re[i].append(z.real)
                 bucket_im[i].append(z.imag)
         else:

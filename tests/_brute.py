@@ -1,10 +1,14 @@
-"""Exhaustive small-ball oracles the fast enumerators are checked against."""
+"""Slow oracles the fast routes are checked against: exhaustive small-ball
+scans and the per-node-pair KAK quadrature."""
 
 from __future__ import annotations
 
 import math
 from itertools import product
 
+import numpy as np
+
+from latcount.errors import SpecError
 from latcount.gauges import Gauge, entry_bound, gauge_leq
 from latcount.groups import GroupElement, int_det
 
@@ -60,3 +64,102 @@ def brute_sl2z1p(gauge: Gauge, threshold: float) -> set[GroupElement]:
                 out.add(el)
         k += 1
     return out
+
+
+# ---------------------------------------------------------------------------
+# KAK quadrature, one (theta1, theta2) node pair at a time
+# ---------------------------------------------------------------------------
+
+def _kak_entry_coeffs(theta1: float, theta2: float) -> tuple[np.ndarray, np.ndarray]:
+    """u, v with entries(k1 a_s k2) = u e^s + v e^{-s}."""
+    c1, s1 = math.cos(theta1), math.sin(theta1)
+    c2, s2 = math.cos(theta2), math.sin(theta2)
+    u = np.array([[c1 * c2, -c1 * s2], [s1 * c2, -s1 * s2]])
+    v = np.array([[-s1 * s2, -s1 * c2], [c1 * s2, c1 * c2]])
+    return u, v
+
+
+def _rnorm_of_s(u: np.ndarray, v: np.ndarray, r: float, s: np.ndarray) -> np.ndarray:
+    E = np.exp(s)
+    entries = np.abs(u[:, :, None] * E[None, None, :] + v[:, :, None] / E[None, None, :])
+    if math.isinf(r):
+        return entries.max(axis=(0, 1))
+    return (entries ** r).sum(axis=(0, 1)) ** (1.0 / r)
+
+
+def _refine_crossing(u: np.ndarray, v: np.ndarray, r: float, T: float,
+                     lo: float, hi: float, want_leq_left: bool) -> float:
+    """Locate the crossing of the (convex) s-profile through T inside [lo, hi]."""
+    for _ in range(5):
+        s = np.linspace(lo, hi, 33)
+        vals = _rnorm_of_s(u, v, r, s)
+        inside = vals <= T
+        if want_leq_left:
+            idx = int(np.argmin(inside)) if not inside.all() else 32
+        else:
+            idx = int(np.argmax(inside)) if inside.any() else 32
+        idx = max(1, min(idx, 32))
+        lo, hi = s[idx - 1], s[idx]
+    return 0.5 * (lo + hi)
+
+
+def _sublevel_interval(u: np.ndarray, v: np.ndarray, r: float, T: float,
+                       s_cap: float) -> tuple[float, float] | None:
+    """The interval {s in [0, s_cap] : rnorm(k1 a_s k2) <= T} (convex profile)."""
+    grid = np.linspace(0.0, s_cap, 65)
+    vals = _rnorm_of_s(u, v, r, grid)
+    # locate the profile minimum (three refinement rounds)
+    i = int(vals.argmin())
+    lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, 64)]
+    for _ in range(3):
+        s = np.linspace(lo, hi, 33)
+        vv = _rnorm_of_s(u, v, r, s)
+        j = int(vv.argmin())
+        lo, hi = s[max(j - 1, 0)], s[min(j + 1, 32)]
+    s_min = 0.5 * (lo + hi)
+    if float(_rnorm_of_s(u, v, r, np.array([s_min]))[0]) > T:
+        return None
+    if float(vals[0]) <= T:
+        s_a = 0.0
+    else:
+        s_a = _refine_crossing(u, v, r, T, 0.0, s_min, want_leq_left=False)
+    if float(vals[-1]) <= T:
+        s_b = s_cap
+    else:
+        s_b = _refine_crossing(u, v, r, T, s_min, s_cap, want_leq_left=True)
+    return s_a, s_b
+
+
+def kak_raw_reference(gauge: Gauge, T: float, *, panels: int = 4, nodes: int = 16) -> float:
+    """haar._sl2_kak_raw computed one (theta1, theta2) node pair at a time.
+
+    Same nodes, grids and refinement rounds as the batched route, so the two
+    must agree exactly, not just to a tolerance.
+    """
+    if gauge.kind != "rnorm":
+        raise SpecError(f"KAK quadrature handles rnorm gauges, not {gauge.kind!r}")
+    if T <= 0:
+        return 0.0
+    if 2.0 * T * T <= 1.0:
+        return 0.0
+    s_cap = 0.5 * math.acosh(max(1.0, 2.0 * T * T))
+    if s_cap <= 0.0:
+        return 0.0
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    edges = np.linspace(0.0, math.pi / 2.0, panels + 1)
+    theta_nodes = []
+    theta_weights = []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+        theta_nodes.extend(mid + half * x)
+        theta_weights.extend(half * w)
+    total = 0.0
+    for th1, w1 in zip(theta_nodes, theta_weights):
+        for th2, w2 in zip(theta_nodes, theta_weights):
+            u, v = _kak_entry_coeffs(th1, th2)
+            interval = _sublevel_interval(u, v, gauge.r, T, s_cap)
+            if interval is None:
+                continue
+            s_a, s_b = interval
+            total += w1 * w2 * 0.5 * (math.cosh(2.0 * s_b) - math.cosh(2.0 * s_a))
+    return total

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from _brute import kak_raw_reference
 from latcount.errors import SpecError
 from latcount.gauges import hyperbolic_gauge, rnorm_gauge
 from latcount.haar import (
@@ -54,6 +55,38 @@ def test_frobenius_gauge_dual_routes_agree():
     for T in (6.0, 40.0):
         raw = _sl2_kak_raw(rnorm_gauge(2), T)
         assert kappa * raw == pytest.approx(frobenius_ball_volume(T), rel=1e-6)
+
+
+# 0.6: early exit (2T^2 <= 1); 0.9 with r=inf: a partial ball; 1.2 with r=1:
+# every theta2 row empty
+@pytest.mark.parametrize("r", [1.0, 2.0, 3.0, math.inf])
+@pytest.mark.parametrize("T", [0.6, 0.9, 1.2, 3.7, 16.05, 150.0])
+def test_kak_raw_equals_per_pair_reference(r, T):
+    from latcount.haar import _sl2_kak_raw
+
+    gauge = rnorm_gauge(r)
+    assert _sl2_kak_raw(gauge, T, panels=2, nodes=8) == kak_raw_reference(
+        gauge, T, panels=2, nodes=8)
+
+
+def test_kak_raw_equals_per_pair_reference_at_default_size():
+    from latcount.haar import _sl2_kak_raw
+
+    gauge = rnorm_gauge(1)
+    assert _sl2_kak_raw(gauge, 150.0) == kak_raw_reference(gauge, 150.0)
+
+
+@pytest.mark.parametrize("r", [1.0, math.inf])
+@pytest.mark.parametrize("T", [6.0, 60.0])
+def test_kak_rnorm_volume_converges(r, T):
+    # no closed form for r = 1, inf: the default rule against one with twice
+    # the panels and twice the nodes per panel
+    from latcount.haar import _sl2_kak_raw
+
+    gauge = rnorm_gauge(r)
+    coarse = _sl2_kak_raw(gauge, T, panels=4, nodes=16)
+    fine = _sl2_kak_raw(gauge, T, panels=8, nodes=32)
+    assert abs(coarse - fine) <= 1e-4 * fine
 
 
 def test_rnorm_volumes_match_counts_at_scale():
