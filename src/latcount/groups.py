@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Sequence
 
 from .errors import SpecError
@@ -24,6 +25,7 @@ __all__ = [
     "group_mul",
     "group_inv",
     "reduce_mod",
+    "denominator_scale",
     "padic_abs",
     "int_det",
     "adjugate",
@@ -140,7 +142,7 @@ class GroupElement:
         return len(self.entries)
 
     def entries_flat(self) -> tuple[int, ...]:
-        return tuple(e for row in self.entries for e in row)
+        return sum(self.entries, ())
 
     def is_identity(self) -> bool:
         return self.p_power == 0 and all(
@@ -259,17 +261,18 @@ def group_inv(a: GroupElement) -> GroupElement:
     return GroupElement.from_rows(adj, prime=a.prime, p_power=(a.n - 1) * a.p_power)
 
 
+def denominator_scale(denom: int, q: int) -> int:
+    """The inverse of denom mod q, which an element's 1/denom = p^{-k} reduces to."""
+    if gcd(denom, q) != 1:
+        raise SpecError(f"cannot reduce mod {q}: shares a factor with the denominator {denom}")
+    return pow(denom, -1, q)
+
+
 def reduce_mod(a: GroupElement, q: int) -> ResidueClass:
     """Entrywise reduction mod q, with p^{-k} replaced by the inverse of p^k mod q."""
     if q < 2:
         raise SpecError(f"modulus must be >= 2, got {q}")
-    if a.p_power > 0:
-        from math import gcd
-        if gcd(a.prime, q) != 1:
-            raise SpecError(f"cannot reduce mod {q}: shares a factor with p = {a.prime}")
-        scale = pow(a.prime, -a.p_power, q)
-    else:
-        scale = 1
+    scale = denominator_scale(a.prime ** a.p_power if a.p_power else 1, q)
     rows = tuple(tuple((e * scale) % q for e in row) for row in a.entries)
     return ResidueClass(q, rows)
 

@@ -58,7 +58,19 @@ def estimate_count(group: str, gauge: Gauge, threshold: float) -> int:
     """Cheap a-priori overestimate of the number of elements in the ball."""
     desc = resolve_group(group)
     if desc.n == 3:
-        return max(64, int(threshold) ** 6 // 4)
+        # A -> (r1, r2, r3 without entry j), j where |(r1 x r2)_j| is largest, is
+        # one-to-one on SL(3,Z): r3 . (r1 x r2) = 1 gives the entry back.  The
+        # image keeps the entrywise r-norm <= T, so count the points of Z^8 in
+        # the r-ball: the cube |x_i| <= B; for r <= 2 the euclidean ball, whose
+        # points own disjoint unit cubes inside radius T + sqrt(2); for r = 1
+        # the cross-polytope, exactly.
+        b = entry_bound(gauge, threshold)
+        est = (2 * b + 1) ** 8
+        if gauge.r <= 2:
+            est = min(est, math.ceil(math.pi**4 / 24 * (threshold + math.sqrt(2.0)) ** 8))
+        if gauge.r == 1:
+            est = min(est, sum(2**i * math.comb(8, i) * math.comb(b, i) for i in range(9)))
+        return est
     if gauge.kind == "hyperbolic":
         return max(16, int(14.0 * math.cosh(threshold)))
     if gauge.kind == "height":
@@ -379,30 +391,32 @@ def enumerate_ball(
 
 def _progression_ball(
     group: str, gauge: Gauge, caps: Sequence[int]
-) -> Iterator[tuple[int, int, int, int, int]]:
-    """(a, b, c, d, bisect_left(caps, key)) for every element with key <= caps[-1].
+) -> Iterator[tuple[int, ...]]:
+    """(bisect_left(caps, key), p^l, a, b, c, d) for every element with key <= caps[-1].
 
-    An element is fixed by its top row (a, b) and a shift k: the bottom row is
-    (c0, d0) + k (a/g, b/g), g = gcd(a, b), with a d0 - b c0 = det from ext_gcd
-    (det = 1 on sl2z, p^(2l) on level l of sl2z1p).  The key is convex in k, so
-    the k inside the ball form an interval: exact from isqrt of the
-    discriminant for the quadratic keys; for r = 1 and r = inf, _window_1d
-    bounds |c| and |d| and the key test trims the rest.  Order is unspecified.
+    An element p^(-l) (a, b; c, d) is fixed by its level l, its top row (a, b)
+    and a shift k: the bottom row is (c0, d0) + k (a/g, b/g), g = gcd(a, b),
+    with a d0 - b c0 = det from ext_gcd (det = 1 on sl2z, p^(2l) on level l of
+    sl2z1p).  The key is convex in k, so the k inside the ball form an
+    interval: exact from isqrt of the discriminant for the quadratic keys; for
+    r = 1 and r = inf, _window_1d bounds |c| and |d| and the key test trims
+    the rest.  Order is unspecified.
     """
     top = caps[-1]
     p = gauge.prime
     norm = "sq" if gauge.kind != "rnorm" or gauge.r == 2 else ("abs" if gauge.r == 1 else "max")
-    dets = [1]
+    dens = [1]
     if group == "sl2z1p":
         # Hadamard: det A <= ||A||_F^2 / 2, so the level ladder is finite
-        while 2 * p ** (2 * len(dets)) <= top:
-            dets.append(p ** (2 * len(dets)))
+        while 2 * p ** (2 * len(dens)) <= top:
+            dens.append(p ** len(dens))
     # top rows that leave room for a nonzero bottom row
     if norm == "sq":
         amax = math.isqrt(top - 1) if top >= 1 else -1
     else:
         amax = top - 1 if norm == "abs" else top
-    for level, det in enumerate(dets):
+    for level, den in enumerate(dens):
+        det = den * den
         for a in range(-amax, amax + 1):
             if norm == "sq":
                 bmax = math.isqrt(top - 1 - a * a)
@@ -444,7 +458,7 @@ def _progression_ball(
                     else:
                         key = max(ab, abs(c), abs(d))
                     if key <= top and not (skip_p and c % skip_p == 0 and d % skip_p == 0):
-                        yield a, b, c, d, bisect.bisect_left(caps, key)
+                        yield bisect.bisect_left(caps, key), den, a, b, c, d
                     c += sa
                     d += sb
 
@@ -459,14 +473,15 @@ def _integer_caps(gauge: Gauge, thresholds: Sequence[float]) -> list[int] | None
 
 def progression_buckets(
     group: str, gauge: Gauge, thresholds: Sequence[float], budget: int | None = None
-) -> Iterator[tuple[int, int, int, int, int]] | None:
-    """The ball at thresholds[-1] as (a, b, c, d, bucket), without building elements.
+) -> Iterator[tuple[int, ...]] | None:
+    """The ball at thresholds[-1] as ball_buckets records, without building elements.
 
-    bucket is the index of the first threshold whose ball holds the element, as
-    bucket_index gives it.  Covers sl2z with rnorm:1, rnorm:2, rnorm:inf and
-    hyperbolic, and sl2z1p with height; returns None for every other ball, which
-    then needs enumerate_ball.  The checks and the budget gate of enumerate_ball
-    run first, at the call, for every ball.
+    Each record is (bucket, p^l, a, b, c, d) for the element p^(-l) (a, b; c, d)
+    (p^l = 1 on sl2z); bucket is the index of the first threshold whose ball
+    holds the element, as bucket_index gives it.  Covers sl2z with rnorm:1,
+    rnorm:2, rnorm:inf and hyperbolic, and sl2z1p with height; returns None for
+    every other ball, which then needs enumerate_ball.  The checks and the
+    budget gate of enumerate_ball run first, at the call, for every ball.
     """
     _check_ball(group, gauge, thresholds[-1], budget)
     if group == "sl2z":
@@ -547,6 +562,42 @@ def threshold_bucketer(
     return bucket
 
 
+def ball_buckets(
+    group: str,
+    gauge: Gauge,
+    thresholds: Sequence[float],
+    *,
+    elements: Iterable[GroupElement] | None = None,
+    budget: int | None = None,
+    threads: int = 1,
+) -> Iterator[tuple[int, ...]]:
+    """One flat record (bucket, denom, *entries) per element of the top ball.
+
+    The element is entries / denom (entries row-major, denom = p^k, 1 on
+    integral elements) and bucket < len(thresholds) is the index of the first
+    threshold whose ball holds it, as bucket_index gives it.  This is the one
+    place that picks the route: the progression kernel where it covers the
+    ball, else enumerate_ball; given elements are bucketed as they are and
+    those above thresholds[-1] are dropped.  Without elements, the ball's
+    checks and budget gate run at the call.  Order is unspecified.
+    """
+    if elements is None:
+        kernel = progression_buckets(group, gauge, thresholds, budget)
+        if kernel is not None:
+            return kernel
+        elements = enumerate_ball(group, gauge, thresholds[-1], budget=budget, threads=threads)
+    return _element_records(elements, threshold_bucketer(gauge, thresholds), len(thresholds))
+
+
+def _element_records(
+    elements: Iterable[GroupElement], bucket: Callable[[GroupElement], int], k: int
+) -> Iterator[tuple[int, ...]]:
+    for el in elements:
+        i = bucket(el)
+        if i < k:
+            yield (i, el.prime ** el.p_power if el.p_power else 1, *el.entries_flat())
+
+
 def count_series(
     group: str,
     gauge: Gauge,
@@ -559,27 +610,16 @@ def count_series(
 ) -> CountSeries:
     """Cumulative lattice counts over an increasing threshold grid.
 
-    One pass over the ball at the largest threshold feeds every bucket: the
-    progression kernel where it covers the ball, else enumeration; volumes
-    (when the gauge has a computable Haar volume) are normalized so that the
-    ratio column tends to 1.
+    One pass over the ball at the largest threshold (ball_buckets) feeds every
+    bucket; volumes (when the gauge has a computable Haar volume) are
+    normalized so that the ratio column tends to 1.
     """
     thr = [float(t) for t in thresholds]
     if not thr or any(b <= a for a, b in zip(thr, thr[1:])):
         raise SpecError("thresholds must be strictly increasing and nonempty")
-    buckets = [0] * (len(thr) + 1)
-    ball = None
-    if elements is None:
-        ball = progression_buckets(group, gauge, thr, budget)
-        if ball is None:
-            elements = enumerate_ball(group, gauge, thr[-1], budget=budget, threads=threads)
-    if ball is not None:
-        for _a, _b, _c, _d, i in ball:
-            buckets[i] += 1
-    else:
-        bucket = threshold_bucketer(gauge, thr)
-        for el in elements:
-            buckets[bucket(el)] += 1
+    buckets = [0] * len(thr)
+    for rec in ball_buckets(group, gauge, thr, elements=elements, budget=budget, threads=threads):
+        buckets[rec[0]] += 1
     counts = []
     running = 0
     for i in range(len(thr)):

@@ -7,26 +7,18 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import SpecError
 from .gauges import Gauge
-from .groups import GroupElement, ResidueClass, group_inv, reduce_mod, resolve_group
+from .groups import GroupElement, ResidueClass, adjugate, denominator_scale, resolve_group
 from .haar import GrowthFit, fit_growth
-from .lattice import (
-    CosetHistogram,
-    enumerate_ball,
-    progression_buckets,
-    sl_residue_order,
-    threshold_bucketer,
-)
+from .lattice import CosetHistogram, ball_buckets, sl_residue_order
 
 __all__ = [
     "TorusCharacter",
-    "CosetIndicator",
     "CosetObservable",
     "DeviationSeries",
-    "lattice_average",
     "deviation_series",
     "decay_fit",
 ]
@@ -52,22 +44,6 @@ class TorusCharacter:
 
 
 @dataclass(frozen=True)
-class CosetIndicator:
-    """Indicator of a single residue class mod q."""
-
-    q: int
-    rep: ResidueClass
-
-    def __post_init__(self) -> None:
-        if self.q < 2:
-            raise SpecError(f"modulus must be >= 2, got {self.q}")
-
-    @property
-    def label(self) -> str:
-        return f"coset-indicator:q={self.q}"
-
-
-@dataclass(frozen=True)
 class CosetObservable:
     """Sup-deviation over all residue classes mod q."""
 
@@ -80,14 +56,6 @@ class CosetObservable:
     @property
     def label(self) -> str:
         return f"coset-sup:q={self.q}"
-
-
-def _inverse_action(el: GroupElement, point: Sequence) -> tuple:
-    """Coordinates of gamma^{-1} x, exact when the point is rational."""
-    inv = group_inv(el)
-    if inv.p_power != 0:
-        raise SpecError("torus action needs integral matrices (p_power 0)")
-    return _act(inv.entries, point)
 
 
 def _act(rows: Sequence[Sequence[int]], point: Sequence) -> tuple:
@@ -108,32 +76,44 @@ def _turn(total) -> complex:
     return cmath.exp(2j * math.pi * (total % 1.0))
 
 
-def lattice_average(
-    elements: Sequence[GroupElement], observable, point: Sequence | None = None
-) -> complex:
-    """Mean of f(gamma^{-1} x) over the elements, in canonical order."""
-    ordered = sorted(elements, key=lambda e: e.sort_key())
-    if not ordered:
-        raise SpecError("cannot average over an empty element set")
-    if isinstance(observable, TorusCharacter):
-        if point is None or len(point) != ordered[0].n:
-            raise SpecError("torus character needs a base point of matching dimension")
-        if len(observable.m) != ordered[0].n:
-            raise SpecError("frequency vector dimension mismatch")
-        reals: list[float] = []
-        imags: list[float] = []
-        for el in ordered:
-            z = _phase(observable.m, _inverse_action(el, point))
-            reals.append(z.real)
-            imags.append(z.imag)
-        n = len(ordered)
-        return complex(math.fsum(reals) / n, math.fsum(imags) / n)
-    if isinstance(observable, CosetIndicator):
-        hits = sum(
-            1 for el in ordered if reduce_mod(el, observable.q) == observable.rep
-        )
-        return complex(hits / len(ordered))
-    raise SpecError(f"unsupported observable {observable!r}")
+_NOT_INTEGRAL = "torus action needs integral matrices (p_power 0)"
+
+
+def _record_phase(m: Sequence[int], point: Sequence, n: int):
+    """ball_buckets record -> exp(2 pi i <m, gamma^{-1} x>) for n x n elements.
+
+    gamma^{-1} is the adjugate of an integral gamma; a record with a
+    denominator raises SpecError.  The coordinates are exact when the point is
+    rational.
+    """
+    if n == 2:
+        m0, m1 = m
+        x0, x1 = point
+
+        def phase(rec: tuple[int, ...]) -> complex:
+            _, den, a, b, c, d = rec
+            if den != 1:
+                raise SpecError(_NOT_INTEGRAL)
+            # _phase(m, _act(((d, -b), (-c, a)), point)) unrolled: the same
+            # products and left-to-right sums from 0, so the same floats
+            return _turn(0 + m0 * (0 + d * x0 + -b * x1) + m1 * (0 + -c * x0 + a * x1))
+
+        return phase
+
+    def phase(rec: tuple[int, ...]) -> complex:
+        if rec[1] != 1:
+            raise SpecError(_NOT_INTEGRAL)
+        rows = tuple(rec[2 + i * n : 2 + (i + 1) * n] for i in range(n))
+        return _phase(m, _act(adjugate(rows), point))
+
+    return phase
+
+
+def _residue_keys(records: Iterable[tuple[int, ...]], q: int, n: int) -> Iterator[tuple[int, ...]]:
+    """(bucket, denom, entries mod q) of each ball_buckets record of an n x n element."""
+    if n == 2:
+        return ((i, den, a % q, b % q, c % q, d % q) for i, den, a, b, c, d in records)
+    return ((rec[0], rec[1], *[e % q for e in rec[2:]]) for rec in records)
 
 
 @dataclass(frozen=True)
@@ -166,20 +146,6 @@ def _check_thresholds(thresholds: Sequence[float]) -> tuple[float, ...]:
     return thr
 
 
-def _one_pass(group, gauge, thr, elements, budget, threads):
-    """(kernel, None) with sl2z's progression_buckets, else (None, elements to bucket).
-
-    Call it after the observable checks: on the enumeration route the ball's
-    own checks and budget gate come after them too, at the first element.
-    """
-    if elements is not None:
-        return None, elements
-    kernel = progression_buckets(group, gauge, thr, budget) if group == "sl2z" else None
-    if kernel is not None:
-        return kernel, None
-    return None, enumerate_ball(group, gauge, thr[-1], budget=budget, threads=threads)
-
-
 def deviation_series(
     group: str,
     gauge: Gauge,
@@ -192,10 +158,9 @@ def deviation_series(
     budget: int | None = None,
     threads: int = 1,
 ) -> DeviationSeries:
-    """One pass over the ball, deviations reported at every threshold.
+    """One pass over the ball (lattice.ball_buckets), deviations at every threshold.
 
-    On sl2z the progression kernel feeds the pass (see progression_buckets);
-    other groups, form gauges and explicit elements go element by element.
+    With elements, the average runs over those of them inside the top ball.
     Torus sums are fsum'd per bucket, so the order of the pass does not matter.
     """
     desc = resolve_group(group)
@@ -208,27 +173,13 @@ def deviation_series(
             raise SpecError("torus system needs a base point of matching dimension")
         if len(observable.m) != desc.n:
             raise SpecError("frequency vector dimension mismatch")
-        m = observable.m
+        phase = _record_phase(observable.m, point, desc.n)
         bucket_re: list[list[float]] = [[] for _ in range(k)]
         bucket_im: list[list[float]] = [[] for _ in range(k)]
-        kernel, elements = _one_pass(group, gauge, thr, elements, budget, threads)
-        if kernel is not None:
-            # _phase(m, _act(((d, -b), (-c, a)), point)) unrolled: the same
-            # products and left-to-right sums from 0, so the same floats
-            m0, m1 = m
-            x0, x1 = point
-            for a, b, c, d, i in kernel:
-                z = _turn(0 + m0 * (0 + d * x0 + -b * x1) + m1 * (0 + -c * x0 + a * x1))
-                bucket_re[i].append(z.real)
-                bucket_im[i].append(z.imag)
-        else:
-            bucket = threshold_bucketer(gauge, thr)
-            for el in elements:
-                z = _phase(m, _inverse_action(el, point))
-                i = bucket(el)
-                if i < k:
-                    bucket_re[i].append(z.real)
-                    bucket_im[i].append(z.imag)
+        for rec in ball_buckets(group, gauge, thr, elements=elements, budget=budget, threads=threads):
+            z = phase(rec)
+            bucket_re[rec[0]].append(z.real)
+            bucket_im[rec[0]].append(z.imag)
         target = observable.target()
         rows = []
         re_parts: list[float] = []
@@ -249,22 +200,16 @@ def deviation_series(
             observable = CosetObservable(observable)
         if not isinstance(observable, CosetObservable):
             raise SpecError("coset system needs a CosetObservable (or a modulus)")
-        q = observable.q
-        order = sl_residue_order(desc.n, q)
+        q, n = observable.q, desc.n
+        order = sl_residue_order(n, q)
+        records = ball_buckets(group, gauge, thr, elements=elements, budget=budget, threads=threads)
+        residues: Counter[tuple[int, ...]] = Counter(_residue_keys(records, q, n))
         buckets: list[Counter[ResidueClass]] = [Counter() for _ in range(k)]
-        kernel, elements = _one_pass(group, gauge, thr, elements, budget, threads)
-        if kernel is not None:
-            residues: Counter[tuple[int, ...]] = Counter(
-                (i, a % q, b % q, c % q, d % q) for a, b, c, d, i in kernel
-            )
-            for (i, ra, rb, rc, rd), n in residues.items():
-                buckets[i][ResidueClass(q, ((ra, rb), (rc, rd)))] = n
-        else:
-            bucket = threshold_bucketer(gauge, thr)
-            for el in elements:
-                i = bucket(el)
-                if i < k:
-                    buckets[i][reduce_mod(el, q)] += 1
+        for (i, den, *res), hits in residues.items():
+            # 1/den reduces to a unit mod q; two denominators can share a class
+            s = denominator_scale(den, q)
+            scaled = tuple(tuple(e * s % q for e in res[j * n : (j + 1) * n]) for j in range(n))
+            buckets[i][ResidueClass(q, scaled)] += hits
         rows = []
         prefix: Counter[ResidueClass] = Counter()
         count = 0

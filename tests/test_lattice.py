@@ -19,9 +19,11 @@ from latcount.gauges import (
 )
 from latcount.groups import GroupElement, group_inv, group_mul, reduce_mod
 from latcount.lattice import (
+    DEFAULT_BUDGET,
     coset_histogram,
     count_series,
     enumerate_ball,
+    estimate_count,
     orbit_forms_count,
     sl_residue_order,
 )
@@ -182,3 +184,20 @@ def test_sarith_structure_per_element():
         assert det == 4 ** el.p_power
         if el.p_power > 0:
             assert any(x % 2 != 0 for x in (a, b, c, d))
+
+
+@pytest.mark.parametrize("r,grid", [
+    (2, (1.5, 2.0, 2.5, 3.0, 3.5)),
+    (1, (2.0, 3.0)),
+    (math.inf, (1.0, 1.5, 2.0, 2.5)),
+], ids=["rnorm:2", "rnorm:1", "rnorm:inf"])
+def test_sl3z_estimate_bounds_the_count(r, grid):
+    gauge = rnorm_gauge(r)
+    counts = count_series("sl3z", gauge, grid, with_volume=False).counts()
+    for t, count in zip(grid, counts):
+        assert estimate_count("sl3z", gauge, t) >= count
+
+
+def test_sl3z_estimate_admits_the_benchmark_ball():
+    # perfbench counts the rnorm:2 ball at T = 4.5, moved up by < 1% per seed
+    assert estimate_count("sl3z", G2, 4.5 * 1.01) <= DEFAULT_BUDGET

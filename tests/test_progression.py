@@ -23,9 +23,11 @@ from latcount.gauges import (
 from latcount.groups import GroupElement, reduce_mod
 from latcount.lattice import (
     bucket_index,
+    coset_histogram,
     count_series,
     enumerate_ball,
     progression_buckets,
+    sl_residue_order,
     threshold_bucketer,
 )
 from latcount.torus import TorusCharacter, deviation_series
@@ -53,7 +55,7 @@ def oracle_buckets(group, gauge, thr):
 
 @pytest.mark.parametrize("group,gauge,thr", CASES, ids=IDS)
 def test_bucket_counts_match_enumeration(group, gauge, thr):
-    kernel = Counter(i for *_, i in progression_buckets(group, gauge, thr))
+    kernel = Counter(i for i, *_ in progression_buckets(group, gauge, thr))
     oracle = Counter(i for i, _ in oracle_buckets(group, gauge, thr))
     assert kernel == oracle
     assert len(thr) not in kernel
@@ -65,9 +67,10 @@ def test_bucket_counts_match_enumeration(group, gauge, thr):
 def test_kernel_elements_are_the_ball(group, gauge, thr):
     p = gauge.prime
     seen = Counter()
-    for a, b, c, d, _ in progression_buckets(group, gauge, thr):
+    for _, den, a, b, c, d in progression_buckets(group, gauge, thr):
         det = a * d - b * c
         level = 0 if group == "sl2z" else round(math.log(det, p)) // 2
+        assert den == (p ** level if level else 1)
         seen[GroupElement.from_rows(((a, b), (c, d)), prime=p, p_power=level)] += 1
     assert set(seen.values()) == {1}
     assert set(seen) == set(enumerate_ball(group, gauge, thr[-1]))
@@ -80,7 +83,7 @@ def test_kernel_elements_are_the_ball(group, gauge, thr):
 ], ids=["rnorm:2", "hyperbolic"])
 def test_coset_histograms_match_enumeration(q, gauge, thr):
     kernel = Counter((i, a % q, b % q, c % q, d % q)
-                     for a, b, c, d, i in progression_buckets("sl2z", gauge, thr))
+                     for i, _, a, b, c, d in progression_buckets("sl2z", gauge, thr))
     oracle = Counter((i, *reduce_mod(el, q).sort_key())
                      for i, el in oracle_buckets("sl2z", gauge, thr))
     assert kernel == oracle
@@ -102,6 +105,35 @@ def test_torus_rows_are_bit_identical(m, gauge, thr):
     via_elements = deviation_series("sl2z", gauge, thr, "torus", TorusCharacter(m), X0,
                                     elements=ball)
     assert via_kernel.rows == via_elements.rows  # floats compared with ==
+
+
+SARITH_COSETS = [(gauge, thr, q) for group, gauge, thr in CASES if group == "sl2z1p"
+                 for q in (2, 3, 5) if q % gauge.prime]
+
+
+@pytest.mark.parametrize("gauge,thr,q", SARITH_COSETS,
+                         ids=[f"{g.describe()}-q{q}" for g, _, q in SARITH_COSETS])
+def test_sarith_coset_rows_match_enumeration(gauge, thr, q):
+    ball = list(enumerate_ball("sl2z1p", gauge, thr[-1]))
+    via_kernel = deviation_series("sl2z1p", gauge, thr, "coset", q)
+    via_elements = deviation_series("sl2z1p", gauge, thr, "coset", q, elements=ball)
+    assert via_kernel.rows == via_elements.rows
+    # reduce_mod's p^-k scaling is the independent route for the top row
+    top = coset_histogram(ball, q).sup_deviation(sl_residue_order(2, q))
+    assert via_kernel.rows[-1] == (thr[-1], top, len(ball))
+
+
+@pytest.mark.parametrize("m", [(1, 0), (2, -1)])
+@pytest.mark.parametrize("p,thr", [(2, (1.5, 2.0, 2.5, 2.8)), (3, (2.0, 3.0, 4.0, 4.2))])
+def test_sarith_torus_rows_below_level_one(p, thr, m):
+    # T < p sqrt(2): the ball holds no level-1 matrix, so the torus acts
+    ball = list(enumerate_ball("sl2z1p", height_gauge(p), thr[-1]))
+    assert all(el.p_power == 0 for el in ball)
+    via_kernel = deviation_series("sl2z1p", height_gauge(p), thr, "torus",
+                                  TorusCharacter(m), X0)
+    via_elements = deviation_series("sl2z1p", height_gauge(p), thr, "torus",
+                                    TorusCharacter(m), X0, elements=ball)
+    assert via_kernel.rows == via_elements.rows
 
 
 @pytest.mark.parametrize("group,gauge,top", [

@@ -7,19 +7,28 @@ import pytest
 
 from latcount.errors import BudgetError, SpecError
 from latcount.gauges import height_gauge, rnorm_gauge
-from latcount.groups import reduce_mod
-from latcount.lattice import count_series, enumerate_ball
+from latcount.groups import adjugate, reduce_mod
+from latcount.lattice import coset_histogram, count_series, enumerate_ball, progression_buckets
 from latcount.torus import (
-    CosetIndicator,
     CosetObservable,
     DeviationSeries,
     TorusCharacter,
+    _act,
+    _phase,
+    _record_phase,
     decay_fit,
     deviation_series,
-    lattice_average,
 )
 
 X0 = (math.sqrt(2.0) - 1.0, math.sqrt(3.0) - 1.0)
+G2 = rnorm_gauge(2)
+
+
+def ball_deviation(elements, threshold, system, observable, point=None):
+    """deviation_series over given elements at one threshold: |mean - target|."""
+    (row,) = deviation_series("sl2z", G2, [threshold], system, observable, point,
+                              elements=elements).rows
+    return row[1]
 
 
 @pytest.fixture(scope="module")
@@ -48,29 +57,39 @@ def test_average_over_smallest_ball_is_cosine_mean():
     elements = list(enumerate_ball("sl2z", rnorm_gauge(2), 1.5))
     assert len(elements) == 4
     a, b = 0.37, 0.21
-    avg = lattice_average(elements, TorusCharacter((1, 0)), (a, b))
+    dev = ball_deviation(elements, 1.5, "torus", TorusCharacter((1, 0)), (a, b))
     expected = 0.5 * (math.cos(2 * math.pi * a) + math.cos(2 * math.pi * b))
-    assert avg.real == pytest.approx(expected, abs=1e-12)
-    assert avg.imag == pytest.approx(0.0, abs=1e-12)
+    assert dev == pytest.approx(abs(expected), abs=1e-12)
 
 
 def test_constant_character_averages_to_one(ball20):
-    avg = lattice_average(ball20, TorusCharacter((0, 0)), X0)
-    assert avg == pytest.approx(1.0 + 0.0j, abs=1e-12)
+    dev = ball_deviation(ball20, 20.0, "torus", TorusCharacter((0, 0)), X0)
+    assert dev == pytest.approx(0.0, abs=1e-12)
 
 
 def test_character_average_is_contraction(ball20):
     for m in ((1, 0), (2, -1), (0, 3)):
-        avg = lattice_average(ball20, TorusCharacter(m), X0)
-        assert abs(avg) <= 1.0 + 1e-12
+        dev = ball_deviation(ball20, 20.0, "torus", TorusCharacter(m), X0)
+        assert dev <= 1.0 + 1e-12
 
 
 def test_rational_point_exact_vs_float(ball20):
     pt_exact = (Fraction(1, 3), Fraction(1, 7))
     pt_float = (1.0 / 3.0, 1.0 / 7.0)
-    a = lattice_average(ball20, TorusCharacter((1, 2)), pt_exact)
-    b = lattice_average(ball20, TorusCharacter((1, 2)), pt_float)
+    a = ball_deviation(ball20, 20.0, "torus", TorusCharacter((1, 2)), pt_exact)
+    b = ball_deviation(ball20, 20.0, "torus", TorusCharacter((1, 2)), pt_float)
     assert abs(a - b) <= 1e-12
+
+
+@pytest.mark.parametrize("point", [X0, (Fraction(1, 3), Fraction(2, 7)), (0, 1),
+                                   (Fraction(1, 3), 0.25)])
+def test_unrolled_2x2_phase_is_the_generic_phase(point):
+    # the 2x2 phase of every record must give the floats of _phase(_act(adjugate))
+    m = (2, -1)
+    phase = _record_phase(m, point, 2)
+    for rec in progression_buckets("sl2z", rnorm_gauge(2), [12.0]):
+        rows = (rec[2:4], rec[4:6])
+        assert phase(rec) == _phase(m, _act(adjugate(rows), point))
 
 
 def test_fixed_point_never_equidistributes():
@@ -82,32 +101,28 @@ def test_fixed_point_never_equidistributes():
 
 
 def test_coset_indicator_identity_class_at_small_radius():
+    # {+-I, +-J} reduce to two classes mod 2, each of mass 1/2 against 1/6
     elements = list(enumerate_ball("sl2z", rnorm_gauge(2), math.sqrt(2.0) + 1e-9))
     assert len(elements) == 4
     ident = reduce_mod(elements[0].identity(2), 2)
-    frac = lattice_average(elements, CosetIndicator(2, ident))
-    assert frac.real == pytest.approx(0.5, abs=1e-12)
+    assert coset_histogram(elements, 2).fraction(ident) == pytest.approx(0.5, abs=1e-12)
+    dev = ball_deviation(elements, math.sqrt(2.0) + 1e-9, "coset", CosetObservable(2))
+    assert dev == 0.5 - 1.0 / 6.0
 
 
 def test_indicator_fractions_sum_to_one(ball20):
-    classes = {}
-    for el in ball20:
-        red = reduce_mod(el, 2)
-        classes.setdefault(red.sort_key(), red)
-    total = sum(lattice_average(ball20, CosetIndicator(2, rep)).real
-                for rep in classes.values())
+    hist = coset_histogram(ball20, 2)
+    total = sum(hist.fraction(cls) for cls, _ in hist.counts)
     assert total == pytest.approx(1.0, abs=1e-12)
 
 
 def test_average_validation(ball20):
     with pytest.raises(SpecError):
-        lattice_average([], TorusCharacter((1, 0)), (0.1, 0.2))
+        ball_deviation(ball20, 20.0, "torus", TorusCharacter((1, 0)))  # no base point
     with pytest.raises(SpecError):
-        lattice_average(ball20, TorusCharacter((1, 0)))  # no base point
+        ball_deviation(ball20, 20.0, "torus", TorusCharacter((1, 0, 2)), X0)
     with pytest.raises(SpecError):
-        lattice_average(ball20, TorusCharacter((1, 0, 2)), X0)
-    with pytest.raises(SpecError):
-        lattice_average(ball20, TorusCharacter((1, 0)), (0.1, 0.2, 0.3))
+        ball_deviation(ball20, 20.0, "torus", TorusCharacter((1, 0)), (0.1, 0.2, 0.3))
 
 
 def test_series_counts_match_count_series(ball20):
