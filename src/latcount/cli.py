@@ -27,7 +27,7 @@ from .haar import (
     tensor_weights,
     volume_of_ball,
 )
-from .lattice import count_series, orbit_forms_count
+from .lattice import count_series, orbit_forms_series
 from .spectral import (
     counting_error_exponent,
     default_params,
@@ -505,8 +505,7 @@ def _run_forms(spec: ExperimentSpec) -> Report:
     f0 = spec.gauge.form
     rows = []
     samples = []
-    for t in spec.thresholds:
-        oc = orbit_forms_count(f0, t, budget=spec.budget)
+    for t, oc in zip(spec.thresholds, orbit_forms_series(f0, spec.thresholds, budget=spec.budget)):
         rows.append((t, oc.orbit_count, oc.stabilizer_order, oc.gamma_count))
         samples.append((t, float(oc.orbit_count)))
     window = (spec.thresholds[0], spec.thresholds[-1])

@@ -10,7 +10,8 @@ Supported kinds:
 Thresholds are compared exactly wherever the underlying quantity is an integer
 or rational (squared norms, form norms), so enumeration never depends on
 floating-point rounding at the boundary.  Integer-keyed gauges (integer r,
-r = inf, hyperbolic, height) reduce the test to key(entries) <= gauge_cap.
+r = inf, hyperbolic, height, and rep_form through L times the form norm)
+reduce the test to key(entries) <= gauge_cap.
 """
 from __future__ import annotations
 
@@ -37,6 +38,8 @@ __all__ = [
     "gauge_key",
     "gauge_eval_real",
     "forms_substitute",
+    "substitute_coeffs",
+    "form_key",
     "form_norm_sq",
     "unit_circle_min",
     "entry_bound",
@@ -171,30 +174,42 @@ def forms_substitute(f: BinaryForm, g: GroupElement) -> BinaryForm:
     if g.n != 2 or g.p_power != 0:
         raise SpecError("forms_substitute needs an integral 2x2 element")
     (a, b), (c, d) = g.entries
-    n = f.degree
+    return BinaryForm(f.degree, substitute_coeffs(f.coeffs, a, b, c, d))
+
+
+def substitute_coeffs(coeffs: Sequence[int], a: int, b: int, c: int, d: int) -> tuple[int, ...]:
+    """Coefficients of sum_i coeffs[i] (a x + b y)^(n-i) (c x + d y)^i."""
+    n = len(coeffs) - 1
     out = [0] * (n + 1)
-    for i, coef in enumerate(f.coeffs):
+    for i, coef in enumerate(coeffs):
         if coef == 0:
             continue
-        term = _homog_mul(_binpow(a, b, n - i), _binpow(c, d, i))
-        for j, t in enumerate(term):
-            out[j] += coef * t
-    return BinaryForm(n, tuple(out))
+        right = _binpow(c, d, i)
+        for j, s in enumerate(_binpow(a, b, n - i)):
+            if s:
+                s *= coef
+                for k, t in enumerate(right):
+                    out[j + k] += s * t
+    return tuple(out)
+
+
+def form_key(f: BinaryForm, a: int, b: int, c: int, d: int) -> int:
+    """L form_norm_sq(f . (a, b; c, d)), an integer: L = lcm_i binom(n, i)."""
+    coeffs = substitute_coeffs(f.coeffs, a, b, c, d)
+    return sum(w * e * e for w, e in zip(_form_weights(f.degree), coeffs))
+
+
+@lru_cache(maxsize=None)
+def _form_weights(n: int) -> tuple[int, ...]:
+    """L / binom(n, i) for L = lcm_i binom(n, i)."""
+    binoms = [math.comb(n, i) for i in range(n + 1)]
+    lcm = math.lcm(*binoms)
+    return tuple(lcm // m for m in binoms)
 
 
 def _binpow(alpha: int, beta: int, m: int) -> list[int]:
     """Coefficients of (alpha*x + beta*y)^m in the basis x^(m-j) y^j."""
     return [math.comb(m, j) * alpha ** (m - j) * beta ** j for j in range(m + 1)]
-
-
-def _homog_mul(p: list[int], q: list[int]) -> list[int]:
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a == 0:
-            continue
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +367,7 @@ def gauge_eval(gauge: Gauge, g: GroupElement) -> float:
 def _integer_keyed(gauge: Gauge) -> bool:
     if gauge.kind == "rnorm":
         return math.isinf(gauge.r) or gauge.r == int(gauge.r)
-    return gauge.kind in ("hyperbolic", "height")
+    return gauge.kind in ("hyperbolic", "height", "rep_form")
 
 
 def _key(gauge: Gauge, flat: Sequence[int]) -> int:
@@ -372,13 +387,17 @@ def gauge_cap(gauge: Gauge, threshold: float, level: int = 1) -> int | None:
     For an integer-keyed gauge, gauge(g) <= threshold holds exactly when the
     key of g's integer entries is at most this cap: sum e^2 against T^2
     (rnorm:2, height) or 2 cosh t (hyperbolic), sum |e|^r against T^r, max |e|
-    against T.  level = p^k scales an r-norm threshold for an element p^{-k} A.
-    None for gauges without an integer key (forms, fractional r).
+    against T, sum (L / binom(n, i)) c_i^2 against L T^2 (rep_form, L the lcm
+    of the binomials, c the substituted coefficients).  level = p^k scales an
+    r-norm threshold for an element p^{-k} A.  None for fractional r.
     """
     if not _integer_keyed(gauge):
         return None
     if gauge.kind == "hyperbolic":
         return -1 if threshold < 0 else math.floor(2.0 * math.cosh(threshold))
+    if gauge.kind == "rep_form":
+        lcm = _form_weights(gauge.form.degree)[0]
+        return -1 if threshold < 0 else math.floor(lcm * Fraction(threshold) ** 2)
     if gauge.kind == "height":
         return math.floor(Fraction(threshold) ** 2)
     thr = Fraction(threshold) * level
@@ -394,6 +413,10 @@ def gauge_key(gauge: Gauge, g: GroupElement) -> int | None:
     """
     if not _integer_keyed(gauge):
         return None
+    if gauge.kind == "rep_form":
+        _require_integral_2x2(g, "rep_form gauge")
+        (a, b), (c, d) = g.entries
+        return form_key(gauge.form, a, b, c, d)
     if gauge.kind == "hyperbolic":
         _require_integral_2x2(g, "hyperbolic gauge")
     elif gauge.kind == "height":

@@ -18,17 +18,18 @@ from .gauges import (
     Gauge,
     entry_bound,
     form_norm_sq,
-    forms_substitute,
+    form_key,
     gauge_cap,
     gauge_eval,
     gauge_key,
     gauge_leq,
+    rep_form_gauge,
+    substitute_coeffs,
 )
 from .groups import (
     GroupElement,
     ResidueClass,
     ext_gcd,
-    int_det,
     reduce_mod,
     resolve_group,
 )
@@ -463,6 +464,88 @@ def _progression_ball(
                     d += sb
 
 
+def _sl3_ball(gauge: Gauge, caps: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """(bisect_left(caps, key), 1, *entries) for every element of SL(3,Z) with key <= caps[-1].
+
+    The sweep of _enumerate_sl3z, pruned by the integer key (C = caps[-1]):
+    for r = 1, 2 each row's own key is at most C - 2, since the other two rows
+    are nonzero integer rows of key >= 1.  The third rows r3 . (r1 x r2) = 1
+    come from _third_row_candidates under the squared norm the first two rows
+    leave: C - k1 - k2 (r = 2), (C - k1 - k2)^2 (r = 1, as |x|_2 <= |x|_1),
+    or the box |e| <= C (r = inf).  Order is unspecified.
+    """
+    top = caps[-1]
+    norm = "sq" if gauge.r == 2 else ("abs" if gauge.r == 1 else "max")
+    if norm == "max":
+        row_cap = bound = top
+    else:
+        row_cap = top - 2
+        bound = (math.isqrt(row_cap) if norm == "sq" else row_cap) if row_cap >= 1 else 0
+    rows = []
+    for r in product(range(-bound, bound + 1), repeat=3):
+        if norm == "sq":
+            key = r[0] * r[0] + r[1] * r[1] + r[2] * r[2]
+        elif norm == "abs":
+            key = abs(r[0]) + abs(r[1]) + abs(r[2])
+        else:
+            key = max(abs(r[0]), abs(r[1]), abs(r[2]))
+        if 0 < key <= row_cap:
+            rows.append((r, key))
+    box_sq = 3 * top * top
+    rem = top
+    for r1, k1 in rows:
+        if math.gcd(math.gcd(r1[0], r1[1]), r1[2]) != 1:
+            continue
+        for r2, k2 in rows:
+            if norm != "max":
+                rem = top - k1 - k2
+                if rem < 1:
+                    continue
+            w = _cross(r1, r2)
+            if math.gcd(math.gcd(w[0], w[1]), w[2]) != 1:
+                continue  # also w == 0
+            head = (1, *r1, *r2)
+            if norm == "sq":
+                for r3 in _third_row_candidates(w, math.isqrt(rem), rem):
+                    key = top - rem + r3[0] * r3[0] + r3[1] * r3[1] + r3[2] * r3[2]
+                    yield (bisect.bisect_left(caps, key), *head, *r3)
+            elif norm == "abs":
+                for r3 in _third_row_candidates(w, rem, rem * rem):
+                    k3 = abs(r3[0]) + abs(r3[1]) + abs(r3[2])
+                    if k3 <= rem:
+                        yield (bisect.bisect_left(caps, top - rem + k3), *head, *r3)
+            else:
+                k12 = max(k1, k2)
+                for r3 in _third_row_candidates(w, top, box_sq):
+                    key = max(k12, abs(r3[0]), abs(r3[1]), abs(r3[2]))
+                    yield (bisect.bisect_left(caps, key), *head, *r3)
+
+
+def _form_ball(gauge: Gauge, caps: Sequence[int], bound: int) -> Iterator[tuple[int, ...]]:
+    """(bisect_left(caps, key), 1, a, b, c, d) for every gamma of SL(2,Z) with key <= caps[-1].
+
+    key is gauge_key of the rep_form gauge: form_key, L times the squared norm
+    of f0 . gamma.
+    Walks the box windows of _sl2z_chunk: every entry of the ball is at most
+    bound (entry_bound at the top threshold).  Order is unspecified.
+    """
+    top = caps[-1]
+    for a in range(-bound, bound + 1):
+        for b in range(-bound, bound + 1):
+            if math.gcd(a, b) != 1:
+                continue
+            _, x, y = ext_gcd(a, b)
+            c0, d0 = -y, x  # a*d0 - b*c0 = 1
+            window = _intersect(_window_1d(c0, a, bound), _window_1d(d0, b, bound))
+            if window is None:
+                continue
+            for k in range(window[0], window[1] + 1):
+                c, d = c0 + k * a, d0 + k * b
+                key = form_key(gauge.form, a, b, c, d)
+                if key <= top:
+                    yield bisect.bisect_left(caps, key), 1, a, b, c, d
+
+
 def _integer_caps(gauge: Gauge, thresholds: Sequence[float]) -> list[int] | None:
     """gauge_cap at every threshold; None unless all are integers that never decrease."""
     caps = [gauge_cap(gauge, t) for t in thresholds]
@@ -479,19 +562,28 @@ def progression_buckets(
     Each record is (bucket, p^l, a, b, c, d) for the element p^(-l) (a, b; c, d)
     (p^l = 1 on sl2z); bucket is the index of the first threshold whose ball
     holds the element, as bucket_index gives it.  Covers sl2z with rnorm:1,
-    rnorm:2, rnorm:inf and hyperbolic, and sl2z1p with height; returns None for
-    every other ball, which then needs enumerate_ball.  The checks and the
-    budget gate of enumerate_ball run first, at the call, for every ball.
+    rnorm:2, rnorm:inf, hyperbolic and form gauges, sl3z with rnorm:1, rnorm:2
+    and rnorm:inf (records (bucket, 1, *entries), nine entries), and sl2z1p
+    with height; returns None for every other ball, which then needs
+    enumerate_ball.  The checks and the budget gate of enumerate_ball run
+    first, at the call, for every ball.
     """
     _check_ball(group, gauge, thresholds[-1], budget)
+    integer_r = gauge.kind == "rnorm" and gauge.r in (1, 2, math.inf)
     if group == "sl2z":
-        covered = gauge.kind == "hyperbolic" or (gauge.kind == "rnorm" and gauge.r in (1, 2, math.inf))
+        covered = integer_r or gauge.kind in ("hyperbolic", "rep_form")
+    elif group == "sl3z":
+        covered = integer_r
     else:
-        covered = group == "sl2z1p" and gauge.kind == "height"
-    if not covered:
+        covered = gauge.kind == "height"
+    caps = _integer_caps(gauge, thresholds) if covered else None
+    if caps is None:
         return None
-    caps = _integer_caps(gauge, thresholds)
-    return None if caps is None else _progression_ball(group, gauge, caps)
+    if group == "sl3z":
+        return _sl3_ball(gauge, caps)
+    if gauge.kind == "rep_form":
+        return _form_ball(gauge, caps, entry_bound(gauge, thresholds[-1]))
+    return _progression_ball(group, gauge, caps)
 
 
 @dataclass(frozen=True)
@@ -549,7 +641,8 @@ def threshold_bucketer(
     """el -> bucket_index(gauge, el, thresholds), by integer bisection where it can.
 
     Elements with an integer key (gauge_key) are placed by bisecting the caps;
-    the rest (form gauges, fractional r) go through bucket_index.
+    the rest (fractional r, r-norms of p-power elements) go through
+    bucket_index.
     """
     caps = _integer_caps(gauge, thresholds)
 
@@ -680,17 +773,23 @@ def coset_histogram(elements: Iterable[GroupElement], q: int) -> CosetHistogram:
 
 @lru_cache(maxsize=None)
 def sl_residue_order(n: int, q: int) -> int:
-    """|SL_n(Z/q)| by direct enumeration (kept to small n, q)."""
+    """|SL_n(Z/q)| = q^(n^2 - 1) prod_{p | q} prod_{k=2..n} (1 - p^-k)."""
     if q < 2:
         raise SpecError(f"modulus must be >= 2, got {q}")
-    if n == 2 and q > 16 or n == 3 and q > 4:
-        raise SpecError(f"residue group SL_{n}(Z/{q}) too large for direct enumeration")
-    count = 0
-    for entries in product(range(q), repeat=n * n):
-        rows = tuple(entries[i * n : (i + 1) * n] for i in range(n))
-        if int_det(rows) % q == 1:
-            count += 1
-    return count
+    if n < 1:
+        raise SpecError(f"matrix size must be >= 1, got {n}")
+    order = q ** (n * n - 1)
+    rest, p = q, 2
+    while rest > 1:
+        if p * p > rest:
+            p = rest  # the last prime factor
+        if rest % p == 0:
+            while rest % p == 0:
+                rest //= p
+            for k in range(2, n + 1):
+                order = order // p**k * (p**k - 1)
+        p += 1
+    return order
 
 
 @dataclass(frozen=True)
@@ -710,26 +809,44 @@ def orbit_forms_count(
     gamma_count = orbit_count * stabilizer_order holds exactly: the stabilizer
     acts freely on the fibers of gamma -> f0 . gamma.
     """
-    from .gauges import rep_form_gauge
+    return orbit_forms_series(f0, [threshold], budget=budget)[0]
 
+
+def orbit_forms_series(
+    f0: BinaryForm, thresholds: Sequence[float], budget: int | None = None
+) -> list[OrbitCount]:
+    """orbit_forms_count(f0, t) for every t of thresholds, from one pass over the top ball.
+
+    A form's norm fixes its bucket, so the distinct forms up to a threshold are
+    the distinct forms of its bucket and the buckets below; each is hit by
+    exactly stabilizer_order elements, which every row checks.  Thresholds
+    below ||f0|| (1 - 1e-12) give (0, 0, 0) and take no ball.
+    """
     if f0.degree < 3:
         raise SpecError("orbit counting needs degree >= 3 (finite stabilizer)")
     gauge = rep_form_gauge(f0)
     base_norm = math.sqrt(form_norm_sq(f0))
-    if float(threshold) < base_norm * (1.0 - 1e-12):
-        return OrbitCount(0, 0, 0)
-    seen: set[tuple[int, ...]] = set()
-    gamma_count = 0
-    for el in enumerate_ball("sl2z", gauge, threshold, budget=budget):
-        gamma_count += 1
-        seen.add(forms_substitute(f0, el).coeffs)
-    stab = 0
-    # any threshold between ||f0|| and the next orbit value isolates the stabilizer
-    for el in enumerate_ball("sl2z", gauge, base_norm * (1.0 + 1e-9), budget=budget):
-        if forms_substitute(f0, el).coeffs == f0.coeffs:
-            stab += 1
-    if stab == 0 or gamma_count % stab:
-        raise SpecError(
-            f"orbit bookkeeping failed: {gamma_count} elements, stabilizer {stab}"
-        )
-    return OrbitCount(gamma_count // stab, stab, gamma_count)
+    grid = sorted({float(t) for t in thresholds if float(t) >= base_norm * (1.0 - 1e-12)})
+    found: dict[float, OrbitCount] = {}
+    if grid:
+        gammas = [0] * len(grid)
+        forms: list[set[tuple[int, ...]]] = [set() for _ in grid]
+        for i, _, a, b, c, d in ball_buckets("sl2z", gauge, grid, budget=budget):
+            gammas[i] += 1
+            forms[i].add(substitute_coeffs(f0.coeffs, a, b, c, d))
+        stab = 0
+        # any threshold between ||f0|| and the next orbit value isolates the stabilizer
+        for _, _, a, b, c, d in ball_buckets("sl2z", gauge, [base_norm * (1.0 + 1e-9)],
+                                             budget=budget):
+            if substitute_coeffs(f0.coeffs, a, b, c, d) == f0.coeffs:
+                stab += 1
+        gamma_count = orbit_count = 0
+        for t, n_gamma, seen in zip(grid, gammas, forms):
+            gamma_count += n_gamma
+            orbit_count += len(seen)
+            if stab == 0 or gamma_count != orbit_count * stab:
+                raise SpecError(
+                    f"orbit bookkeeping failed: {gamma_count} elements, stabilizer {stab}"
+                )
+            found[t] = OrbitCount(orbit_count, stab, gamma_count)
+    return [found.get(float(t), OrbitCount(0, 0, 0)) for t in thresholds]

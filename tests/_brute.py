@@ -1,15 +1,25 @@
 """Slow oracles the fast routes are checked against: exhaustive small-ball
-scans and the per-node-pair KAK quadrature."""
+scans, residue-group and orbit counts by enumeration, and the per-node-pair
+KAK quadrature."""
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
 
 from latcount.errors import SpecError
-from latcount.gauges import Gauge, entry_bound, gauge_leq
+from latcount.gauges import (
+    BinaryForm,
+    Gauge,
+    entry_bound,
+    form_norm_sq,
+    forms_substitute,
+    gauge_leq,
+    rep_form_gauge,
+)
 from latcount.groups import GroupElement, int_det
 
 
@@ -64,6 +74,34 @@ def brute_sl2z1p(gauge: Gauge, threshold: float) -> set[GroupElement]:
                 out.add(el)
         k += 1
     return out
+
+
+def brute_sl_residue_order(n: int, q: int) -> int:
+    """|SL_n(Z/q)| by scanning all q^(n^2) matrices mod q."""
+    count = 0
+    for entries in product(range(q), repeat=n * n):
+        rows = tuple(entries[i * n : (i + 1) * n] for i in range(n))
+        if int_det(rows) % q == 1:
+            count += 1
+    return count
+
+
+def brute_orbit_count(f0: BinaryForm, threshold: float) -> tuple[int, int, int]:
+    """(orbit, stabilizer, gamma) counts at one threshold from brute_sl2z balls.
+
+    Same conventions as lattice.orbit_forms_count: nothing below
+    ||f0|| (1 - 1e-12), the stabilizer taken in the ball of radius
+    ||f0|| (1 + 1e-9); but the orbit is counted as distinct forms and every
+    norm is compared as a Fraction.
+    """
+    base = math.sqrt(form_norm_sq(f0))
+    if threshold < base * (1.0 - 1e-12):
+        return (0, 0, 0)
+    gauge = rep_form_gauge(f0)
+    forms = [forms_substitute(f0, el) for el in brute_sl2z(gauge, threshold)]
+    assert all(form_norm_sq(f) <= Fraction(threshold) ** 2 for f in forms)
+    stab = sum(1 for el in brute_sl2z(gauge, base * (1.0 + 1e-9)) if forms_substitute(f0, el) == f0)
+    return (len({f.coeffs for f in forms}), stab, len(forms))
 
 
 # ---------------------------------------------------------------------------

@@ -141,7 +141,7 @@ def test_criterion_4_coset_equidistribution(ball150):
     details = []
     ok = True
     for q, order in expected_orders.items():
-        assert sl_residue_order(2, q) == order  # direct enumeration
+        assert sl_residue_order(2, q) == order  # closed form; enumerated in test_lattice
         series = deviation_series("sl2z", rnorm_gauge(2), thresholds, "coset",
                                   q, elements=elements)
         final_dev = series.rows[-1][1]

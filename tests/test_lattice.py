@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _brute import brute_sl2z, brute_sl2z1p, brute_sl3z
+from _brute import brute_sl2z, brute_sl2z1p, brute_sl3z, brute_sl_residue_order
 from latcount.errors import BudgetError, SpecError
 from latcount.gauges import (
     BinaryForm,
@@ -142,8 +142,15 @@ def test_sl_residue_orders():
     assert sl_residue_order(2, 3) == 24
     assert sl_residue_order(2, 5) == 120
     assert sl_residue_order(3, 2) == 168
+    assert sl_residue_order(3, 7) == 5_630_688
     with pytest.raises(SpecError):
-        sl_residue_order(3, 7)
+        sl_residue_order(2, 1)
+
+
+@pytest.mark.parametrize("n,qmax", [(2, 16), (3, 4)])
+def test_sl_residue_orders_match_enumeration(n, qmax):
+    for q in range(2, qmax + 1):
+        assert sl_residue_order(n, q) == brute_sl_residue_order(n, q)
 
 
 def test_reduction_is_homomorphism_on_ball():

@@ -1,23 +1,32 @@
-"""The progression kernel against the enumeration oracle, bit for bit.
+"""The ball kernels against the enumeration oracle, bit for bit.
 
-progression_buckets counts SL(2)-type balls along Bezout progressions without
+progression_buckets counts SL(2)-type balls along Bezout progressions, SL(3)
+balls by their third rows and form balls by an integer form key, all without
 building elements; enumerate_ball + bucket_index is the independent route it
-must reproduce exactly: per-bucket counts, residue histograms and torus rows.
+must reproduce exactly: per-bucket counts, residue histograms, torus rows and
+orbit counts.
 """
 
+import inspect
 import math
 from collections import Counter
+from functools import lru_cache
 
 import pytest
 
+from _brute import brute_orbit_count
 from latcount.errors import BudgetError, SpecError
 from latcount.gauges import (
+    BinaryForm,
+    form_norm_sq,
+    forms_substitute,
     gauge_cap,
     gauge_key,
     gauge_leq,
     height_gauge,
     hyperbolic_gauge,
     parse_gauge,
+    rep_form_gauge,
     rnorm_gauge,
 )
 from latcount.groups import GroupElement, reduce_mod
@@ -26,6 +35,8 @@ from latcount.lattice import (
     coset_histogram,
     count_series,
     enumerate_ball,
+    orbit_forms_count,
+    orbit_forms_series,
     progression_buckets,
     sl_residue_order,
     threshold_bucketer,
@@ -222,3 +233,152 @@ def test_spec_errors_fire_before_the_kernel():
                          TorusCharacter((1, 0, 0)), X0, budget=10)
     with pytest.raises(SpecError):
         deviation_series("sl2z", rnorm_gauge(2), [30.0], "coset", 1, budget=10)
+
+
+# ---------------------------------------------------------------------------
+# SL(3,Z): third-row records
+# ---------------------------------------------------------------------------
+
+X3 = (math.sqrt(2.0) - 1.0, math.sqrt(3.0) - 1.0, math.sqrt(5.0) - 2.0)
+
+# ties at T = sqrt(integer); r = 1 keys start at 3 (signed permutations)
+SL3_CASES = [
+    (rnorm_gauge(2), (1.5, 2.0, math.sqrt(5.0), 2.5, math.sqrt(8.0), 3.0, math.sqrt(10.0))),
+    (rnorm_gauge(1), (2.0, math.sqrt(9.0), 3.5, math.sqrt(16.0))),
+    (rnorm_gauge(INF), (0.5, 1.0, 1.5, math.sqrt(4.0))),
+]
+SL3_IDS = [gauge.describe() for gauge, _ in SL3_CASES]
+# the r = inf ball at T = 2 holds 67,704 elements; the observables take T < 2
+SL3_SMALL = SL3_CASES[:2] + [(rnorm_gauge(INF), (0.5, 1.0, 1.5))]
+
+
+@lru_cache(maxsize=None)
+def sl3_ball(r, top):
+    return tuple(enumerate_ball("sl3z", rnorm_gauge(r), top))
+
+
+def sl3_oracle(gauge, thr):
+    """(bucket_index, element) for the enumerated ball at thr[-1].
+
+    The r = 1 ball is cut from the r = 2 ball of the same radius (|x|_2 <=
+    |x|_1): enumerate_ball sweeps the whole cube for r = 1, 6 s at T = 3.
+    """
+    ball = sl3_ball(2 if gauge.r == 1 else gauge.r, thr[-1])
+    pairs = ((bucket_index(gauge, el, thr), el) for el in ball)
+    return [(i, el) for i, el in pairs if i < len(thr)]
+
+
+@pytest.mark.parametrize("gauge,thr", SL3_CASES, ids=SL3_IDS)
+def test_sl3_records_match_enumeration(gauge, thr):
+    records = list(progression_buckets("sl3z", gauge, thr))
+    oracle = sl3_oracle(gauge, thr)
+    assert Counter(i for i, *_ in records) == Counter(i for i, _ in oracle)
+    kernel = {(rec[0], GroupElement.from_rows((rec[2:5], rec[5:8], rec[8:11])))
+              for rec in records}
+    assert all(rec[1] == 1 for rec in records)
+    assert len(kernel) == len(records)
+    assert kernel == set(oracle)
+    series = count_series("sl3z", gauge, thr, with_volume=False)
+    assert series.counts() == [sum(1 for i, _ in oracle if i <= j) for j in range(len(thr))]
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("gauge,thr", SL3_SMALL, ids=SL3_IDS)
+def test_sl3_coset_rows_match_elements(gauge, thr, q):
+    ball = [el for _, el in sl3_oracle(gauge, thr)]
+    via_kernel = deviation_series("sl3z", gauge, thr, "coset", q)
+    via_elements = deviation_series("sl3z", gauge, thr, "coset", q, elements=ball)
+    assert via_kernel.rows == via_elements.rows
+
+
+@pytest.mark.parametrize("gauge,thr", SL3_SMALL, ids=SL3_IDS)
+def test_sl3_torus_rows_are_bit_identical(gauge, thr):
+    ball = [el for _, el in sl3_oracle(gauge, thr)]
+    chi = TorusCharacter((1, 0, -1))
+    via_kernel = deviation_series("sl3z", gauge, thr, "torus", chi, X3)
+    via_elements = deviation_series("sl3z", gauge, thr, "torus", chi, X3, elements=ball)
+    assert via_kernel.rows == via_elements.rows  # floats compared with ==
+
+
+# ---------------------------------------------------------------------------
+# form gauges: the integer form key, and orbit counting in one pass
+# ---------------------------------------------------------------------------
+
+QUARTIC = BinaryForm(4, (1, 0, 0, 0, 1))  # ||f0||^2 = 2
+MIXED = BinaryForm(4, (1, 0, 1, 0, 1))    # ||f0||^2 = 13/6
+FORMS = [QUARTIC, MIXED]
+FORM_IDS = ["x4+y4", "x4+x2y2+y4"]
+
+
+@pytest.mark.parametrize("f0,thr", [
+    (QUARTIC, (math.sqrt(2.0),)),
+    (QUARTIC, (math.sqrt(2.0), math.sqrt(19.0), 10.0, 60.0, 250.0, 1000.0)),
+    (MIXED, (1.0, math.sqrt(13 / 6), 5.0, 40.0, 300.0, 1000.0)),
+], ids=["x4+y4-base", "x4+y4-grid", "x4+x2y2+y4-grid"])
+def test_form_records_match_enumeration(f0, thr):
+    gauge = rep_form_gauge(f0)
+    kernel = Counter(progression_buckets("sl2z", gauge, thr))
+    oracle = Counter((i, 1, *el.entries_flat()) for i, el in oracle_buckets("sl2z", gauge, thr))
+    assert kernel == oracle
+    assert set(kernel.values()) == {1}
+
+
+@pytest.mark.parametrize("f0", FORMS, ids=FORM_IDS)
+def test_form_key_is_exact_at_orbit_norm_ties(f0):
+    gauge = rep_form_gauge(f0)
+    ball = list(enumerate_ball("sl2z", gauge, 250.0))
+    norms = [form_norm_sq(forms_substitute(f0, el)) for el in ball]
+    for el, norm in zip(ball, norms):
+        assert gauge_key(gauge, el) == 12 * norm  # lcm(1, 4, 6, 4, 1) = 12
+    ties = [math.sqrt(n) for n in sorted(set(norms))]
+    for tie in ties:
+        for t in (math.nextafter(tie, 0.0), tie, math.nextafter(tie, math.inf)):
+            cap = gauge_cap(gauge, t)
+            for el in ball:
+                assert (gauge_key(gauge, el) <= cap) == gauge_leq(gauge, el, t)
+    assert gauge_cap(gauge, 0.0) == 0
+    for t in (-1e-300, -ties[0], -1e3):
+        assert gauge_cap(gauge, t) == -1
+        assert not any(gauge_key(gauge, el) <= gauge_cap(gauge, t) for el in ball)
+    # a negative threshold holds nothing on the kernel route
+    records = list(progression_buckets("sl2z", gauge, (-ties[-1], ties[-1])))
+    assert records and all(i == 1 for i, *_ in records)
+
+
+@pytest.mark.parametrize("f0", FORMS, ids=FORM_IDS)
+def test_orbit_series_matches_brute_counts(f0):
+    base = math.sqrt(form_norm_sq(f0))
+    grid = [base - 1e-6, base * (1 - 1e-13), math.nextafter(base, 0.0), base,
+            base * 1.5, 10.0, 60.0, 250.0, 1000.0]
+    series = orbit_forms_series(f0, grid)
+    assert [(o.orbit_count, o.stabilizer_order, o.gamma_count) for o in series] == \
+        [brute_orbit_count(f0, t) for t in grid]
+    assert orbit_forms_series(f0, grid[::-1]) == series[::-1]
+    assert [orbit_forms_count(f0, t) for t in grid] == series
+
+
+# ---------------------------------------------------------------------------
+# which balls take a kernel
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("group,gauge,thr", [
+    ("sl2z", rnorm_gauge(1), (3.0,)),
+    ("sl2z", rnorm_gauge(2), (3.0,)),
+    ("sl2z", rnorm_gauge(INF), (3.0,)),
+    ("sl2z", hyperbolic_gauge(), (2.0,)),
+    ("sl2z", rep_form_gauge(QUARTIC), (10.0,)),
+    ("sl3z", rnorm_gauge(1), (3.0,)),
+    ("sl3z", rnorm_gauge(2), (2.0,)),
+    ("sl3z", rnorm_gauge(INF), (1.0,)),
+    ("sl2z1p", height_gauge(2), (3.0,)),
+])
+def test_kernel_routes(group, gauge, thr):
+    assert inspect.isgenerator(progression_buckets(group, gauge, thr))
+
+
+@pytest.mark.parametrize("group,gauge", [
+    ("sl3z", rnorm_gauge(3)),
+    ("sl2z", rnorm_gauge(1.5)),
+])
+def test_enumeration_routes(group, gauge):
+    assert progression_buckets(group, gauge, (2.0,)) is None
