@@ -151,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--prime", type=int, help="prime for S-arithmetic runs")
     ap.add_argument("--observable", help="character frequencies m1,m2")
     ap.add_argument("--x0", help="torus base point a,b")
-    ap.add_argument("--threads", type=int)
+    ap.add_argument("--threads", type=int, help="no effect; echoed in the JSON spec")
     ap.add_argument("--seed", type=int)
     ap.add_argument("--budget", type=int, help="element budget override")
     ap.add_argument("--out", help="output path prefix (default: stdout)")
@@ -307,7 +307,7 @@ def _ratio_decay_fit(series) -> dict | None:
 def _run_count(spec: ExperimentSpec) -> Report:
     series = count_series(
         spec.group, spec.gauge, spec.thresholds,
-        budget=spec.budget, threads=spec.threads,
+        budget=spec.budget,
     )
     rows = [
         (r.threshold, r.count, r.volume, r.ratio, r.abs_dev) for r in series.rows
@@ -445,7 +445,7 @@ def _run_balanced(spec: ExperimentSpec) -> Report:
 def _deviation_report(spec: ExperimentSpec, system: str, observable, point) -> Report:
     series = deviation_series(
         spec.group, spec.gauge, spec.thresholds, system, observable, point,
-        budget=spec.budget, threads=spec.threads,
+        budget=spec.budget,
     )
     fit = decay_fit(series)
     return Report(
@@ -531,7 +531,7 @@ def _run_sarith(spec: ExperimentSpec) -> Report:
         raise SpecError("sarith experiments need --group sl2z1p")
     series = count_series(
         spec.group, spec.gauge, spec.thresholds,
-        budget=spec.budget, threads=spec.threads,
+        budget=spec.budget,
     )
     rows = [(r.threshold, r.count, r.volume, r.ratio, r.abs_dev) for r in series.rows]
     samples = [(r.threshold, float(r.count)) for r in series.rows if r.count > 0]

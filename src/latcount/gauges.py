@@ -221,9 +221,8 @@ class Gauge:
     """A size functional with scale convention and enumeration metadata.
 
     scale is "T" for raw thresholds (t = log T at the reporting layer) and "t"
-    for gauges natively logarithmic (hyperbolic distance).  symmetric declares
-    |g^{-1}| = |g| in the gauge's supported pairing (see is_symmetric for the
-    dimension-aware statement).
+    for gauges natively logarithmic (hyperbolic distance).  is_symmetric(n)
+    says whether |g^{-1}| = |g| holds in dimension n.
     """
 
     kind: str
@@ -231,7 +230,6 @@ class Gauge:
     form: BinaryForm | None = None
     prime: int | None = None
     scale: str = "T"
-    symmetric: bool = True
     bi_K_invariant: bool = False
 
     def describe(self) -> str:
@@ -290,26 +288,23 @@ class Gauge:
 def rnorm_gauge(r: float) -> Gauge:
     if not (r >= 1):
         raise SpecError(f"rnorm needs r >= 1, got {r}")
-    return Gauge(kind="rnorm", r=float(r), scale="T", symmetric=True,
-                 bi_K_invariant=(r == 2))
+    return Gauge(kind="rnorm", r=float(r), scale="T", bi_K_invariant=(r == 2))
 
 
 def hyperbolic_gauge() -> Gauge:
-    return Gauge(kind="hyperbolic", scale="t", symmetric=True, bi_K_invariant=True)
+    return Gauge(kind="hyperbolic", scale="t", bi_K_invariant=True)
 
 
 def rep_form_gauge(form: BinaryForm) -> Gauge:
     if not form.is_definite():
         raise SpecError("rep_form gauge needs a definite form (no real zero)")
-    return Gauge(kind="rep_form", form=form, scale="T", symmetric=False,
-                 bi_K_invariant=False)
+    return Gauge(kind="rep_form", form=form, scale="T", bi_K_invariant=False)
 
 
 def height_gauge(p: int) -> Gauge:
     if p < 2 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
         raise SpecError(f"height gauge needs a prime, got {p}")
-    return Gauge(kind="height", prime=p, scale="T", symmetric=True,
-                 bi_K_invariant=False)
+    return Gauge(kind="height", prime=p, scale="T", bi_K_invariant=False)
 
 
 def parse_gauge(spec: str) -> Gauge:
@@ -389,15 +384,18 @@ def gauge_cap(gauge: Gauge, threshold: float, level: int = 1) -> int | None:
     (rnorm:2, height) or 2 cosh t (hyperbolic), sum |e|^r against T^r, max |e|
     against T, sum (L / binom(n, i)) c_i^2 against L T^2 (rep_form, L the lcm
     of the binomials, c the substituted coefficients).  level = p^k scales an
-    r-norm threshold for an element p^{-k} A.  None for fractional r.
+    r-norm threshold for an element p^{-k} A.  None for fractional r; -1 (the
+    empty ball) below 0.
     """
     if not _integer_keyed(gauge):
         return None
+    if threshold < 0:
+        return -1
     if gauge.kind == "hyperbolic":
-        return -1 if threshold < 0 else math.floor(2.0 * math.cosh(threshold))
+        return math.floor(2.0 * math.cosh(threshold))
     if gauge.kind == "rep_form":
         lcm = _form_weights(gauge.form.degree)[0]
-        return -1 if threshold < 0 else math.floor(lcm * Fraction(threshold) ** 2)
+        return math.floor(lcm * Fraction(threshold) ** 2)
     if gauge.kind == "height":
         return math.floor(Fraction(threshold) ** 2)
     thr = Fraction(threshold) * level
@@ -430,7 +428,8 @@ def gauge_leq(gauge: Gauge, g: GroupElement, threshold: float) -> bool:
     """Exact closed-sublevel test gauge(g) <= threshold (integer or rational comparisons)."""
     if gauge.kind == "rep_form":
         _require_integral_2x2(g, "rep_form gauge")
-        return form_norm_sq(forms_substitute(gauge.form, g)) <= Fraction(threshold) ** 2
+        norm_sq = form_norm_sq(forms_substitute(gauge.form, g))
+        return threshold >= 0 and norm_sq <= Fraction(threshold) ** 2
     if not _integer_keyed(gauge):
         return gauge_eval(gauge, g) <= threshold
     if gauge.kind == "hyperbolic":

@@ -156,10 +156,6 @@ class GroupElement:
             return Fraction(s)
         return Fraction(s, self.prime ** (2 * self.p_power))
 
-    def as_float_rows(self) -> list[list[float]]:
-        scale = float(self.prime) ** (-self.p_power) if self.p_power else 1.0
-        return [[e * scale for e in row] for row in self.entries]
-
     def sort_key(self) -> tuple:
         """Canonical ordering key: p_power first, then entries row-major."""
         return (self.p_power, self.entries_flat())

@@ -359,11 +359,10 @@ class VolumeProfile:
     """A nondecreasing volume function t -> v(t) with optional point masses.
 
     fn carries the continuous part; atoms are (position, mass) pairs summed for
-    positions <= t.  normalization is "raw" or "covolume"; scale "T" or "t".
+    positions <= t.  scale is "T" or "t".
     """
 
     fn: Callable[[float], float] | None
-    normalization: str = "raw"
     scale: str = "t"
     atoms: tuple[tuple[float, float], ...] = ()
     label: str = ""
@@ -380,7 +379,7 @@ class VolumeProfile:
 
 def hyperbolic_profile() -> VolumeProfile:
     """The hyperbolic-area profile 2*pi*(cosh t - 1) in t-scale."""
-    return VolumeProfile(fn=hyperbolic_ball_area, normalization="raw", scale="t",
+    return VolumeProfile(fn=hyperbolic_ball_area, scale="t",
                          label="hyperbolic-ball", gauge=hyperbolic_gauge())
 
 
@@ -388,7 +387,6 @@ def ball_volume_profile(group: str, gauge: Gauge) -> VolumeProfile:
     """Profile backed by volume_of_ball for the given pair."""
     return VolumeProfile(
         fn=lambda t: volume_of_ball(group, gauge, t),
-        normalization="raw",
         scale=gauge.scale,
         label=f"{group}:{gauge.describe()}",
         gauge=gauge,
@@ -417,9 +415,17 @@ def tensor_factor_profiles(l: int) -> tuple[VolumeProfile, VolumeProfile]:
     def make(h: float, name: str) -> VolumeProfile:
         return VolumeProfile(
             fn=lambda t, h=h: 0.5 * (math.cosh(2.0 * t / h) - 1.0) if t > 0 else 0.0,
-            normalization="raw", scale="t", label=name)
+            scale="t", label=name)
 
     return make(1.0, "factor-1"), make(float(l - 1), f"factor-2(l={l})")
+
+
+def _stieltjes_increments(v: VolumeProfile, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Increments of v less its atoms over the grid cells, and the cell midpoints."""
+    cont = np.array([v(s) for s in grid])
+    for pos, mass in v.atoms:
+        cont -= np.where(grid >= pos, mass, 0.0)
+    return np.diff(cont), 0.5 * (grid[:-1] + grid[1:])
 
 
 def convolve_profiles(v1: VolumeProfile, v2: VolumeProfile, *,
@@ -436,11 +442,7 @@ def convolve_profiles(v1: VolumeProfile, v2: VolumeProfile, *,
     if exponent < 1:
         raise SpecError(f"gauge exponent must be >= 1, got {exponent}")
     grid = np.linspace(0.0, t_max, steps + 1)
-    cont = np.array([v2(s) for s in grid])
-    for pos, mass in v2.atoms:
-        cont -= np.where(grid >= pos, mass, 0.0)
-    inc = np.diff(cont)
-    mids = 0.5 * (grid[:-1] + grid[1:])
+    inc, mids = _stieltjes_increments(v2, grid)
     out = np.zeros_like(grid)
     p = exponent
 
@@ -462,7 +464,7 @@ def convolve_profiles(v1: VolumeProfile, v2: VolumeProfile, *,
         out[k] = acc
     return _interp_profile(
         grid, out,
-        normalization="raw", scale="t",
+        scale="t",
         label=f"({v1.label})*({v2.label})",
         factors=(v1, v2),
     )
@@ -488,11 +490,7 @@ def balanced_volume_ratio(product_profile: VolumeProfile,
         raise SpecError(f"product volume vanishes at t={t:g}")
     steps = 256
     grid = np.linspace(0.0, min(q, t), steps + 1)
-    cont = np.array([constrained(s) for s in grid])
-    for pos, mass in constrained.atoms:
-        cont -= np.where(grid >= pos, mass, 0.0)
-    inc = np.diff(cont)
-    mids = 0.5 * (grid[:-1] + grid[1:])
+    inc, mids = _stieltjes_increments(constrained, grid)
     acc = sum(other(t - m) * dv for m, dv in zip(mids, inc) if dv != 0.0)
     for pos, mass in constrained.atoms:
         if pos <= min(q, t):
@@ -774,12 +772,6 @@ class AdmissibilityReport:
     product_checked: int = 0
     product_violations: int = 0
     product_c: float | None = None
-
-    def c_hat(self, t: float, eps: float) -> float:
-        for row in self.table:
-            if row[0] == t and row[1] == eps:
-                return row[2]
-        raise KeyError((t, eps))
 
 
 def _exp_traceless(x: float, y: float, z: float) -> list[list[float]]:

@@ -5,7 +5,6 @@ import bisect
 import math
 import os
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -139,61 +138,6 @@ def _row_cap_sq(gauge: Gauge, threshold: float) -> float | None:
     return None
 
 
-def _sl2z_chunk(
-    gauge: Gauge, threshold: float, a_range: range, bound: int, cap_sq: float | None
-) -> list[GroupElement]:
-    out: list[GroupElement] = []
-    for a in a_range:
-        aa = a * a
-        for b in range(-bound, bound + 1):
-            if math.gcd(a, b) != 1:
-                continue
-            if cap_sq is not None and aa + b * b + 1 > cap_sq:
-                continue
-            g, x, y = ext_gcd(a, b)
-            d0, c0 = x, -y  # a*d0 - b*c0 = 1
-            window = _intersect(_window_1d(c0, a, bound), _window_1d(d0, b, bound))
-            if cap_sq is not None:
-                window = _intersect(window, _quadratic_window(c0, d0, a, b, cap_sq - aa - b * b))
-            if window is None:
-                continue
-            klo, khi = window
-            # ascend in (c, d) lex order: c is monotone in k unless a == 0,
-            # in which case d decides (b = +-1 there).
-            lead = a if a != 0 else b
-            ks = range(klo, khi + 1) if lead > 0 else range(khi, klo - 1, -1)
-            for k in ks:
-                c, d = c0 + k * a, d0 + k * b
-                el = GroupElement(((a, b), (c, d)))
-                if gauge_leq(gauge, el, threshold):
-                    out.append(el)
-    return out
-
-
-def _enumerate_sl2z(
-    gauge: Gauge, threshold: float, threads: int
-) -> Iterator[GroupElement]:
-    bound = entry_bound(gauge, threshold)
-    if bound < 1:
-        return
-    cap_sq = _row_cap_sq(gauge, threshold)
-    a_values = range(-bound, bound + 1)
-    if threads <= 1 or len(a_values) < 4:
-        yield from _sl2z_chunk(gauge, threshold, a_values, bound, cap_sq)
-        return
-    n_chunks = min(threads, len(a_values))
-    edges = [
-        a_values[(i * len(a_values)) // n_chunks : ((i + 1) * len(a_values)) // n_chunks]
-        for i in range(n_chunks)
-    ]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = pool.map(
-            lambda rng: _sl2z_chunk(gauge, threshold, rng, bound, cap_sq), edges
-        )
-        for part in parts:
-            yield from part
-
-
 def _cross(u: tuple[int, int, int], v: tuple[int, int, int]) -> tuple[int, int, int]:
     return (
         u[1] * v[2] - u[2] * v[1],
@@ -306,51 +250,57 @@ def _enumerate_sl3z(gauge: Gauge, threshold: float) -> Iterator[GroupElement]:
             yield from kept
 
 
-def _enumerate_sl2z1p(gauge: Gauge, threshold: float) -> Iterator[GroupElement]:
-    p = gauge.prime
-    t_sq = float(threshold) ** 2
+def _enumerate_sl2(gauge: Gauge, threshold: float) -> Iterator[GroupElement]:
+    """The ball in canonical order, one det = p^(2k) level at a time.
+
+    Level k holds the integer matrices A with det A = p^(2k), not all entries
+    divisible by p, standing for p^(-k) A; SL(2,Z) (gauge.prime is None) is
+    level 0 alone.  For each top row (a, b) the bottom rows form the Bezout
+    progression (c0, d0) + j (a/g, b/g), g = gcd(a, b), walked in (c, d) lex
+    order inside the entry box and, for quadratic gauges, the row cap.
+    """
     bound = entry_bound(gauge, threshold)
     if bound < 1:
         return
-    # Hadamard: det = p^(2k) <= ||A||^2 / 2, so the level ladder is finite
-    k = 0
-    while k == 0 or 2.0 * p ** (2 * k) <= t_sq:
-        yield from _sl2_fixed_det(gauge, threshold, p ** (2 * k), p, k, bound, t_sq)
-        k += 1
-
-
-def _sl2_fixed_det(
-    gauge: Gauge, threshold: float, det: int, p: int, k: int, bound: int, t_sq: float
-) -> Iterator[GroupElement]:
-    """Integer matrices with determinant det = p^(2k), (A, p) = 1, height <= threshold."""
-    for a in range(-bound, bound + 1):
-        aa = a * a
-        for b in range(-bound, bound + 1):
-            if a == 0 and b == 0:
-                continue
-            if aa + b * b + 1 > t_sq:
-                continue
-            g, x, y = ext_gcd(a, b)
-            if det % g:
-                continue
-            m = det // g
-            d0, c0 = x * m, -y * m  # a*d0 - b*c0 = det
-            sa, sb = a // g, b // g
-            window = _intersect(_window_1d(c0, sa, bound), _window_1d(d0, sb, bound))
-            window = _intersect(window, _quadratic_window(c0, d0, sa, sb, t_sq - aa - b * b))
-            if window is None:
-                continue
-            klo, khi = window
-            lead = sa if sa != 0 else sb
-            ks = range(klo, khi + 1) if lead > 0 else range(khi, klo - 1, -1)
-            for j in ks:
-                c, d = c0 + j * sa, d0 + j * sb
-                assert a * d - b * c == det
-                if k > 0 and all(v % p == 0 for v in (a, b, c, d)):
+    p = gauge.prime
+    cap_sq = _row_cap_sq(gauge, threshold)
+    dets = [1]
+    if p is not None:
+        # Hadamard: det = p^(2k) <= ||A||^2 / 2, so the level ladder is finite
+        while 2.0 * p ** (2 * len(dets)) <= cap_sq:
+            dets.append(p ** (2 * len(dets)))
+    for k, det in enumerate(dets):
+        for a in range(-bound, bound + 1):
+            aa = a * a
+            for b in range(-bound, bound + 1):
+                g = math.gcd(a, b)
+                if g == 0 or det % g:
                     continue
-                el = GroupElement(((a, b), (c, d)), prime=p, p_power=k)
-                if gauge_leq(gauge, el, threshold):
-                    yield el
+                if cap_sq is not None and aa + b * b + 1 > cap_sq:
+                    continue
+                _, x, y = ext_gcd(a, b)
+                m = det // g
+                d0, c0 = x * m, -y * m  # a*d0 - b*c0 = det
+                sa, sb = a // g, b // g
+                window = _intersect(_window_1d(c0, sa, bound), _window_1d(d0, sb, bound))
+                if cap_sq is not None:
+                    rest = cap_sq - aa - b * b
+                    window = _intersect(window, _quadratic_window(c0, d0, sa, sb, rest))
+                if window is None:
+                    continue
+                lo, hi = window
+                # ascend in (c, d) lex order: c is monotone in j unless a == 0,
+                # in which case d decides (b/g = +-1 there).
+                lead = sa if sa != 0 else sb
+                js = range(lo, hi + 1) if lead > 0 else range(hi, lo - 1, -1)
+                for j in js:
+                    c, d = c0 + j * sa, d0 + j * sb
+                    assert a * d - b * c == det
+                    if k > 0 and a % p == 0 and b % p == 0 and c % p == 0 and d % p == 0:
+                        continue
+                    el = GroupElement(((a, b), (c, d)), prime=p, p_power=k)
+                    if gauge_leq(gauge, el, threshold):
+                        yield el
 
 
 def _check_ball(group: str, gauge: Gauge, threshold: float, budget: int | None) -> None:
@@ -373,21 +323,18 @@ def enumerate_ball(
     threshold: float,
     *,
     budget: int | None = None,
-    threads: int = 1,
 ) -> Iterator[GroupElement]:
     """Yield all lattice elements of gauge value <= threshold in canonical order.
 
-    Canonical order is (p-power, entries row-major) lexicographic; runs are
-    reproducible across thread counts.  Raises BudgetError before touching the
-    ball if the a-priori estimate exceeds the budget.
+    Canonical order is (p-power, entries row-major) lexicographic.  Raises
+    BudgetError before touching the ball if the a-priori estimate exceeds the
+    budget.
     """
     _check_ball(group, gauge, threshold, budget)
-    if group == "sl2z":
-        yield from _enumerate_sl2z(gauge, threshold, threads)
-    elif group == "sl3z":
+    if group == "sl3z":
         yield from _enumerate_sl3z(gauge, threshold)
     else:
-        yield from _enumerate_sl2z1p(gauge, threshold)
+        yield from _enumerate_sl2(gauge, threshold)
 
 
 def _progression_ball(
@@ -526,8 +473,8 @@ def _form_ball(gauge: Gauge, caps: Sequence[int], bound: int) -> Iterator[tuple[
 
     key is gauge_key of the rep_form gauge: form_key, L times the squared norm
     of f0 . gamma.
-    Walks the box windows of _sl2z_chunk: every entry of the ball is at most
-    bound (entry_bound at the top threshold).  Order is unspecified.
+    Walks the box windows of _enumerate_sl2 at level 0: every entry of the
+    ball is at most bound (entry_bound at the top threshold).  Order is unspecified.
     """
     top = caps[-1]
     for a in range(-bound, bound + 1):
@@ -603,25 +550,8 @@ class CountSeries:
     gauge_desc: str
     rows: tuple[CountRow, ...]
 
-    def thresholds(self) -> list[float]:
-        return [r.threshold for r in self.rows]
-
     def counts(self) -> list[int]:
         return [r.count for r in self.rows]
-
-    def table(self) -> list[dict[str, object]]:
-        out: list[dict[str, object]] = []
-        for r in self.rows:
-            out.append(
-                {
-                    "threshold": r.threshold,
-                    "count": r.count,
-                    "volume": r.volume,
-                    "ratio": r.ratio,
-                    "abs_dev": r.abs_dev,
-                }
-            )
-        return out
 
 
 def bucket_index(gauge: Gauge, el: GroupElement, thresholds: Sequence[float]) -> int:
@@ -662,7 +592,6 @@ def ball_buckets(
     *,
     elements: Iterable[GroupElement] | None = None,
     budget: int | None = None,
-    threads: int = 1,
 ) -> Iterator[tuple[int, ...]]:
     """One flat record (bucket, denom, *entries) per element of the top ball.
 
@@ -678,7 +607,7 @@ def ball_buckets(
         kernel = progression_buckets(group, gauge, thresholds, budget)
         if kernel is not None:
             return kernel
-        elements = enumerate_ball(group, gauge, thresholds[-1], budget=budget, threads=threads)
+        elements = enumerate_ball(group, gauge, thresholds[-1], budget=budget)
     return _element_records(elements, threshold_bucketer(gauge, thresholds), len(thresholds))
 
 
@@ -698,7 +627,6 @@ def count_series(
     *,
     with_volume: bool = True,
     budget: int | None = None,
-    threads: int = 1,
     elements: Sequence[GroupElement] | None = None,
 ) -> CountSeries:
     """Cumulative lattice counts over an increasing threshold grid.
@@ -711,7 +639,7 @@ def count_series(
     if not thr or any(b <= a for a, b in zip(thr, thr[1:])):
         raise SpecError("thresholds must be strictly increasing and nonempty")
     buckets = [0] * len(thr)
-    for rec in ball_buckets(group, gauge, thr, elements=elements, budget=budget, threads=threads):
+    for rec in ball_buckets(group, gauge, thr, elements=elements, budget=budget):
         buckets[rec[0]] += 1
     counts = []
     running = 0

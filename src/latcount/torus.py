@@ -127,9 +127,6 @@ class DeviationSeries:
     observable_label: str
     rows: tuple[tuple[float, float, int], ...]
 
-    def table(self) -> list[tuple[float, float, int]]:
-        return [tuple(r) for r in self.rows]
-
     def csv_lines(self) -> list[str]:
         out = ["t,deviation,count"]
         for t, dev, cnt in self.rows:
@@ -156,7 +153,6 @@ def deviation_series(
     *,
     elements: Sequence[GroupElement] | None = None,
     budget: int | None = None,
-    threads: int = 1,
 ) -> DeviationSeries:
     """One pass over the ball (lattice.ball_buckets), deviations at every threshold.
 
@@ -176,7 +172,7 @@ def deviation_series(
         phase = _record_phase(observable.m, point, desc.n)
         bucket_re: list[list[float]] = [[] for _ in range(k)]
         bucket_im: list[list[float]] = [[] for _ in range(k)]
-        for rec in ball_buckets(group, gauge, thr, elements=elements, budget=budget, threads=threads):
+        for rec in ball_buckets(group, gauge, thr, elements=elements, budget=budget):
             z = phase(rec)
             bucket_re[rec[0]].append(z.real)
             bucket_im[rec[0]].append(z.imag)
@@ -202,7 +198,7 @@ def deviation_series(
             raise SpecError("coset system needs a CosetObservable (or a modulus)")
         q, n = observable.q, desc.n
         order = sl_residue_order(n, q)
-        records = ball_buckets(group, gauge, thr, elements=elements, budget=budget, threads=threads)
+        records = ball_buckets(group, gauge, thr, elements=elements, budget=budget)
         residues: Counter[tuple[int, ...]] = Counter(_residue_keys(records, q, n))
         buckets: list[Counter[ResidueClass]] = [Counter() for _ in range(k)]
         for (i, den, *res), hits in residues.items():

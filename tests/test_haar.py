@@ -206,7 +206,7 @@ def test_fit_json_schema():
 def _uniform_profile(tmax=30.0):
     ts = np.linspace(0.0, tmax, 2049)
     return VolumeProfile(
-        fn=lambda t: np.clip(t, 0.0, None), normalization="raw", scale="t",
+        fn=lambda t: np.clip(t, 0.0, None), scale="t",
         label="uniform",
     )
 
@@ -220,7 +220,7 @@ def test_convolution_of_uniforms():
 
 def test_convolution_unit_atom_is_identity():
     u = _uniform_profile()
-    delta = VolumeProfile(fn=None, normalization="raw", scale="t",
+    delta = VolumeProfile(fn=None, scale="t",
                           atoms=((0.0, 1.0),), label="delta")
     conv = convolve_profiles(u, delta, t_max=10.0, steps=512)
     for t in (1.0, 3.0, 7.0):
@@ -237,7 +237,7 @@ def test_convolution_euclidean_kernel():
 def test_convolution_exponential_growth_gains_polynomial_factor():
     ts = np.linspace(0.0, 25.0, 4097)
     e = VolumeProfile(fn=lambda t: np.exp(2.0 * np.clip(t, 0.0, None)) - 1.0,
-                      normalization="raw", scale="t", label="exp2")
+                      scale="t", label="exp2")
     conv = convolve_profiles(e, e, t_max=20.0, steps=1024)
     samples = [(t, conv(t)) for t in np.linspace(8.0, 18.0, 11)]
     fit = fit_growth(samples, "power_exp", window=(8.0, 18.0))

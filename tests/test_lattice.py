@@ -12,6 +12,7 @@ from latcount.errors import BudgetError, SpecError
 from latcount.gauges import (
     BinaryForm,
     gauge_eval,
+    gauge_leq,
     height_gauge,
     hyperbolic_gauge,
     parse_gauge,
@@ -63,13 +64,25 @@ def test_frozen_counts():
     assert sum(1 for _ in enumerate_ball("sl2z1p", height_gauge(2), 3.0)) == 68
 
 
-def test_canonical_order_and_thread_determinism():
-    seq1 = list(enumerate_ball("sl2z", G2, 6.0, threads=1))
-    seq3 = list(enumerate_ball("sl2z", G2, 6.0, threads=3))
-    assert seq1 == seq3
-    keys = [el.sort_key() for el in seq1]
+BRUTE = {"sl2z": brute_sl2z, "sl3z": brute_sl3z, "sl2z1p": brute_sl2z1p}
+
+
+@pytest.mark.parametrize("group,gauge,T", [
+    ("sl2z", G2, 6.0),
+    ("sl2z", rnorm_gauge(3), 5.0),
+    ("sl2z", rnorm_gauge(1.5), 5.0),
+    ("sl2z", hyperbolic_gauge(), 3.0),
+    ("sl2z", parse_gauge("form:deg=4:coeffs=1,0,1,0,1"), 30.0),
+    ("sl2z1p", height_gauge(2), 6.0),
+    ("sl2z1p", height_gauge(3), 6.0),
+    ("sl3z", G2, 2.5),
+], ids=lambda v: v.describe() if hasattr(v, "describe") else str(v))
+def test_canonical_order(group, gauge, T):
+    seq = list(enumerate_ball(group, gauge, T))
+    keys = [el.sort_key() for el in seq]
     assert keys == sorted(keys)
     assert len(keys) == len(set(keys))
+    assert set(seq) == BRUTE[group](gauge, T)
 
 
 def test_threshold_validation_and_budget():
@@ -119,6 +132,31 @@ def test_count_series_buckets_match_separate_runs():
 def test_count_series_requires_increasing_thresholds():
     with pytest.raises(SpecError):
         count_series("sl2z", G2, [2.0, 2.0], with_volume=False)
+
+
+@pytest.mark.parametrize("group,gauge,T,pool", [
+    ("sl2z", rnorm_gauge(1), 5.0, None),
+    ("sl2z", G2, 4.0, None),
+    ("sl2z", rnorm_gauge(3), 4.0, None),
+    ("sl2z", rnorm_gauge(1.5), 4.0, None),
+    ("sl2z", rnorm_gauge(math.inf), 3.0, None),
+    ("sl2z", hyperbolic_gauge(), 2.5, None),
+    ("sl2z", parse_gauge("form:deg=4:coeffs=1,0,0,0,1"), 40.0, None),
+    # the r = 1 ball lies in the r = 2 ball, which enumerates much faster
+    ("sl3z", rnorm_gauge(1), 3.0, G2),
+    ("sl3z", G2, 2.5, None),
+    ("sl3z", rnorm_gauge(3), 2.0, None),
+    ("sl3z", rnorm_gauge(math.inf), 1.0, None),
+    ("sl2z1p", height_gauge(2), 4.0, None),
+    ("sl2z1p", height_gauge(3), 4.0, None),
+], ids=lambda v: v.describe() if hasattr(v, "describe") else str(v))
+def test_negative_thresholds_are_empty_balls(group, gauge, T, pool):
+    thr = [-3.0, T]
+    top = count_series(group, gauge, thr, with_volume=False).counts()
+    assert top[0] == 0 and top[1] > 0
+    elements = list(enumerate_ball(group, pool or gauge, T))
+    assert not any(gauge_leq(gauge, el, -3.0) for el in elements)
+    assert count_series(group, gauge, thr, with_volume=False, elements=elements).counts() == top
 
 
 def test_count_series_ratio_columns():

@@ -190,9 +190,11 @@ def test_gauge_leq_is_key_against_cap():
 
 
 def test_unsorted_caps_fall_back_to_enumeration():
-    # a negative T-scale threshold squares to a larger cap; keep the old route
+    # the kernel needs nondecreasing caps; a grid out of order keeps the old route
+    assert progression_buckets("sl2z", rnorm_gauge(2), (2.0, 1.5, 4.0)) is None
+    # a negative threshold caps at -1, below every key, so it stays on the kernel
     thr = (-3.0, 2.0, 4.0)
-    assert progression_buckets("sl2z", rnorm_gauge(2), thr) is None
+    assert progression_buckets("sl2z", rnorm_gauge(2), thr) is not None
     ball = list(enumerate_ball("sl2z", rnorm_gauge(2), 4.0))
     expected = Counter(bucket_index(rnorm_gauge(2), el, thr) for el in ball)
     got = count_series("sl2z", rnorm_gauge(2), thr, with_volume=False).counts()

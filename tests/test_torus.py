@@ -135,15 +135,6 @@ def test_series_counts_match_count_series(ball20):
     assert series.scale == "T"
 
 
-def test_series_threads_deterministic():
-    thresholds = [4.0, 8.0, 16.0]
-    s1 = deviation_series("sl2z", rnorm_gauge(2), thresholds, "coset", 3,
-                          threads=1)
-    s3 = deviation_series("sl2z", rnorm_gauge(2), thresholds, "coset", 3,
-                          threads=3)
-    assert s1.rows == s3.rows
-
-
 def test_series_validation():
     with pytest.raises(SpecError):
         deviation_series("sl2z", rnorm_gauge(2), [5.0], "banana",
