@@ -11,7 +11,7 @@ Thresholds are compared exactly wherever the underlying quantity is an integer
 or rational (squared norms, form norms), so enumeration never depends on
 floating-point rounding at the boundary.  Integer-keyed gauges (integer r,
 r = inf, hyperbolic, height, and rep_form through L times the form norm)
-reduce the test to key(entries) <= gauge_cap.
+reduce the test to key(entries) <= gauge_cap; key_norm names the key.
 """
 from __future__ import annotations
 
@@ -36,6 +36,7 @@ __all__ = [
     "gauge_leq",
     "gauge_cap",
     "gauge_key",
+    "key_norm",
     "gauge_eval_real",
     "forms_substitute",
     "substitute_coeffs",
@@ -133,14 +134,9 @@ def form_norm_sq(f: BinaryForm) -> Fraction:
     return sum(Fraction(c * c, math.comb(n, i)) for i, c in enumerate(f.coeffs))
 
 
-_MU_CACHE: dict[tuple[int, tuple[int, ...]], float] = {}
-
-
+@lru_cache(maxsize=None)
 def unit_circle_min(f: BinaryForm, samples: int = 10_000) -> float:
     """min |f(cos t, sin t)| over the unit circle, by dense sampling + golden refinement."""
-    key = (f.degree, f.coeffs)
-    if key in _MU_CACHE:
-        return _MU_CACHE[key]
     # |f| on the circle has period pi (antipodal points differ only in sign)
     def g(theta: float) -> float:
         return abs(f.evaluate(math.cos(theta), math.sin(theta)))
@@ -160,9 +156,7 @@ def unit_circle_min(f: BinaryForm, samples: int = 10_000) -> float:
             a, c, gc = c, d, gd
             d = a + inv_phi * (b - a)
             gd = g(d)
-    mu = g((a + b) / 2.0)
-    _MU_CACHE[key] = mu
-    return mu
+    return g((a + b) / 2.0)
 
 
 def forms_substitute(f: BinaryForm, g: GroupElement) -> BinaryForm:
@@ -359,20 +353,34 @@ def gauge_eval(gauge: Gauge, g: GroupElement) -> float:
     raise SpecError(f"unknown gauge kind {gauge.kind!r}")
 
 
-def _integer_keyed(gauge: Gauge) -> bool:
-    if gauge.kind == "rnorm":
-        return math.isinf(gauge.r) or gauge.r == int(gauge.r)
-    return gauge.kind in ("hyperbolic", "height", "rep_form")
+_KIND_KEY_NORMS = {"rep_form": "form", "hyperbolic": "sq", "height": "sq"}
 
 
-def _key(gauge: Gauge, flat: Sequence[int]) -> int:
-    """max |e| (r = inf), sum |e|^r (integer r), or sum e^2 (hyperbolic, height)."""
-    if gauge.kind == "rnorm" and gauge.r != 2:
-        if math.isinf(gauge.r):
-            return max(abs(e) for e in flat)
-        r = int(gauge.r)
-        return sum(abs(e) ** r for e in flat)
-    return sum(e * e for e in flat)
+def key_norm(gauge: Gauge) -> str | None:
+    """Which integer key of the entries decides gauge <= threshold, or None.
+
+    "sq" sum e^2 (rnorm:2, hyperbolic, height), "abs" sum |e| (r = 1), "max"
+    max |e| (r = inf), "pow" sum |e|^r (any other integer r), "form" form_key
+    (rep_form); None for fractional r, which has no integer key.
+    """
+    if gauge.kind != "rnorm":
+        return _KIND_KEY_NORMS.get(gauge.kind)
+    r = gauge.r
+    if math.isinf(r):
+        return "max"
+    if r in (1, 2):
+        return "abs" if r == 1 else "sq"
+    return "pow" if r == int(r) else None
+
+
+def _key(gauge: Gauge, norm: str, flat: Sequence[int]) -> int:
+    """The key of the entries flat; norm = key_norm(gauge), not "form"."""
+    if norm == "sq":
+        return sum(e * e for e in flat)
+    if norm == "max":
+        return max(abs(e) for e in flat)
+    r = int(gauge.r)
+    return sum(abs(e) ** r for e in flat)
 
 
 @lru_cache(maxsize=4096)
@@ -387,19 +395,20 @@ def gauge_cap(gauge: Gauge, threshold: float, level: int = 1) -> int | None:
     r-norm threshold for an element p^{-k} A.  None for fractional r; -1 (the
     empty ball) below 0.
     """
-    if not _integer_keyed(gauge):
+    norm = key_norm(gauge)
+    if norm is None:
         return None
     if threshold < 0:
         return -1
     if gauge.kind == "hyperbolic":
         return math.floor(2.0 * math.cosh(threshold))
-    if gauge.kind == "rep_form":
+    if norm == "form":
         lcm = _form_weights(gauge.form.degree)[0]
         return math.floor(lcm * Fraction(threshold) ** 2)
-    if gauge.kind == "height":
-        return math.floor(Fraction(threshold) ** 2)
     thr = Fraction(threshold) * level
-    return math.floor(thr if math.isinf(gauge.r) else thr ** int(gauge.r))
+    if norm == "max":
+        return math.floor(thr)
+    return math.floor(thr ** (2 if norm == "sq" else int(gauge.r)))
 
 
 def gauge_key(gauge: Gauge, g: GroupElement) -> int | None:
@@ -409,9 +418,10 @@ def gauge_key(gauge: Gauge, g: GroupElement) -> int | None:
     key, and r-norms of elements with a p-power denominator (their cap depends
     on the level).  Elements the gauge does not measure raise as in gauge_eval.
     """
-    if not _integer_keyed(gauge):
+    norm = key_norm(gauge)
+    if norm is None:
         return None
-    if gauge.kind == "rep_form":
+    if norm == "form":
         _require_integral_2x2(g, "rep_form gauge")
         (a, b), (c, d) = g.entries
         return form_key(gauge.form, a, b, c, d)
@@ -421,21 +431,22 @@ def gauge_key(gauge: Gauge, g: GroupElement) -> int | None:
         _require_height_element(gauge, g)
     elif g.p_power:
         return None
-    return _key(gauge, g.entries_flat())
+    return _key(gauge, norm, g.entries_flat())
 
 
 def gauge_leq(gauge: Gauge, g: GroupElement, threshold: float) -> bool:
     """Exact closed-sublevel test gauge(g) <= threshold (integer or rational comparisons)."""
-    if gauge.kind == "rep_form":
+    norm = key_norm(gauge)
+    if norm == "form":
         _require_integral_2x2(g, "rep_form gauge")
         norm_sq = form_norm_sq(forms_substitute(gauge.form, g))
         return threshold >= 0 and norm_sq <= Fraction(threshold) ** 2
-    if not _integer_keyed(gauge):
+    if norm is None:
         return gauge_eval(gauge, g) <= threshold
     if gauge.kind == "hyperbolic":
         _require_integral_2x2(g, "hyperbolic gauge")
     level = g.prime ** g.p_power if gauge.kind == "rnorm" and g.p_power else 1
-    return _key(gauge, g.entries_flat()) <= gauge_cap(gauge, threshold, level)
+    return _key(gauge, norm, g.entries_flat()) <= gauge_cap(gauge, threshold, level)
 
 
 def gauge_eval_real(gauge: Gauge, mat: Sequence[Sequence[float]]) -> float:

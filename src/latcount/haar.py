@@ -311,21 +311,24 @@ def _sl3_volume(T: float, rel_tol: float = 1e-3) -> float:
 # ---------------------------------------------------------------------------
 
 def volume_of_ball(group: str, gauge: Gauge, threshold: float) -> float:
-    """Haar volume of the gauge ball (geometric normalization; SL3 raw)."""
+    """Haar volume of the gauge ball (geometric normalization; SL3 raw).
+
+    0.0 at threshold <= 0; a pair without a volume rule raises SpecError there too.
+    """
     desc = resolve_group(group)
-    if desc.n == 2 and not desc.s_arithmetic:
-        if gauge.kind == "hyperbolic":
-            return hyperbolic_ball_area(threshold)
-        if gauge.kind == "rnorm":
-            if gauge.r == 2:
-                return frobenius_ball_volume(threshold)
-            return _kak_calibration() * _sl2_kak_raw(gauge, threshold)
-        raise SpecError(f"no volume rule for gauge {gauge.kind!r} on {group}")
-    if desc.n == 3:
-        if gauge.kind == "rnorm" and gauge.r == 2:
-            return _sl3_volume(threshold)
+    sl2 = desc.n == 2 and not desc.s_arithmetic
+    if sl2 and gauge.kind == "hyperbolic":
+        rule = hyperbolic_ball_area
+    elif sl2 and gauge.kind == "rnorm" and gauge.r == 2:
+        rule = frobenius_ball_volume
+    elif sl2 and gauge.kind == "rnorm":
+        def rule(T: float) -> float:
+            return _kak_calibration() * _sl2_kak_raw(gauge, T)
+    elif desc.n == 3 and gauge.kind == "rnorm" and gauge.r == 2:
+        rule = _sl3_volume
+    else:
         raise SpecError(f"no volume rule for gauge {gauge.describe()!r} on {group}")
-    raise SpecError(f"no volume rule for group {group!r}")
+    return 0.0 if threshold <= 0 else rule(threshold)
 
 
 def lattice_normalized_volumes(

@@ -6,7 +6,6 @@ import math
 import os
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from typing import Callable, Iterable, Iterator, Sequence
@@ -22,6 +21,7 @@ from .gauges import (
     gauge_eval,
     gauge_key,
     gauge_leq,
+    key_norm,
     rep_form_gauge,
     substitute_coeffs,
 )
@@ -125,17 +125,6 @@ def _quadratic_window(c0: int, d0: int, sa: int, sb: int, cap: float) -> tuple[i
     lo = (-B - root) / (2 * A)
     hi = (-B + root) / (2 * A)
     return (math.floor(lo) - 1, math.ceil(hi) + 1)
-
-
-def _row_cap_sq(gauge: Gauge, threshold: float) -> float | None:
-    """Upper bound on a single row's squared euclidean norm, if quadratic."""
-    if gauge.kind == "rnorm" and gauge.r == 2:
-        return float(threshold) ** 2
-    if gauge.kind == "height":
-        return float(threshold) ** 2
-    if gauge.kind == "hyperbolic":
-        return 2.0 * math.cosh(threshold)
-    return None
 
 
 def _cross(u: tuple[int, int, int], v: tuple[int, int, int]) -> tuple[int, int, int]:
@@ -257,17 +246,18 @@ def _enumerate_sl2(gauge: Gauge, threshold: float) -> Iterator[GroupElement]:
     divisible by p, standing for p^(-k) A; SL(2,Z) (gauge.prime is None) is
     level 0 alone.  For each top row (a, b) the bottom rows form the Bezout
     progression (c0, d0) + j (a/g, b/g), g = gcd(a, b), walked in (c, d) lex
-    order inside the entry box and, for quadratic gauges, the row cap.
+    order inside the entry box and, for "sq" gauges, the integer cap on the
+    sum of squares; gauge_leq decides every element.
     """
     bound = entry_bound(gauge, threshold)
     if bound < 1:
         return
     p = gauge.prime
-    cap_sq = _row_cap_sq(gauge, threshold)
+    cap_sq = gauge_cap(gauge, threshold) if key_norm(gauge) == "sq" else None
     dets = [1]
     if p is not None:
         # Hadamard: det = p^(2k) <= ||A||^2 / 2, so the level ladder is finite
-        while 2.0 * p ** (2 * len(dets)) <= cap_sq:
+        while 2 * p ** (2 * len(dets)) <= cap_sq:
             dets.append(p ** (2 * len(dets)))
     for k, det in enumerate(dets):
         for a in range(-bound, bound + 1):
@@ -337,22 +327,31 @@ def enumerate_ball(
         yield from _enumerate_sl2(gauge, threshold)
 
 
+# the key norms each group's kernel walks; every other ball is enumerated
+_KERNEL_NORMS = {
+    "sl2z": {"sq", "abs", "max", "form"},
+    "sl3z": {"sq", "abs", "max"},
+    "sl2z1p": {"sq"},
+}
+
+
 def _progression_ball(
-    group: str, gauge: Gauge, caps: Sequence[int]
+    group: str, gauge: Gauge, caps: Sequence[int], box: int
 ) -> Iterator[tuple[int, ...]]:
     """(bisect_left(caps, key), p^l, a, b, c, d) for every element with key <= caps[-1].
 
     An element p^(-l) (a, b; c, d) is fixed by its level l, its top row (a, b)
     and a shift k: the bottom row is (c0, d0) + k (a/g, b/g), g = gcd(a, b),
     with a d0 - b c0 = det from ext_gcd (det = 1 on sl2z, p^(2l) on level l of
-    sl2z1p).  The key is convex in k, so the k inside the ball form an
-    interval: exact from isqrt of the discriminant for the quadratic keys; for
-    r = 1 and r = inf, _window_1d bounds |c| and |d| and the key test trims
-    the rest.  Order is unspecified.
+    sl2z1p).  The key (gauge_key; key_norm names it) is convex in k, so the k
+    inside the ball form an interval: exact from isqrt of the discriminant for
+    "sq"; for the others _window_1d bounds |c| and |d| (by caps[-1] minus the
+    top row for "abs", caps[-1] for "max", the entry bound box for "form") and
+    the key test trims the rest.  Order is unspecified.
     """
     top = caps[-1]
     p = gauge.prime
-    norm = "sq" if gauge.kind != "rnorm" or gauge.r == 2 else ("abs" if gauge.r == 1 else "max")
+    norm = key_norm(gauge)
     dens = [1]
     if group == "sl2z1p":
         # Hadamard: det A <= ||A||_F^2 / 2, so the level ladder is finite
@@ -362,7 +361,7 @@ def _progression_ball(
     if norm == "sq":
         amax = math.isqrt(top - 1) if top >= 1 else -1
     else:
-        amax = top - 1 if norm == "abs" else top
+        amax = {"abs": top - 1, "max": top, "form": box}[norm]
     for level, den in enumerate(dens):
         det = den * den
         for a in range(-amax, amax + 1):
@@ -391,7 +390,7 @@ def _progression_ball(
                     klo, khi = -((B + r) // A), (r - B) // A
                 else:
                     ab = abs(a) + abs(b) if norm == "abs" else max(abs(a), abs(b))
-                    bound = top - ab if norm == "abs" else top
+                    bound = top - ab if norm == "abs" else amax
                     window = _intersect(_window_1d(c, sa, bound), _window_1d(d, sb, bound))
                     if window is None:
                         continue
@@ -403,26 +402,28 @@ def _progression_ball(
                         key = ab + c * c + d * d
                     elif norm == "abs":
                         key = ab + abs(c) + abs(d)
-                    else:
+                    elif norm == "max":
                         key = max(ab, abs(c), abs(d))
+                    else:
+                        key = form_key(gauge.form, a, b, c, d)
                     if key <= top and not (skip_p and c % skip_p == 0 and d % skip_p == 0):
                         yield bisect.bisect_left(caps, key), den, a, b, c, d
                     c += sa
                     d += sb
 
 
-def _sl3_ball(gauge: Gauge, caps: Sequence[int]) -> Iterator[tuple[int, ...]]:
+def _sl3_ball(norm: str, caps: Sequence[int]) -> Iterator[tuple[int, ...]]:
     """(bisect_left(caps, key), 1, *entries) for every element of SL(3,Z) with key <= caps[-1].
 
-    The sweep of _enumerate_sl3z, pruned by the integer key (C = caps[-1]):
-    for r = 1, 2 each row's own key is at most C - 2, since the other two rows
-    are nonzero integer rows of key >= 1.  The third rows r3 . (r1 x r2) = 1
-    come from _third_row_candidates under the squared norm the first two rows
-    leave: C - k1 - k2 (r = 2), (C - k1 - k2)^2 (r = 1, as |x|_2 <= |x|_1),
-    or the box |e| <= C (r = inf).  Order is unspecified.
+    The sweep of _enumerate_sl3z, pruned by the integer key of key_norm norm
+    (C = caps[-1]): for "abs" and "sq" each row's own key is at most C - 2,
+    since the other two rows are nonzero integer rows of key >= 1.  The third
+    rows r3 . (r1 x r2) = 1 come from _third_row_candidates under the squared
+    norm the first two rows leave: C - k1 - k2 ("sq"), (C - k1 - k2)^2
+    ("abs", as |x|_2 <= |x|_1), or the box |e| <= C ("max").  Order is
+    unspecified.
     """
     top = caps[-1]
-    norm = "sq" if gauge.r == 2 else ("abs" if gauge.r == 1 else "max")
     if norm == "max":
         row_cap = bound = top
     else:
@@ -468,37 +469,9 @@ def _sl3_ball(gauge: Gauge, caps: Sequence[int]) -> Iterator[tuple[int, ...]]:
                     yield (bisect.bisect_left(caps, key), *head, *r3)
 
 
-def _form_ball(gauge: Gauge, caps: Sequence[int], bound: int) -> Iterator[tuple[int, ...]]:
-    """(bisect_left(caps, key), 1, a, b, c, d) for every gamma of SL(2,Z) with key <= caps[-1].
-
-    key is gauge_key of the rep_form gauge: form_key, L times the squared norm
-    of f0 . gamma.
-    Walks the box windows of _enumerate_sl2 at level 0: every entry of the
-    ball is at most bound (entry_bound at the top threshold).  Order is unspecified.
-    """
-    top = caps[-1]
-    for a in range(-bound, bound + 1):
-        for b in range(-bound, bound + 1):
-            if math.gcd(a, b) != 1:
-                continue
-            _, x, y = ext_gcd(a, b)
-            c0, d0 = -y, x  # a*d0 - b*c0 = 1
-            window = _intersect(_window_1d(c0, a, bound), _window_1d(d0, b, bound))
-            if window is None:
-                continue
-            for k in range(window[0], window[1] + 1):
-                c, d = c0 + k * a, d0 + k * b
-                key = form_key(gauge.form, a, b, c, d)
-                if key <= top:
-                    yield bisect.bisect_left(caps, key), 1, a, b, c, d
-
-
-def _integer_caps(gauge: Gauge, thresholds: Sequence[float]) -> list[int] | None:
-    """gauge_cap at every threshold; None unless all are integers that never decrease."""
-    caps = [gauge_cap(gauge, t) for t in thresholds]
-    if None in caps or any(b < a for a, b in zip(caps, caps[1:])):
-        return None
-    return caps
+def _check_grid(thresholds: Sequence[float]) -> None:
+    if not thresholds or any(b <= a for a, b in zip(thresholds, thresholds[1:])):
+        raise SpecError("thresholds must be strictly increasing and nonempty")
 
 
 def progression_buckets(
@@ -508,29 +481,24 @@ def progression_buckets(
 
     Each record is (bucket, p^l, a, b, c, d) for the element p^(-l) (a, b; c, d)
     (p^l = 1 on sl2z); bucket is the index of the first threshold whose ball
-    holds the element, as bucket_index gives it.  Covers sl2z with rnorm:1,
-    rnorm:2, rnorm:inf, hyperbolic and form gauges, sl3z with rnorm:1, rnorm:2
-    and rnorm:inf (records (bucket, 1, *entries), nine entries), and sl2z1p
-    with height; returns None for every other ball, which then needs
-    enumerate_ball.  The checks and the budget gate of enumerate_ball run
-    first, at the call, for every ball.
+    holds the element, as bucket_index gives it.  _KERNEL_NORMS says which
+    balls it covers: one Bezout walk (_progression_ball) serves sl2z with
+    rnorm:1, rnorm:2, rnorm:inf, hyperbolic and form gauges and sl2z1p with
+    height, and _sl3_ball serves sl3z with rnorm:1, rnorm:2 and rnorm:inf
+    (records (bucket, 1, *entries), nine entries).  Returns None for every
+    other ball, which then needs enumerate_ball.  The grid check (strictly
+    increasing, nonempty), the checks and the budget gate of enumerate_ball
+    run first, at the call, for every ball.
     """
+    _check_grid(thresholds)
     _check_ball(group, gauge, thresholds[-1], budget)
-    integer_r = gauge.kind == "rnorm" and gauge.r in (1, 2, math.inf)
-    if group == "sl2z":
-        covered = integer_r or gauge.kind in ("hyperbolic", "rep_form")
-    elif group == "sl3z":
-        covered = integer_r
-    else:
-        covered = gauge.kind == "height"
-    caps = _integer_caps(gauge, thresholds) if covered else None
-    if caps is None:
+    norm = key_norm(gauge)
+    if norm not in _KERNEL_NORMS[group]:
         return None
+    caps = [gauge_cap(gauge, t) for t in thresholds]
     if group == "sl3z":
-        return _sl3_ball(gauge, caps)
-    if gauge.kind == "rep_form":
-        return _form_ball(gauge, caps, entry_bound(gauge, thresholds[-1]))
-    return _progression_ball(group, gauge, caps)
+        return _sl3_ball(norm, caps)
+    return _progression_ball(group, gauge, caps, entry_bound(gauge, thresholds[-1]))
 
 
 @dataclass(frozen=True)
@@ -572,12 +540,13 @@ def threshold_bucketer(
 
     Elements with an integer key (gauge_key) are placed by bisecting the caps;
     the rest (fractional r, r-norms of p-power elements) go through
-    bucket_index.
+    bucket_index.  thresholds must be strictly increasing, as ball_buckets
+    checks.
     """
-    caps = _integer_caps(gauge, thresholds)
+    caps = [gauge_cap(gauge, t) for t in thresholds]
 
     def bucket(el: GroupElement) -> int:
-        key = None if caps is None else gauge_key(gauge, el)
+        key = gauge_key(gauge, el)
         if key is None:
             return bucket_index(gauge, el, thresholds)
         return bisect.bisect_left(caps, key)
@@ -600,9 +569,11 @@ def ball_buckets(
     threshold whose ball holds it, as bucket_index gives it.  This is the one
     place that picks the route: the progression kernel where it covers the
     ball, else enumerate_ball; given elements are bucketed as they are and
-    those above thresholds[-1] are dropped.  Without elements, the ball's
-    checks and budget gate run at the call.  Order is unspecified.
+    those above thresholds[-1] are dropped.  The grid must be strictly
+    increasing and nonempty (SpecError otherwise); without elements, the
+    ball's checks and budget gate run at the call too.  Order is unspecified.
     """
+    _check_grid(thresholds)
     if elements is None:
         kernel = progression_buckets(group, gauge, thresholds, budget)
         if kernel is not None:
@@ -636,8 +607,6 @@ def count_series(
     normalized so that the ratio column tends to 1.
     """
     thr = [float(t) for t in thresholds]
-    if not thr or any(b <= a for a, b in zip(thr, thr[1:])):
-        raise SpecError("thresholds must be strictly increasing and nonempty")
     buckets = [0] * len(thr)
     for rec in ball_buckets(group, gauge, thr, elements=elements, budget=budget):
         buckets[rec[0]] += 1

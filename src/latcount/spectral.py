@@ -53,11 +53,7 @@ def default_params(group: str, **overrides) -> SpectralParams:
     """Baseline SpectralParams for a named group; keywords override fields."""
     if group not in RHO0:
         raise SpecError(f"unknown group {group!r}")
-    base = {
-        "sl2z": SpectralParams(rho0=3.0, tempered=True),
-        "sl3z": SpectralParams(rho0=8.0, n_e=2, tempered=False),
-        "sl2z1p": SpectralParams(rho0=3.0, tempered=True),
-    }[group]
+    base = SpectralParams(rho0=RHO0[group], tempered=group != "sl3z")
     return replace(base, **overrides) if overrides else base
 
 

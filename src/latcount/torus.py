@@ -134,15 +134,6 @@ class DeviationSeries:
         return out
 
 
-def _check_thresholds(thresholds: Sequence[float]) -> tuple[float, ...]:
-    thr = tuple(float(x) for x in thresholds)
-    if not thr:
-        raise SpecError("need at least one threshold")
-    if any(b <= a for a, b in zip(thr, thr[1:])):
-        raise SpecError("thresholds must be strictly increasing")
-    return thr
-
-
 def deviation_series(
     group: str,
     gauge: Gauge,
@@ -160,7 +151,7 @@ def deviation_series(
     Torus sums are fsum'd per bucket, so the order of the pass does not matter.
     """
     desc = resolve_group(group)
-    thr = _check_thresholds(thresholds)
+    thr = tuple(float(x) for x in thresholds)
     k = len(thr)
     if system == "torus":
         if not isinstance(observable, TorusCharacter):

@@ -135,6 +135,21 @@ def test_volume_of_ball_unsupported():
         volume_of_ball("sl3z", rnorm_gauge(1), 5.0)
     with pytest.raises(SpecError):
         volume_of_ball("sl2z1p", rnorm_gauge(2), 5.0)
+    with pytest.raises(SpecError):
+        volume_of_ball("sl3z", rnorm_gauge(1), -3.0)
+
+
+@pytest.mark.parametrize("group,gauge", [
+    ("sl2z", rnorm_gauge(1)),
+    ("sl2z", rnorm_gauge(2)),
+    ("sl2z", rnorm_gauge(math.inf)),
+    ("sl2z", rnorm_gauge(1.5)),
+    ("sl2z", hyperbolic_gauge()),
+    ("sl3z", rnorm_gauge(2)),
+], ids=["sl2z-r1", "sl2z-r2", "sl2z-rinf", "sl2z-r1.5", "sl2z-hyperbolic", "sl3z-r2"])
+def test_nonpositive_threshold_has_zero_volume(group, gauge):
+    for t in (-3.0, -1e-300, 0.0):
+        assert volume_of_ball(group, gauge, t) == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -25,12 +25,14 @@ from latcount.gauges import (
     gauge_leq,
     height_gauge,
     hyperbolic_gauge,
+    key_norm,
     parse_gauge,
     rep_form_gauge,
     rnorm_gauge,
 )
 from latcount.groups import GroupElement, reduce_mod
 from latcount.lattice import (
+    ball_buckets,
     bucket_index,
     coset_histogram,
     count_series,
@@ -177,6 +179,10 @@ def test_rnorm_of_p_power_elements_keeps_the_level():
 
 
 def test_gauge_leq_is_key_against_cap():
+    assert [key_norm(rnorm_gauge(r)) for r in (1, 2, 3, 1.5, INF)] == \
+        ["abs", "sq", "pow", None, "max"]
+    assert [key_norm(g) for g in (hyperbolic_gauge(), height_gauge(2), rep_form_gauge(QUARTIC))] \
+        == ["sq", "sq", "form"]
     ball = list(enumerate_ball("sl2z", rnorm_gauge(2), 8.0))
     for gauge in (rnorm_gauge(1), rnorm_gauge(2), rnorm_gauge(INF), rnorm_gauge(3),
                   hyperbolic_gauge()):
@@ -189,16 +195,35 @@ def test_gauge_leq_is_key_against_cap():
     assert gauge_cap(hyperbolic_gauge(), -1.0) == -1
 
 
-def test_unsorted_caps_fall_back_to_enumeration():
-    # the kernel needs nondecreasing caps; a grid out of order keeps the old route
-    assert progression_buckets("sl2z", rnorm_gauge(2), (2.0, 1.5, 4.0)) is None
-    # a negative threshold caps at -1, below every key, so it stays on the kernel
+def test_negative_threshold_stays_on_the_kernel():
+    # a negative threshold caps at -1, below every key, so it holds nothing
     thr = (-3.0, 2.0, 4.0)
     assert progression_buckets("sl2z", rnorm_gauge(2), thr) is not None
     ball = list(enumerate_ball("sl2z", rnorm_gauge(2), 4.0))
     expected = Counter(bucket_index(rnorm_gauge(2), el, thr) for el in ball)
     got = count_series("sl2z", rnorm_gauge(2), thr, with_volume=False).counts()
     assert got == [sum(expected[j] for j in range(i + 1)) for i in range(3)]
+    row = count_series("sl2z", rnorm_gauge(2), [-3.0, 3.0]).rows[0]
+    assert (row.count, row.volume, row.ratio) == (0, 0.0, None)
+
+
+BAD_GRIDS = [(), (2.0, 2.0, 4.0), (2.0, 1.5, 4.0)]
+SERIES_CALLS = {
+    "count_series": lambda thr: count_series("sl2z", rnorm_gauge(2), thr),
+    "torus": lambda thr: deviation_series("sl2z", rnorm_gauge(2), thr, "torus",
+                                          TorusCharacter((1, 0)), X0),
+    "coset": lambda thr: deviation_series("sl2z", rnorm_gauge(2), thr, "coset", 2),
+    "ball_buckets-elements": lambda thr: ball_buckets(
+        "sl2z", rnorm_gauge(2), thr, elements=list(enumerate_ball("sl2z", rnorm_gauge(2), 3.0))),
+    "progression_buckets": lambda thr: progression_buckets("sl2z", rnorm_gauge(2), thr),
+}
+
+
+@pytest.mark.parametrize("call", SERIES_CALLS.values(), ids=SERIES_CALLS)
+@pytest.mark.parametrize("thr", BAD_GRIDS, ids=["empty", "repeated", "unsorted"])
+def test_bad_grids_raise(call, thr):
+    with pytest.raises(SpecError, match="strictly increasing and nonempty"):
+        call(thr)
 
 
 @pytest.fixture
