@@ -25,7 +25,7 @@ from .haar import (
     fit_growth,
     tensor_factor_profiles,
     tensor_weights,
-    volume_of_ball,
+    volume_growth,
 )
 from .lattice import count_series, orbit_forms_series
 from .spectral import (
@@ -348,16 +348,9 @@ def _tail_window(thresholds: tuple[float, ...], gauge: Gauge) -> tuple[float, fl
 
 def _run_volume(spec: ExperimentSpec) -> Report:
     desc = resolve_group(spec.group)
-    vols = [volume_of_ball(spec.group, spec.gauge, t) for t in spec.thresholds]
+    vols, fit, t_exponent = volume_growth(spec.group, spec.gauge, spec.thresholds,
+                                          _tail_window(spec.thresholds, spec.gauge))
     rows = [(t, None, v, None, None) for t, v in zip(spec.thresholds, vols)]
-    samples = list(zip(spec.thresholds, vols))
-    window = _tail_window(spec.thresholds, spec.gauge)
-    if spec.gauge.scale == "t":
-        fit = fit_growth(samples, "power_exp", window=window)
-        t_exponent = fit.a * spec.gauge.dt_dlogT()
-    else:
-        fit = fit_growth(samples, "power", window=window)
-        t_exponent = fit.a
     theory = float(desc.n * desc.n - desc.n)
     tol = 0.05 if desc.n == 2 else 0.2
     return Report(

@@ -135,13 +135,13 @@ def form_norm_sq(f: BinaryForm) -> Fraction:
 
 
 @lru_cache(maxsize=None)
-def unit_circle_min(f: BinaryForm, samples: int = 10_000) -> float:
+def unit_circle_min(f: BinaryForm) -> float:
     """min |f(cos t, sin t)| over the unit circle, by dense sampling + golden refinement."""
     # |f| on the circle has period pi (antipodal points differ only in sign)
     def g(theta: float) -> float:
         return abs(f.evaluate(math.cos(theta), math.sin(theta)))
-    step = math.pi / samples
-    best_i = min(range(samples), key=lambda i: g(i * step))
+    step = math.pi / 10_000
+    best_i = min(range(10_000), key=lambda i: g(i * step))
     lo, hi = (best_i - 1) * step, (best_i + 1) * step
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
@@ -214,17 +214,23 @@ def _binpow(alpha: int, beta: int, m: int) -> list[int]:
 class Gauge:
     """A size functional with scale convention and enumeration metadata.
 
-    scale is "T" for raw thresholds (t = log T at the reporting layer) and "t"
-    for gauges natively logarithmic (hyperbolic distance).  is_symmetric(n)
-    says whether |g^{-1}| = |g| holds in dimension n.
+    is_symmetric(n) says whether |g^{-1}| = |g| holds in dimension n.
     """
 
     kind: str
     r: float | None = None
     form: BinaryForm | None = None
     prime: int | None = None
-    scale: str = "T"
-    bi_K_invariant: bool = False
+
+    @property
+    def scale(self) -> str:
+        """"t" for the natively logarithmic hyperbolic distance, else "T" (t = log T)."""
+        return "t" if self.kind == "hyperbolic" else "T"
+
+    @property
+    def bi_K_invariant(self) -> bool:
+        """Whether |k g k'| = |g| for rotations k, k' (hyperbolic, rnorm:2)."""
+        return self.kind == "hyperbolic" or (self.kind == "rnorm" and self.r == 2)
 
     def describe(self) -> str:
         if self.kind == "rnorm":
@@ -282,23 +288,23 @@ class Gauge:
 def rnorm_gauge(r: float) -> Gauge:
     if not (r >= 1):
         raise SpecError(f"rnorm needs r >= 1, got {r}")
-    return Gauge(kind="rnorm", r=float(r), scale="T", bi_K_invariant=(r == 2))
+    return Gauge(kind="rnorm", r=float(r))
 
 
 def hyperbolic_gauge() -> Gauge:
-    return Gauge(kind="hyperbolic", scale="t", bi_K_invariant=True)
+    return Gauge(kind="hyperbolic")
 
 
 def rep_form_gauge(form: BinaryForm) -> Gauge:
     if not form.is_definite():
         raise SpecError("rep_form gauge needs a definite form (no real zero)")
-    return Gauge(kind="rep_form", form=form, scale="T", bi_K_invariant=False)
+    return Gauge(kind="rep_form", form=form)
 
 
 def height_gauge(p: int) -> Gauge:
     if p < 2 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
         raise SpecError(f"height gauge needs a prime, got {p}")
-    return Gauge(kind="height", prime=p, scale="T", bi_K_invariant=False)
+    return Gauge(kind="height", prime=p)
 
 
 def parse_gauge(spec: str) -> Gauge:

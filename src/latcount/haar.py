@@ -40,6 +40,7 @@ __all__ = [
     "WeightBalanceResult",
     "GrowthFit",
     "fit_growth",
+    "volume_growth",
     "AdmissibilityReport",
     "admissibility_estimate",
     "gl_integrate",
@@ -296,10 +297,10 @@ def _sl3_raw(T: float, *, panels: int = 6, nodes: int = 24) -> float:
     return gl_integrate(outer, 0.0, a1_max, panels=panels, nodes=nodes)
 
 
-def _sl3_volume(T: float, rel_tol: float = 1e-3) -> float:
+def _sl3_volume(T: float) -> float:
     coarse = _sl3_raw(T, panels=6, nodes=24)
     fine = _sl3_raw(T, panels=12, nodes=32)
-    if fine > 0 and abs(fine - coarse) > rel_tol * fine:
+    if fine > 0 and abs(fine - coarse) > 1e-3 * fine:
         raise NumericalError(
             f"SL3 chamber quadrature not converged at T={T:g}: {coarse!r} vs {fine!r}"
         )
@@ -310,25 +311,34 @@ def _sl3_volume(T: float, rel_tol: float = 1e-3) -> float:
 # public volume API
 # ---------------------------------------------------------------------------
 
+def _volume_rule(group: str, gauge: Gauge) -> tuple[Callable[[float], float], float] | None:
+    """(ball volume on positive thresholds, lattice covolume), or None without a rule.
+
+    SL2 rules use the geometric normalization (covolume pi/3); the SL3 chamber
+    quadrature is raw, meaningful up to scale, so its covolume is 1.
+    """
+    desc = resolve_group(group)
+    sl2 = desc.n == 2 and not desc.s_arithmetic
+    if sl2 and gauge.kind == "hyperbolic":
+        return hyperbolic_ball_area, covolume_psl2z()
+    if sl2 and gauge.kind == "rnorm" and gauge.r == 2:
+        return frobenius_ball_volume, covolume_psl2z()
+    if sl2 and gauge.kind == "rnorm":
+        return (lambda T: _kak_calibration() * _sl2_kak_raw(gauge, T)), covolume_psl2z()
+    if desc.n == 3 and gauge.kind == "rnorm" and gauge.r == 2:
+        return _sl3_volume, 1.0
+    return None
+
+
 def volume_of_ball(group: str, gauge: Gauge, threshold: float) -> float:
     """Haar volume of the gauge ball (geometric normalization; SL3 raw).
 
     0.0 at threshold <= 0; a pair without a volume rule raises SpecError there too.
     """
-    desc = resolve_group(group)
-    sl2 = desc.n == 2 and not desc.s_arithmetic
-    if sl2 and gauge.kind == "hyperbolic":
-        rule = hyperbolic_ball_area
-    elif sl2 and gauge.kind == "rnorm" and gauge.r == 2:
-        rule = frobenius_ball_volume
-    elif sl2 and gauge.kind == "rnorm":
-        def rule(T: float) -> float:
-            return _kak_calibration() * _sl2_kak_raw(gauge, T)
-    elif desc.n == 3 and gauge.kind == "rnorm" and gauge.r == 2:
-        rule = _sl3_volume
-    else:
+    rule = _volume_rule(group, gauge)
+    if rule is None:
         raise SpecError(f"no volume rule for gauge {gauge.describe()!r} on {group}")
-    return 0.0 if threshold <= 0 else rule(threshold)
+    return 0.0 if threshold <= 0 else rule[0](threshold)
 
 
 def lattice_normalized_volumes(
@@ -336,21 +346,27 @@ def lattice_normalized_volumes(
 ) -> list[float] | None:
     """Expected lattice counts per threshold, or None when no rule applies.
 
-    SL2: center_order * ball volume / covolume.  SL3: raw chamber quadrature
-    (exponent comparisons only).  Height and form gauges have no volume rule.
+    center_order * ball volume / covolume, both in the rule's normalization.
     """
-    desc = resolve_group(group)
-    if desc.s_arithmetic or gauge.kind in ("rep_form", "height"):
+    rule = _volume_rule(group, gauge)
+    if rule is None:
         return None
-    if desc.n == 2:
-        covol = covolume_psl2z()
-        return [
-            desc.center_order * volume_of_ball(group, gauge, t) / covol
-            for t in thresholds
-        ]
-    if desc.n == 3 and gauge.kind == "rnorm" and gauge.r == 2:
-        return [volume_of_ball(group, gauge, t) for t in thresholds]
-    return None
+    center, covol = resolve_group(group).center_order, rule[1]
+    return [center * volume_of_ball(group, gauge, t) / covol for t in thresholds]
+
+
+def volume_growth(
+    group: str, gauge: Gauge, thresholds: Sequence[float], window: tuple[float, float]
+) -> tuple[list[float], GrowthFit, float]:
+    """Ball volumes on thresholds, their growth fit over window, and the T-exponent.
+
+    t-scale gauges fit power_exp in t, T-scale gauges power in T; the fitted
+    rate times gauge.dt_dlogT() is the exponent per log T.
+    """
+    volumes = [volume_of_ball(group, gauge, t) for t in thresholds]
+    model = "power_exp" if gauge.scale == "t" else "power"
+    fit = fit_growth(list(zip(thresholds, volumes)), model, window=window)
+    return volumes, fit, fit.a * gauge.dt_dlogT()
 
 
 # ---------------------------------------------------------------------------
@@ -474,9 +490,8 @@ def convolve_profiles(v1: VolumeProfile, v2: VolumeProfile, *,
 
 
 def balanced_volume_ratio(product_profile: VolumeProfile,
-                          factor_profile: VolumeProfile, t: float, *,
-                          q: float = 1.0) -> float:
-    """Mass fraction of the product ball whose given factor stays in {d <= q}."""
+                          factor_profile: VolumeProfile, t: float) -> float:
+    """Mass fraction of the product ball whose given factor stays in {d <= 1}."""
     if not product_profile.factors:
         return 0.0
     if len(product_profile.factors) != 2:
@@ -492,28 +507,27 @@ def balanced_volume_ratio(product_profile: VolumeProfile,
     if total <= 0:
         raise SpecError(f"product volume vanishes at t={t:g}")
     steps = 256
-    grid = np.linspace(0.0, min(q, t), steps + 1)
+    grid = np.linspace(0.0, min(1.0, t), steps + 1)
     inc, mids = _stieltjes_increments(constrained, grid)
     acc = sum(other(t - m) * dv for m, dv in zip(mids, inc) if dv != 0.0)
     for pos, mass in constrained.atoms:
-        if pos <= min(q, t):
+        if pos <= min(1.0, t):
             acc += mass * other(t - pos)
     return acc / total
 
 
 def balanced_volume_verdict(product_profile: VolumeProfile,
-                            t_grid: Sequence[float], *, q: float = 1.0,
-                            decay_factor: float = 0.3) -> str:
-    """BALANCED iff every factor's bounded-slice mass fraction decays on the grid."""
+                            t_grid: Sequence[float]) -> str:
+    """BALANCED iff every factor's bounded-slice mass fraction decays 0.3-fold on the grid."""
     if not product_profile.factors:
         return "BALANCED"
     ts = sorted(float(t) for t in t_grid)
     if len(ts) < 2:
         raise SpecError("verdict needs at least two grid points")
     for fac in product_profile.factors:
-        first = balanced_volume_ratio(product_profile, fac, ts[0], q=q)
-        last = balanced_volume_ratio(product_profile, fac, ts[-1], q=q)
-        if not (last < decay_factor * first):
+        first = balanced_volume_ratio(product_profile, fac, ts[0])
+        last = balanced_volume_ratio(product_profile, fac, ts[-1])
+        if not (last < 0.3 * first):
             return "NOT BALANCED"
     return "BALANCED"
 
@@ -618,44 +632,22 @@ def _row_dot(row: Sequence[Fraction], x: Sequence[Fraction]) -> Fraction:
 
 
 def _check_bounded(lam_rows: list[tuple[Fraction, ...]], d: int) -> None:
-    """Reject weight sets whose chamber polytope has a recession ray."""
-    if d == 1:
-        if not any(lam[0] > 0 for lam in lam_rows):
+    """Reject weight sets whose chamber polytope has a recession ray.
+
+    The cone {u >= 0 : lam(u) <= 0 for all weights} is pointed, so it is nonzero
+    iff some u tight on d - 1 of the planes (weights, coordinate hyperplanes)
+    with sum u = 1 lies in it; the sum row fixes the sign.
+    """
+    planes = [list(lam) for lam in lam_rows]
+    planes += [[Fraction(1 if j == i else 0) for j in range(d)] for i in range(d)]
+    ones = [Fraction(1)] * d
+    rhs = [Fraction(0)] * (d - 1) + [Fraction(1)]
+    for subset in combinations(planes, d - 1):
+        u = _solve_exact([*subset, ones], rhs)
+        if u is not None and all(x >= 0 for x in u) and all(
+            _row_dot(lam, u) <= 0 for lam in lam_rows
+        ):
             raise SpecError("unbounded weight polytope")
-        return
-    # homogeneous constraints: u >= 0 and lam(u) <= 0; extreme rays of the
-    # recession cone lie on d-1 independent tight constraints
-    planes: list[tuple[Fraction, ...]] = list(lam_rows)
-    for i in range(d):
-        planes.append(tuple(Fraction(1 if j == i else 0) for j in range(d)))
-    for subset in combinations(range(len(planes)), d - 1):
-        direction = _nullspace_direction([list(planes[i]) for i in subset], d)
-        if direction is None:
-            continue
-        for sign in (1, -1):
-            u = [sign * x for x in direction]
-            if all(x >= 0 for x in u) and any(x != 0 for x in u) and all(
-                _row_dot(lam, u) <= 0 for lam in lam_rows
-            ):
-                raise SpecError("unbounded weight polytope")
-
-
-def _nullspace_direction(rows: list[list[Fraction]], d: int) -> list[Fraction] | None:
-    """A nonzero solution of (d-1) homogeneous equations in d unknowns, if unique."""
-    if d == 2:
-        (a, b), = rows
-        if a == 0 and b == 0:
-            return None
-        return [b, -a]
-    if d == 3:
-        r1, r2 = rows
-        cx = r1[1] * r2[2] - r1[2] * r2[1]
-        cy = r1[2] * r2[0] - r1[0] * r2[2]
-        cz = r1[0] * r2[1] - r1[1] * r2[0]
-        if cx == 0 and cy == 0 and cz == 0:
-            return None
-        return [cx, cy, cz]
-    return None
 
 
 # ---------------------------------------------------------------------------

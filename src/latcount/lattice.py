@@ -54,6 +54,17 @@ def _resolve_budget(budget: int | None) -> int:
     return DEFAULT_BUDGET
 
 
+def _level_count(p: int | None, cap: int) -> int:
+    """1 + #{k >= 1 : 2 p^(2k) <= cap}, the det = p^(2k) levels of a ball of "sq" cap.
+
+    Hadamard (det A <= ||A||_F^2 / 2) bounds the ladder; p None is level 0 alone.
+    """
+    levels = 1
+    while p is not None and 2 * p ** (2 * levels) <= cap:
+        levels += 1
+    return levels
+
+
 def estimate_count(group: str, gauge: Gauge, threshold: float) -> int:
     """Cheap a-priori overestimate of the number of elements in the ball."""
     desc = resolve_group(group)
@@ -74,8 +85,8 @@ def estimate_count(group: str, gauge: Gauge, threshold: float) -> int:
     if gauge.kind == "hyperbolic":
         return max(16, int(14.0 * math.cosh(threshold)))
     if gauge.kind == "height":
-        k_levels = 1 + max(0, int(math.log(max(threshold, 2.0) ** 2 / 2.0) / math.log(gauge.prime)) // 2)
-        return max(16, int(14.0 * threshold**2) * k_levels)
+        levels = _level_count(gauge.prime, gauge_cap(gauge, threshold))
+        return max(16, int(14.0 * threshold**2) * levels)
     if gauge.kind == "rep_form":
         bound = entry_bound(gauge, threshold)
         return max(16, 16 * bound * bound)
@@ -254,12 +265,8 @@ def _enumerate_sl2(gauge: Gauge, threshold: float) -> Iterator[GroupElement]:
         return
     p = gauge.prime
     cap_sq = gauge_cap(gauge, threshold) if key_norm(gauge) == "sq" else None
-    dets = [1]
-    if p is not None:
-        # Hadamard: det = p^(2k) <= ||A||^2 / 2, so the level ladder is finite
-        while 2 * p ** (2 * len(dets)) <= cap_sq:
-            dets.append(p ** (2 * len(dets)))
-    for k, det in enumerate(dets):
+    for k in range(_level_count(p, cap_sq)):
+        det = p ** (2 * k) if k else 1
         for a in range(-bound, bound + 1):
             aa = a * a
             for b in range(-bound, bound + 1):
@@ -335,9 +342,7 @@ _KERNEL_NORMS = {
 }
 
 
-def _progression_ball(
-    group: str, gauge: Gauge, caps: Sequence[int], box: int
-) -> Iterator[tuple[int, ...]]:
+def _progression_ball(gauge: Gauge, caps: Sequence[int], box: int) -> Iterator[tuple[int, ...]]:
     """(bisect_left(caps, key), p^l, a, b, c, d) for every element with key <= caps[-1].
 
     An element p^(-l) (a, b; c, d) is fixed by its level l, its top row (a, b)
@@ -352,17 +357,13 @@ def _progression_ball(
     top = caps[-1]
     p = gauge.prime
     norm = key_norm(gauge)
-    dens = [1]
-    if group == "sl2z1p":
-        # Hadamard: det A <= ||A||_F^2 / 2, so the level ladder is finite
-        while 2 * p ** (2 * len(dens)) <= top:
-            dens.append(p ** len(dens))
     # top rows that leave room for a nonzero bottom row
     if norm == "sq":
         amax = math.isqrt(top - 1) if top >= 1 else -1
     else:
         amax = {"abs": top - 1, "max": top, "form": box}[norm]
-    for level, den in enumerate(dens):
+    for level in range(_level_count(p, top)):
+        den = p ** level if level else 1
         det = den * den
         for a in range(-amax, amax + 1):
             if norm == "sq":
@@ -498,7 +499,7 @@ def progression_buckets(
     caps = [gauge_cap(gauge, t) for t in thresholds]
     if group == "sl3z":
         return _sl3_ball(norm, caps)
-    return _progression_ball(group, gauge, caps, entry_bound(gauge, thresholds[-1]))
+    return _progression_ball(gauge, caps, entry_bound(gauge, thresholds[-1]))
 
 
 @dataclass(frozen=True)
@@ -523,7 +524,9 @@ class CountSeries:
 
 
 def bucket_index(gauge: Gauge, el: GroupElement, thresholds: Sequence[float]) -> int:
-    """Smallest i with gauge(el) <= thresholds[i], decided exactly at ties."""
+    """Smallest i with gauge(el) <= thresholds[i], decided exactly at ties (SpecError
+    unless thresholds is strictly increasing and nonempty)."""
+    _check_grid(thresholds)
     value = gauge_eval(gauge, el)
     i = bisect.bisect_left(thresholds, value)
     while i > 0 and gauge_leq(gauge, el, thresholds[i - 1]):
@@ -540,9 +543,10 @@ def threshold_bucketer(
 
     Elements with an integer key (gauge_key) are placed by bisecting the caps;
     the rest (fractional r, r-norms of p-power elements) go through
-    bucket_index.  thresholds must be strictly increasing, as ball_buckets
-    checks.
+    bucket_index.  thresholds must be strictly increasing and nonempty
+    (SpecError at the call otherwise).
     """
+    _check_grid(thresholds)
     caps = [gauge_cap(gauge, t) for t in thresholds]
 
     def bucket(el: GroupElement) -> int:
@@ -573,7 +577,6 @@ def ball_buckets(
     increasing and nonempty (SpecError otherwise); without elements, the
     ball's checks and budget gate run at the call too.  Order is unspecified.
     """
-    _check_grid(thresholds)
     if elements is None:
         kernel = progression_buckets(group, gauge, thresholds, budget)
         if kernel is not None:

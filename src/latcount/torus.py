@@ -226,10 +226,10 @@ def deviation_series(
     )
 
 
-def decay_fit(series: DeviationSeries, *, window: tuple[float, float] | None = None) -> GrowthFit:
+def decay_fit(series: DeviationSeries) -> GrowthFit:
     """Exponential decay rate of the deviations, in the log-threshold variable.
 
-    Unlike growth fits, the default window spans all positive rows: deviation
+    Unlike growth fits, the window spans all positive rows: deviation
     decay happens at small radius, and the tail is equidistribution noise.
     """
     samples = []
@@ -240,6 +240,4 @@ def decay_fit(series: DeviationSeries, *, window: tuple[float, float] | None = N
         samples.append((x, dev))
     if len(samples) < 5:
         raise SpecError("need at least 5 positive deviation rows to fit a rate")
-    if window is None:
-        window = (samples[0][0], samples[-1][0])
-    return fit_growth(samples, "exp_decay", window=window)
+    return fit_growth(samples, "exp_decay", window=(samples[0][0], samples[-1][0]))

@@ -1,0 +1,65 @@
+"""CLI outputs pinned byte for byte, for runs the benchmark's digests do not cover.
+
+Each entry is one command line with the SHA-256 of its CSV and of its JSON
+(runtime_seconds dropped, keys sorted).  Between them the commands exercise the
+Haar volume rules, the growth fit in both threshold scales, the det p^(2k)
+level ladder, the gauge scale metadata and the weight-polytope boundedness
+check.  A refactor that means to keep every output byte keeps these digests.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from latcount.cli import build_parser, render_csv, render_json, resolve_spec, run_experiment
+
+PINNED = [
+    ("count --gauge hyperbolic --tmax 8",
+     "bc857cef0e8b23ce1c2fe94e0f2bb46c695ecdad9705819ab3139cc5c0449762",
+     "be017c2908148f3d00325e2a2760e49bc6fbb9d7099605149e2c96aebe2ff07a"),
+    ("volume --gauge hyperbolic --tmax 10",
+     "e952a4849e79f72675f6cd12e8b8a6df03a681fd313b5f8b6a754e75730fe6a0",
+     "68c03235a0fdc1f90408ca8eac231f402a4280c8a2eb36ef688bd15c6df2e49b"),
+    ("volume --group sl3z --tmax 60",
+     "e24e7ab5f57f9189be1c88bf9e0e8f642c3bb1f974ca09c4d7ab419620df496f",
+     "09c963b75736c766f90fb8893c62e97995824dbe092828b98136aed1556d3dd4"),
+    ("spectral --gauge hyperbolic --tmax 10",
+     "742832920252f2a5d561eb43f6e9e0e5b6d5f38840ddcf059d5e9e46d4423682",
+     "833a8e7499ed140c5ef63fec707708129b0d83702f724753ffae22d247fb3126"),
+    ("balanced --q 2",
+     "b42e500fc51483dcb99060dbece9426bd2ab9d485523c890bc57c55febd44292",
+     "0730d167b735bf93f4133c85dc72c699e3b30dcfbea83f2e7139aa2b3d168887"),
+    ("coset --gauge hyperbolic --tmax 7",
+     "8af5f0f1f53cfaaa75f6e4fa4b9a165670025f40235f814d98d8d1b88dd8b32b",
+     "4222d140c10c4dc8d41eba42bd43e9ea40a4d3c194669cf3420b882905c94fc9"),
+    ("torus --gauge hyperbolic --tmax 7",
+     "dc1b3586962ca6530e83bfc0325142d169a4eccb4cd8218dddadfe69e6f6a5b4",
+     "5e28af459bea0dca868ce49667fe2c27b5cc4aa1a40ad07556e95b4b0c168264"),
+    ("sarith --prime 3 --tmax 30",
+     "fac2a80f10b29d3f153a885c51a4639e65b1a856410a2619202c1a24582a9895",
+     "dfdd565f19c2c2af0fb6047757e1e503dd7ee7d7b1b83c2236ef2e3e6a6f14b7"),
+    ("admissibility --gauge hyperbolic --tmax 15 --seed 7",
+     "3326c64cca52ba69c5153954ee4304301dfdf070712db85f0f3bb146043b6e36",
+     "317b173e61e0fbcfcde54387748eebcb4623f17e75f402a97c6abd4a8bc1ebe2"),
+    ("count --group sl3z --gauge rnorm:1 --steps 6 --tmax 6",
+     "bcbf1ebfceda4c2e46c06e49b4251c6fe55afd1736d93637f04ce42dd1692d43",
+     "a96f9854b4cce392484ff83f8589ab34a13fe6ce73dbdf3e7693cf88ba9a2c21"),
+    ("count --group sl3z --gauge rnorm:inf --steps 6 --tmax 2.5",
+     "3f9d6aa05af9ef8ae69f004e290ddc683ea4eae238018b826ad76ebb096c0305",
+     "322ec727fc71586d1c6ad7ef3c64fdb006051fd6f3c51bf162b6307952786139"),
+]
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("command,csv_digest,json_digest", PINNED,
+                         ids=[command for command, _, _ in PINNED])
+def test_cli_output_bytes(command, csv_digest, json_digest):
+    report = run_experiment(resolve_spec(build_parser().parse_args(command.split())))
+    payload = json.loads(render_json(report))
+    payload.pop("runtime_seconds")
+    assert _sha256(render_csv(report)) == csv_digest
+    assert _sha256(json.dumps(payload, sort_keys=True)) == json_digest

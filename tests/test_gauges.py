@@ -103,8 +103,12 @@ def test_height_gauge_values():
 
 
 def test_scales_and_conversions():
-    assert rnorm_gauge(2).scale == "T"
-    assert hyperbolic_gauge().scale == "t"
+    quartic = rep_form_gauge(BinaryForm(4, (1, 0, 0, 0, 1)))
+    cases = [(rnorm_gauge(1), "T", False), (rnorm_gauge(2), "T", True),
+             (rnorm_gauge(math.inf), "T", False), (hyperbolic_gauge(), "t", True),
+             (quartic, "T", False), (height_gauge(2), "T", False)]
+    for gauge, scale, bi_K in cases:
+        assert (gauge.scale, gauge.bi_K_invariant) == (scale, bi_K), gauge.describe()
     assert rnorm_gauge(2).dt_dlogT() == 1.0
     assert hyperbolic_gauge().dt_dlogT() == 2.0
     assert hyperbolic_gauge().threshold_to_t(3.5) == 3.5

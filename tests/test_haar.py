@@ -286,8 +286,15 @@ def test_weight_criterion_single_factor():
 
 
 def test_weight_criterion_validation():
-    with pytest.raises(SpecError):
-        balanced_weight_criterion(((1, 0),), (1, 1), ((0,), (1,)))  # unbounded
+    unbounded = [(((1, 0),), ((0,), (1,))),
+                 (((-1,),), ((0,),)),
+                 (((1, 0, 0), (0, 1, 0)), ((0,), (1,), (2,)))]
+    for weights, split in unbounded:
+        with pytest.raises(SpecError, match="unbounded"):
+            balanced_weight_criterion(weights, (1,) * len(split), split)
+    cube = balanced_weight_criterion(((1, 0, 0), (0, 1, 0), (0, 0, 1)), (1, 1, 1),
+                                     ((0,), (1,), (2,)))
+    assert cube.verdict == "BALANCED"
     with pytest.raises(SpecError):
         balanced_weight_criterion(tensor_weights(2), (1, 1), ((0,),))  # bad split
     with pytest.raises(SpecError):

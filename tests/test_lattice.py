@@ -13,6 +13,7 @@ from latcount.gauges import (
     BinaryForm,
     gauge_eval,
     gauge_leq,
+    gauge_cap,
     height_gauge,
     hyperbolic_gauge,
     parse_gauge,
@@ -24,6 +25,7 @@ from latcount.lattice import (
     coset_histogram,
     count_series,
     enumerate_ball,
+    _level_count,
     estimate_count,
     orbit_forms_count,
     sl_residue_order,
@@ -241,6 +243,15 @@ def test_sl3z_estimate_bounds_the_count(r, grid):
     counts = count_series("sl3z", gauge, grid, with_volume=False).counts()
     for t, count in zip(grid, counts):
         assert estimate_count("sl3z", gauge, t) >= count
+
+
+def test_height_estimate_counts_every_level():
+    # T^2 rounds up to the cap 2 * 3^10 exactly, so level k = 5 is in the ball
+    gauge, T = height_gauge(3), 343.65389565666214
+    assert gauge_cap(gauge, T) == 2 * 3**10
+    assert _level_count(3, 2 * 3**10) == 6
+    assert _level_count(3, 2 * 3**10 - 1) == 5
+    assert estimate_count("sl2z1p", gauge, T) == 9_920_232  # 6 * int(14 T^2)
 
 
 def test_sl3z_estimate_admits_the_benchmark_ball():

@@ -216,6 +216,9 @@ SERIES_CALLS = {
     "ball_buckets-elements": lambda thr: ball_buckets(
         "sl2z", rnorm_gauge(2), thr, elements=list(enumerate_ball("sl2z", rnorm_gauge(2), 3.0))),
     "progression_buckets": lambda thr: progression_buckets("sl2z", rnorm_gauge(2), thr),
+    "bucket_index": lambda thr: bucket_index(
+        rnorm_gauge(2), GroupElement.from_rows(((1, 2), (1, 3))), thr),
+    "threshold_bucketer": lambda thr: threshold_bucketer(rnorm_gauge(2), thr),
 }
 
 
