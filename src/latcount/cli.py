@@ -290,14 +290,10 @@ def resolve_spec(args: argparse.Namespace) -> ExperimentSpec:
 
 
 def _ratio_decay_fit(series) -> dict | None:
-    """Exponential fit of |ratio - 1| against log T (or native t / 2)."""
-    hyperbolic = series.gauge_desc == "hyperbolic"
-    samples = []
-    for row in series.rows:
-        if row.abs_dev is None or row.abs_dev <= 0.0:
-            continue
-        x = row.threshold / 2.0 if hyperbolic else math.log(row.threshold)
-        samples.append((x, row.abs_dev))
+    """Exponential fit of |ratio - 1| against log T (native t / dt_dlogT)."""
+    g = series.gauge
+    samples = [(g.threshold_to_t(row.threshold) / g.dt_dlogT(), row.abs_dev)
+               for row in series.rows if row.abs_dev is not None and row.abs_dev > 0.0]
     if len(samples) < 5:
         return None
     fit = fit_growth(samples, "exp_decay", window=(samples[0][0], samples[-1][0]))
@@ -398,7 +394,7 @@ def _run_admissibility(spec: ExperimentSpec) -> Report:
 
 
 def _run_balanced(spec: ExperimentSpec) -> Report:
-    l = spec.q if spec.q is not None else 3
+    l = spec.q
     if l < 2:
         raise SpecError(f"tensor power must be >= 2, got {l}")
     weight = balanced_weight_criterion(
@@ -435,9 +431,9 @@ def _run_balanced(spec: ExperimentSpec) -> Report:
     )
 
 
-def _deviation_report(spec: ExperimentSpec, system: str, observable, point) -> Report:
+def _deviation_report(spec: ExperimentSpec, observable, point) -> Report:
     series = deviation_series(
-        spec.group, spec.gauge, spec.thresholds, system, observable, point,
+        spec.group, spec.gauge, spec.thresholds, observable, point,
         budget=spec.budget,
     )
     fit = decay_fit(series)
@@ -458,14 +454,13 @@ def _deviation_report(spec: ExperimentSpec, system: str, observable, point) -> R
 
 
 def _run_coset(spec: ExperimentSpec) -> Report:
-    q = spec.q if spec.q is not None else 2
-    return _deviation_report(spec, "coset", CosetObservable(q), None)
+    return _deviation_report(spec, CosetObservable(spec.q), None)
 
 
 def _run_torus(spec: ExperimentSpec) -> Report:
     m = spec.observable if spec.observable is not None else (1, 0)
     x0 = spec.x0 if spec.x0 is not None else _DEFAULT_X0
-    return _deviation_report(spec, "torus", TorusCharacter(tuple(m)), tuple(x0))
+    return _deviation_report(spec, TorusCharacter(tuple(m)), tuple(x0))
 
 
 def _run_spectral(spec: ExperimentSpec) -> Report:

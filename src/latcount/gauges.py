@@ -212,10 +212,7 @@ def _binpow(alpha: int, beta: int, m: int) -> list[int]:
 
 @dataclass(frozen=True)
 class Gauge:
-    """A size functional with scale convention and enumeration metadata.
-
-    is_symmetric(n) says whether |g^{-1}| = |g| holds in dimension n.
-    """
+    """A size functional with scale convention and enumeration metadata."""
 
     kind: str
     r: float | None = None
@@ -244,14 +241,6 @@ class Gauge:
         if self.kind == "height":
             return f"height:p={self.prime}"
         return self.kind
-
-    def is_symmetric(self, n: int) -> bool:
-        """Whether |g^{-1}| = |g| holds for dimension n."""
-        if self.kind == "rnorm":
-            return n == 2  # the 2x2 adjugate permutes entries up to sign
-        if self.kind in ("hyperbolic", "height"):
-            return n == 2
-        return False
 
     def dt_dlogT(self) -> float:
         """Asymptotic derivative of the native t-parameter w.r.t. log T.
@@ -451,19 +440,16 @@ def gauge_leq(gauge: Gauge, g: GroupElement, threshold: float) -> bool:
         return gauge_eval(gauge, g) <= threshold
     if gauge.kind == "hyperbolic":
         _require_integral_2x2(g, "hyperbolic gauge")
+    elif gauge.kind == "height":
+        _require_height_element(gauge, g)
     level = g.prime ** g.p_power if gauge.kind == "rnorm" and g.p_power else 1
     return _key(gauge, norm, g.entries_flat()) <= gauge_cap(gauge, threshold, level)
 
 
 def gauge_eval_real(gauge: Gauge, mat: Sequence[Sequence[float]]) -> float:
-    """Gauge value of a real 2x2 matrix (used by admissibility sampling)."""
-    flat = [mat[0][0], mat[0][1], mat[1][0], mat[1][1]]
-    if gauge.kind == "rnorm":
-        r = gauge.r
-        if math.isinf(r):
-            return max(abs(e) for e in flat)
-        return sum(abs(e) ** r for e in flat) ** (1.0 / r)
+    """Hyperbolic gauge value of a real 2x2 matrix (the admissibility product check)."""
     if gauge.kind == "hyperbolic":
+        flat = [mat[0][0], mat[0][1], mat[1][0], mat[1][1]]
         return math.acosh(max(1.0, sum(e * e for e in flat) / 2.0))
     raise SpecError(f"real-matrix evaluation unsupported for gauge {gauge.kind!r}")
 

@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import NumericalError, SpecError
-from .gauges import Gauge, gauge_eval_real, hyperbolic_gauge
+from .gauges import Gauge, gauge_eval_real
 from .groups import ext_gcd, resolve_group
 
 __all__ = [
@@ -29,7 +29,6 @@ __all__ = [
     "volume_of_ball",
     "lattice_normalized_volumes",
     "VolumeProfile",
-    "hyperbolic_profile",
     "ball_volume_profile",
     "tensor_factor_profiles",
     "convolve_profiles",
@@ -394,12 +393,6 @@ class VolumeProfile:
             if pos <= t:
                 total += mass
         return total
-
-
-def hyperbolic_profile() -> VolumeProfile:
-    """The hyperbolic-area profile 2*pi*(cosh t - 1) in t-scale."""
-    return VolumeProfile(fn=hyperbolic_ball_area, scale="t",
-                         label="hyperbolic-ball", gauge=hyperbolic_gauge())
 
 
 def ball_volume_profile(group: str, gauge: Gauge) -> VolumeProfile:

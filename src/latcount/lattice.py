@@ -515,8 +515,7 @@ class CountRow:
 
 @dataclass(frozen=True)
 class CountSeries:
-    group: str
-    gauge_desc: str
+    gauge: Gauge
     rows: tuple[CountRow, ...]
 
     def counts(self) -> list[int]:
@@ -632,7 +631,7 @@ def count_series(
             rows.append(CountRow(t, cnt, vol, ratio, abs(ratio - 1.0)))
         else:
             rows.append(CountRow(t, cnt, vol, None, None))
-    return CountSeries(group=group, gauge_desc=gauge.describe(), rows=tuple(rows))
+    return CountSeries(gauge=gauge, rows=tuple(rows))
 
 
 @dataclass(frozen=True)

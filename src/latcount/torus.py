@@ -120,26 +120,16 @@ def _residue_keys(records: Iterable[tuple[int, ...]], q: int, n: int) -> Iterato
 class DeviationSeries:
     """Deviation-from-equidistribution at each threshold of one experiment."""
 
-    group: str
-    gauge_label: str
-    scale: str
-    system: str
+    gauge: Gauge
     observable_label: str
     rows: tuple[tuple[float, float, int], ...]
-
-    def csv_lines(self) -> list[str]:
-        out = ["t,deviation,count"]
-        for t, dev, cnt in self.rows:
-            out.append(f"{t:.12g},{dev:.12g},{cnt}")
-        return out
 
 
 def deviation_series(
     group: str,
     gauge: Gauge,
     thresholds: Sequence[float],
-    system: str,
-    observable=None,
+    observable: TorusCharacter | CosetObservable,
     point: Sequence | None = None,
     *,
     elements: Sequence[GroupElement] | None = None,
@@ -147,20 +137,21 @@ def deviation_series(
 ) -> DeviationSeries:
     """One pass over the ball (lattice.ball_buckets), deviations at every threshold.
 
-    With elements, the average runs over those of them inside the top ball.
-    Torus sums are fsum'd per bucket, so the order of the pass does not matter.
+    The observable picks the pass: a TorusCharacter averages its phase at the
+    base point, a CosetObservable takes the sup-deviation over the residue
+    classes mod q.  With elements, the average runs over those of them inside
+    the top ball.  Torus sums are fsum'd per bucket, so the order of the pass
+    does not matter.
     """
-    desc = resolve_group(group)
+    n = resolve_group(group).n
     thr = tuple(float(x) for x in thresholds)
     k = len(thr)
-    if system == "torus":
-        if not isinstance(observable, TorusCharacter):
-            raise SpecError("torus system needs a TorusCharacter observable")
-        if point is None or len(point) != desc.n:
-            raise SpecError("torus system needs a base point of matching dimension")
-        if len(observable.m) != desc.n:
+    if isinstance(observable, TorusCharacter):
+        if point is None or len(point) != n:
+            raise SpecError("torus average needs a base point of matching dimension")
+        if len(observable.m) != n:
             raise SpecError("frequency vector dimension mismatch")
-        phase = _record_phase(observable.m, point, desc.n)
+        phase = _record_phase(observable.m, point, n)
         bucket_re: list[list[float]] = [[] for _ in range(k)]
         bucket_im: list[list[float]] = [[] for _ in range(k)]
         for rec in ball_buckets(group, gauge, thr, elements=elements, budget=budget):
@@ -181,13 +172,8 @@ def deviation_series(
                 continue
             mean = complex(math.fsum(re_parts) / count, math.fsum(im_parts) / count)
             rows.append((thr[i], abs(mean - target), count))
-        label = observable.label
-    elif system == "coset":
-        if isinstance(observable, int):
-            observable = CosetObservable(observable)
-        if not isinstance(observable, CosetObservable):
-            raise SpecError("coset system needs a CosetObservable (or a modulus)")
-        q, n = observable.q, desc.n
+    elif isinstance(observable, CosetObservable):
+        q = observable.q
         order = sl_residue_order(n, q)
         records = ball_buckets(group, gauge, thr, elements=elements, budget=budget)
         residues: Counter[tuple[int, ...]] = Counter(_residue_keys(records, q, n))
@@ -212,32 +198,19 @@ def deviation_series(
                 total=count,
             )
             rows.append((thr[i], hist.sup_deviation(order), count))
-        label = observable.label
     else:
-        raise SpecError(f"unknown system {system!r} (expected 'torus' or 'coset')")
-
-    return DeviationSeries(
-        group=group,
-        gauge_label=gauge.describe(),
-        scale=gauge.scale,
-        system=system,
-        observable_label=label,
-        rows=tuple(rows),
-    )
+        raise SpecError(f"expected a TorusCharacter or CosetObservable, got {observable!r}")
+    return DeviationSeries(gauge=gauge, observable_label=observable.label, rows=tuple(rows))
 
 
 def decay_fit(series: DeviationSeries) -> GrowthFit:
-    """Exponential decay rate of the deviations, in the log-threshold variable.
+    """Exponential decay rate of the deviations, in the gauge's native t.
 
     Unlike growth fits, the window spans all positive rows: deviation
     decay happens at small radius, and the tail is equidistribution noise.
     """
-    samples = []
-    for t, dev, cnt in series.rows:
-        if cnt <= 0 or dev <= 0.0:
-            continue
-        x = math.log(t) if series.scale == "T" else t
-        samples.append((x, dev))
+    samples = [(series.gauge.threshold_to_t(t), dev)
+               for t, dev, cnt in series.rows if cnt > 0 and dev > 0.0]
     if len(samples) < 5:
         raise SpecError("need at least 5 positive deviation rows to fit a rate")
     return fit_growth(samples, "exp_decay", window=(samples[0][0], samples[-1][0]))

@@ -23,11 +23,11 @@ from latcount.haar import (
     balanced_volume_ratio,
     balanced_volume_verdict,
     balanced_weight_criterion,
+    ball_volume_profile,
     convolve_profiles,
     covolume_psl2z,
     fit_growth,
     frobenius_ball_volume,
-    hyperbolic_profile,
     tensor_factor_profiles,
     tensor_weights,
     volume_of_ball,
@@ -44,7 +44,7 @@ from latcount.spectral import (
     spectral_decay_theta,
     xi_eval,
 )
-from latcount.torus import TorusCharacter, decay_fit, deviation_series
+from latcount.torus import CosetObservable, TorusCharacter, decay_fit, deviation_series
 
 X0 = (math.sqrt(2.0) - 1.0, math.sqrt(3.0) - 1.0)
 
@@ -142,8 +142,8 @@ def test_criterion_4_coset_equidistribution(ball150):
     ok = True
     for q, order in expected_orders.items():
         assert sl_residue_order(2, q) == order  # closed form; enumerated in test_lattice
-        series = deviation_series("sl2z", rnorm_gauge(2), thresholds, "coset",
-                                  q, elements=elements)
+        series = deviation_series("sl2z", rnorm_gauge(2), thresholds, CosetObservable(q),
+                                  elements=elements)
         final_dev = series.rows[-1][1]
         fit = decay_fit(series)
         ok = ok and final_dev <= 0.01 and fit.a > 0 and fit.r2 >= 0.8
@@ -158,8 +158,8 @@ def test_criterion_4_coset_equidistribution(ball150):
 def test_criterion_5_torus_orbit_equidistributes(ball150):
     elements, _ = ball150
     thresholds = [float(x) for x in np.geomspace(2.0, 150.0, 24)]
-    series = deviation_series("sl2z", rnorm_gauge(2), thresholds, "torus",
-                              TorusCharacter((1, 0)), X0, elements=elements)
+    series = deviation_series("sl2z", rnorm_gauge(2), thresholds, TorusCharacter((1, 0)), X0,
+                              elements=elements)
     final_dev = series.rows[-1][1]
     fit = decay_fit(series)
     ok = final_dev <= 0.05 and fit.a > 0 and fit.r2 >= 0.7
@@ -286,7 +286,8 @@ def test_criterion_10_balancedness_verdicts():
 
 def test_criterion_11_admissibility_of_hyperbolic_balls():
     report = admissibility_estimate(
-        hyperbolic_profile(), [float(t) for t in np.linspace(10.0, 20.0, 6)],
+        ball_volume_profile("sl2z", hyperbolic_gauge()),
+        [float(t) for t in np.linspace(10.0, 20.0, 6)],
         [0.01, 0.02, 0.05], samples=10_000, seed=0)
     ok = (abs(report.c_sup - 1.0) <= 0.05 and report.product_checked == 10_000
           and report.product_violations == 0)

@@ -2,11 +2,14 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import latcount
 from latcount.cli import (
     ExperimentSpec,
     Report,
@@ -212,9 +215,18 @@ def test_json_rendering_idempotent_at_12_digits():
     assert first == again
 
 
+def _subprocess_env():
+    """This environment, with the directory holding the imported latcount first
+    on PYTHONPATH, so that python -m latcount.cli runs in an uninstalled checkout."""
+    env = dict(os.environ)
+    src = str(Path(latcount.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
 def test_console_script_help():
     proc = subprocess.run([sys.executable, "-m", "latcount.cli", "--help"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=_subprocess_env())
     assert proc.returncode == 0
     assert "latcount" in proc.stdout
 
@@ -224,7 +236,7 @@ def test_console_script_runs_count(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "latcount.cli", *COUNT_SMALL, "--out", prefix,
          "--format", "csv"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=_subprocess_env())
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "sub.csv").exists()
 

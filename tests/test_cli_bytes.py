@@ -3,8 +3,9 @@
 Each entry is one command line with the SHA-256 of its CSV and of its JSON
 (runtime_seconds dropped, keys sorted).  Between them the commands exercise the
 Haar volume rules, the growth fit in both threshold scales, the det p^(2k)
-level ladder, the gauge scale metadata and the weight-polytope boundedness
-check.  A refactor that means to keep every output byte keeps these digests.
+level ladder, the gauge scale metadata, the weight-polytope boundedness
+check, and the coset and torus passes on SL(2,Z[1/p]), SL(3,Z) and the r = 1
+kernel.  A refactor that means to keep every output byte keeps these digests.
 """
 
 import hashlib
@@ -48,6 +49,15 @@ PINNED = [
     ("count --group sl3z --gauge rnorm:inf --steps 6 --tmax 2.5",
      "3f9d6aa05af9ef8ae69f004e290ddc683ea4eae238018b826ad76ebb096c0305",
      "322ec727fc71586d1c6ad7ef3c64fdb006051fd6f3c51bf162b6307952786139"),
+    ("coset --group sl2z1p --gauge height:p=2 --q 3 --tmax 30",
+     "d1c180b8d49ed249f459aca6546c8383a5dd54e5e12a625393e5761e17e3f509",
+     "1176e31878c9ef6417fa6b3b461234c4316d3d2fc2377541d89cb78df94606ed"),
+    ("coset --group sl3z --q 2 --tmax 4 --steps 6",
+     "bbf94d0b9d0e51d7ef42b4fcd2b0ca46ee1443d51beccd858f1c24e884a40e3a",
+     "b73345f5cb757ca1b163a22ee57bc12be437f9cd5ffc9dc22836d193781971e6"),
+    ("torus --gauge rnorm:1 --tmax 60",
+     "e87589332beed8b59ac6b493b46de9381aecf94805bb1c5a8fe893da86ff7802",
+     "cba08a130d47d0c41c4bc68ad313d4c8e4808fd644b594369fffb5dea85ddedb"),
 ]
 
 

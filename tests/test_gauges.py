@@ -14,6 +14,7 @@ from latcount.gauges import (
     form_norm_sq,
     forms_substitute,
     gauge_eval,
+    gauge_key,
     gauge_leq,
     height_gauge,
     hyperbolic_gauge,
@@ -115,6 +116,22 @@ def test_scales_and_conversions():
     assert rnorm_gauge(2).threshold_to_t(math.e) == pytest.approx(1.0)
 
 
+def test_gauge_tests_reject_the_same_elements():
+    # gauge_leq refuses what gauge_eval and gauge_key refuse
+    sarith = GroupElement(((2, 1), (0, 2)), prime=2, p_power=1)
+    sl3 = GroupElement.identity(3)
+    quartic = rep_form_gauge(BinaryForm(4, (1, 0, 0, 0, 1)))
+    pairs = [(height_gauge(3), sarith), (height_gauge(2), sl3),
+             (hyperbolic_gauge(), sarith), (quartic, sl3)]
+    for gauge, el in pairs:
+        with pytest.raises(SpecError):
+            gauge_eval(gauge, el)
+        with pytest.raises(SpecError):
+            gauge_key(gauge, el)
+        with pytest.raises(SpecError):
+            gauge_leq(gauge, el, 10.0)
+
+
 def test_cartan_radius():
     assert hyperbolic_gauge().cartan_radius(4.0) == 4.0
     assert rnorm_gauge(2).cartan_radius(10.0) == pytest.approx(math.acosh(50.0))
@@ -149,5 +166,4 @@ def test_symmetric_gauges_invariant_under_inverse(x, y, z):
     g = group_mul(group_mul(a, b), c)
     inv = group_inv(g)
     for gauge in (rnorm_gauge(2), hyperbolic_gauge()):
-        assert gauge.is_symmetric(2)
         assert gauge_eval(gauge, g) == pytest.approx(gauge_eval(gauge, inv))

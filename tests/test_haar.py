@@ -22,7 +22,6 @@ from latcount.haar import (
     frobenius_ball_volume,
     gl_integrate,
     hyperbolic_ball_area,
-    hyperbolic_profile,
     lattice_normalized_volumes,
     tensor_factor_profiles,
     tensor_weights,
@@ -335,7 +334,7 @@ def test_volume_ratio_requires_factor():
 # ---------------------------------------------------------------------------
 
 def test_c_hat_matches_closed_form():
-    profile = hyperbolic_profile()
+    profile = ball_volume_profile("sl2z", hyperbolic_gauge())
     t_grid = [10.0, 14.0, 18.0]
     eps_grid = [0.01, 0.05]
     report = admissibility_estimate(profile, t_grid, eps_grid)
@@ -351,7 +350,7 @@ def test_c_hat_matches_closed_form():
 
 
 def test_admissibility_product_check_no_violations():
-    profile = hyperbolic_profile()
+    profile = ball_volume_profile("sl2z", hyperbolic_gauge())
     report = admissibility_estimate(profile, [10.0, 15.0, 20.0], [0.02, 0.05],
                                     samples=2000, seed=3)
     assert report.product_checked == 2000
@@ -360,14 +359,14 @@ def test_admissibility_product_check_no_violations():
 
 
 def test_admissibility_seed_reproducible():
-    profile = hyperbolic_profile()
+    profile = ball_volume_profile("sl2z", hyperbolic_gauge())
     r1 = admissibility_estimate(profile, [12.0, 16.0], [0.05], samples=500, seed=11)
     r2 = admissibility_estimate(profile, [12.0, 16.0], [0.05], samples=500, seed=11)
     assert r1.product_c == r2.product_c
 
 
 def test_admissibility_validation():
-    profile = hyperbolic_profile()
+    profile = ball_volume_profile("sl2z", hyperbolic_gauge())
     with pytest.raises(SpecError):
         admissibility_estimate(profile, [], [0.05])
     with pytest.raises(SpecError):

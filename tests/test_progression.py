@@ -43,7 +43,7 @@ from latcount.lattice import (
     sl_residue_order,
     threshold_bucketer,
 )
-from latcount.torus import TorusCharacter, deviation_series
+from latcount.torus import CosetObservable, TorusCharacter, deviation_series
 import latcount.lattice as lattice
 
 INF = math.inf
@@ -101,8 +101,8 @@ def test_coset_histograms_match_enumeration(q, gauge, thr):
                      for i, el in oracle_buckets("sl2z", gauge, thr))
     assert kernel == oracle
     ball = list(enumerate_ball("sl2z", gauge, thr[-1]))
-    via_kernel = deviation_series("sl2z", gauge, thr, "coset", q)
-    via_elements = deviation_series("sl2z", gauge, thr, "coset", q, elements=ball)
+    via_kernel = deviation_series("sl2z", gauge, thr, CosetObservable(q))
+    via_elements = deviation_series("sl2z", gauge, thr, CosetObservable(q), elements=ball)
     assert via_kernel.rows == via_elements.rows
 
 
@@ -114,8 +114,8 @@ def test_coset_histograms_match_enumeration(q, gauge, thr):
 ], ids=["rnorm:2", "rnorm:1", "hyperbolic"])
 def test_torus_rows_are_bit_identical(m, gauge, thr):
     ball = list(enumerate_ball("sl2z", gauge, thr[-1]))
-    via_kernel = deviation_series("sl2z", gauge, thr, "torus", TorusCharacter(m), X0)
-    via_elements = deviation_series("sl2z", gauge, thr, "torus", TorusCharacter(m), X0,
+    via_kernel = deviation_series("sl2z", gauge, thr, TorusCharacter(m), X0)
+    via_elements = deviation_series("sl2z", gauge, thr, TorusCharacter(m), X0,
                                     elements=ball)
     assert via_kernel.rows == via_elements.rows  # floats compared with ==
 
@@ -128,8 +128,8 @@ SARITH_COSETS = [(gauge, thr, q) for group, gauge, thr in CASES if group == "sl2
                          ids=[f"{g.describe()}-q{q}" for g, _, q in SARITH_COSETS])
 def test_sarith_coset_rows_match_enumeration(gauge, thr, q):
     ball = list(enumerate_ball("sl2z1p", gauge, thr[-1]))
-    via_kernel = deviation_series("sl2z1p", gauge, thr, "coset", q)
-    via_elements = deviation_series("sl2z1p", gauge, thr, "coset", q, elements=ball)
+    via_kernel = deviation_series("sl2z1p", gauge, thr, CosetObservable(q))
+    via_elements = deviation_series("sl2z1p", gauge, thr, CosetObservable(q), elements=ball)
     assert via_kernel.rows == via_elements.rows
     # reduce_mod's p^-k scaling is the independent route for the top row
     top = coset_histogram(ball, q).sup_deviation(sl_residue_order(2, q))
@@ -142,10 +142,9 @@ def test_sarith_torus_rows_below_level_one(p, thr, m):
     # T < p sqrt(2): the ball holds no level-1 matrix, so the torus acts
     ball = list(enumerate_ball("sl2z1p", height_gauge(p), thr[-1]))
     assert all(el.p_power == 0 for el in ball)
-    via_kernel = deviation_series("sl2z1p", height_gauge(p), thr, "torus",
-                                  TorusCharacter(m), X0)
-    via_elements = deviation_series("sl2z1p", height_gauge(p), thr, "torus",
-                                    TorusCharacter(m), X0, elements=ball)
+    via_kernel = deviation_series("sl2z1p", height_gauge(p), thr, TorusCharacter(m), X0)
+    via_elements = deviation_series("sl2z1p", height_gauge(p), thr, TorusCharacter(m), X0,
+                                    elements=ball)
     assert via_kernel.rows == via_elements.rows
 
 
@@ -210,9 +209,8 @@ def test_negative_threshold_stays_on_the_kernel():
 BAD_GRIDS = [(), (2.0, 2.0, 4.0), (2.0, 1.5, 4.0)]
 SERIES_CALLS = {
     "count_series": lambda thr: count_series("sl2z", rnorm_gauge(2), thr),
-    "torus": lambda thr: deviation_series("sl2z", rnorm_gauge(2), thr, "torus",
-                                          TorusCharacter((1, 0)), X0),
-    "coset": lambda thr: deviation_series("sl2z", rnorm_gauge(2), thr, "coset", 2),
+    "torus": lambda thr: deviation_series("sl2z", rnorm_gauge(2), thr, TorusCharacter((1, 0)), X0),
+    "coset": lambda thr: deviation_series("sl2z", rnorm_gauge(2), thr, CosetObservable(2)),
     "ball_buckets-elements": lambda thr: ball_buckets(
         "sl2z", rnorm_gauge(2), thr, elements=list(enumerate_ball("sl2z", rnorm_gauge(2), 3.0))),
     "progression_buckets": lambda thr: progression_buckets("sl2z", rnorm_gauge(2), thr),
@@ -243,10 +241,9 @@ def test_budget_gate_fires_before_the_kernel():
     with pytest.raises(BudgetError):
         count_series("sl2z1p", height_gauge(2), [30.0], budget=10)
     with pytest.raises(BudgetError):
-        deviation_series("sl2z", rnorm_gauge(2), [30.0], "coset", 2, budget=10)
+        deviation_series("sl2z", rnorm_gauge(2), [30.0], CosetObservable(2), budget=10)
     with pytest.raises(BudgetError):
-        deviation_series("sl2z", hyperbolic_gauge(), [3.0], "torus",
-                         TorusCharacter((1, 0)), X0, budget=10)
+        deviation_series("sl2z", hyperbolic_gauge(), [3.0], TorusCharacter((1, 0)), X0, budget=10)
 
 
 @pytest.mark.usefixtures("kernel_never_runs")
@@ -259,10 +256,9 @@ def test_spec_errors_fire_before_the_kernel():
         count_series("sl2z1p", rnorm_gauge(2), [3.0])
     # observable checks come before the budget gate, as on the enumeration route
     with pytest.raises(SpecError):
-        deviation_series("sl2z", rnorm_gauge(2), [30.0], "torus",
-                         TorusCharacter((1, 0, 0)), X0, budget=10)
+        deviation_series("sl2z", rnorm_gauge(2), [30.0], TorusCharacter((1, 0, 0)), X0, budget=10)
     with pytest.raises(SpecError):
-        deviation_series("sl2z", rnorm_gauge(2), [30.0], "coset", 1, budget=10)
+        deviation_series("sl2z", rnorm_gauge(2), [30.0], 2, budget=10)  # a bare modulus
 
 
 # ---------------------------------------------------------------------------
@@ -316,8 +312,8 @@ def test_sl3_records_match_enumeration(gauge, thr):
 @pytest.mark.parametrize("gauge,thr", SL3_SMALL, ids=SL3_IDS)
 def test_sl3_coset_rows_match_elements(gauge, thr, q):
     ball = [el for _, el in sl3_oracle(gauge, thr)]
-    via_kernel = deviation_series("sl3z", gauge, thr, "coset", q)
-    via_elements = deviation_series("sl3z", gauge, thr, "coset", q, elements=ball)
+    via_kernel = deviation_series("sl3z", gauge, thr, CosetObservable(q))
+    via_elements = deviation_series("sl3z", gauge, thr, CosetObservable(q), elements=ball)
     assert via_kernel.rows == via_elements.rows
 
 
@@ -325,8 +321,8 @@ def test_sl3_coset_rows_match_elements(gauge, thr, q):
 def test_sl3_torus_rows_are_bit_identical(gauge, thr):
     ball = [el for _, el in sl3_oracle(gauge, thr)]
     chi = TorusCharacter((1, 0, -1))
-    via_kernel = deviation_series("sl3z", gauge, thr, "torus", chi, X3)
-    via_elements = deviation_series("sl3z", gauge, thr, "torus", chi, X3, elements=ball)
+    via_kernel = deviation_series("sl3z", gauge, thr, chi, X3)
+    via_elements = deviation_series("sl3z", gauge, thr, chi, X3, elements=ball)
     assert via_kernel.rows == via_elements.rows  # floats compared with ==
 
 
