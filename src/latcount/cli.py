@@ -9,12 +9,13 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+from typing import Callable
 
 from . import __version__
 from .errors import BudgetError, NumericalError, SpecError
 from .gauges import Gauge, parse_gauge
-from .groups import resolve_group
+from .groups import GROUPS, resolve_group
 from .haar import (
     admissibility_estimate,
     balanced_volume_ratio,
@@ -37,32 +38,7 @@ from .spectral import (
 )
 from .torus import CosetObservable, TorusCharacter, decay_fit, deviation_series
 
-KINDS = (
-    "count",
-    "volume",
-    "admissibility",
-    "balanced",
-    "coset",
-    "torus",
-    "spectral",
-    "forms",
-    "sarith",
-)
-
 _DEFAULT_X0 = (math.sqrt(2.0) - 1.0, math.sqrt(3.0) - 1.0)
-
-# Per-kind defaults for the knobs that have a natural experiment scale.
-_KIND_DEFAULTS = {
-    "count": {"gauge": "rnorm:2", "tmax": 150.0, "steps": 12},
-    "volume": {"gauge": "rnorm:2", "tmax": 150.0, "steps": 9},
-    "admissibility": {"gauge": "hyperbolic", "tmax": 20.0, "steps": 6},
-    "balanced": {"gauge": "rnorm:2", "tmax": 20.0, "steps": 5, "q": 3},
-    "coset": {"gauge": "rnorm:2", "tmax": 150.0, "steps": 14, "q": 2},
-    "torus": {"gauge": "rnorm:2", "tmax": 150.0, "steps": 14},
-    "spectral": {"gauge": "rnorm:2", "tmax": 10.0, "steps": 21},
-    "forms": {"gauge": "form:deg=4:coeffs=1,0,0,0,1", "tmax": 1e5, "steps": 9},
-    "sarith": {"gauge": None, "tmax": 150.0, "steps": 9},
-}
 
 
 @dataclass
@@ -76,35 +52,20 @@ class ExperimentSpec:
     tmax: float
     steps: int
     thresholds: tuple[float, ...]
-    q: int | None = None
-    p: float = 2.0
-    r: float = 2.0
-    prime: int = 2
-    observable: tuple[int, ...] | None = None
-    x0: tuple[float, ...] | None = None
-    threads: int = 1
-    seed: int = 0
-    budget: int | None = None
+    q: int | None
+    p: float
+    r: float
+    prime: int
+    observable: tuple[int, ...] | None
+    x0: tuple[float, ...] | None
+    threads: int
+    seed: int
+    budget: int | None
 
     def echo(self) -> dict:
-        return {
-            "kind": self.kind,
-            "group": self.group,
-            "gauge": self.gauge.describe(),
-            "scale": self.scale,
-            "tmax": self.tmax,
-            "steps": self.steps,
-            "thresholds": list(self.thresholds),
-            "q": self.q,
-            "p": self.p,
-            "r": self.r,
-            "prime": self.prime,
-            "observable": list(self.observable) if self.observable else None,
-            "x0": list(self.x0) if self.x0 else None,
-            "threads": self.threads,
-            "seed": self.seed,
-            "budget": self.budget,
-        }
+        echo = {f.name: getattr(self, f.name) for f in fields(self)}
+        echo["gauge"] = self.gauge.describe()
+        return echo
 
 
 @dataclass
@@ -137,9 +98,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Count lattice points in gauge balls and test the matching "
         "volume, equidistribution, and decay predictions.",
     )
-    ap.add_argument("kind", choices=KINDS, help="experiment pipeline to run")
+    ap.add_argument("kind", choices=tuple(_KINDS), help="experiment pipeline to run")
     ap.add_argument("--config", help="key=value file; explicit flags override it")
-    ap.add_argument("--group", choices=("sl2z", "sl3z", "sl2z1p"))
+    ap.add_argument("--group", choices=tuple(GROUPS))
     ap.add_argument("--gauge", help="gauge spec, e.g. rnorm:2, hyperbolic, "
                     "form:deg=4:coeffs=1,0,0,0,1, height:p=2")
     ap.add_argument("--scale", choices=("T", "t"), help="scale of --tmax")
@@ -178,17 +139,17 @@ def load_config(path: str) -> dict[str, str]:
     return out
 
 
-def _merge(args: argparse.Namespace, config: dict[str, str], key: str, cast, default):
-    flag = getattr(args, key, None)
-    if flag is not None:
-        return flag
-    if key in config:
-        raw = config[key]
-        try:
-            return cast(raw)
-        except (TypeError, ValueError) as exc:
-            raise SpecError(f"config value {key}={raw!r} is not a valid {cast.__name__}") from exc
-    return default
+def _merge(args: argparse.Namespace, config: dict[str, str], key: str, cast, default=None):
+    """The flag, else the config value, else default; a string is cast once."""
+    value = getattr(args, key)
+    if value is None:
+        value = config.get(key, default)
+    if not isinstance(value, str):
+        return value
+    try:
+        return cast(value)
+    except (TypeError, ValueError) as exc:
+        raise SpecError(f"config value {key}={value!r} is not a valid {cast.__name__}") from exc
 
 
 def _parse_int_tuple(text: str) -> tuple[int, ...]:
@@ -245,47 +206,40 @@ def _grid(kind: str, gauge: Gauge, tmax: float, steps: int) -> tuple[float, ...]
 
 def resolve_spec(args: argparse.Namespace) -> ExperimentSpec:
     config = load_config(args.config) if args.config else {}
-    kind = args.kind
-    defaults = _KIND_DEFAULTS[kind]
+    row = _KINDS[args.kind]
 
-    group = _merge(args, config, "group",
-                   str, "sl2z1p" if kind == "sarith" else "sl2z")
+    group = _merge(args, config, "group", str, row.group)
     resolve_group(group)
     prime = _merge(args, config, "prime", int, 2)
-    gauge_default = defaults["gauge"] or f"height:p={prime}"
-    gauge = parse_gauge(_merge(args, config, "gauge", str, gauge_default))
+    gauge = parse_gauge(_merge(args, config, "gauge", str, row.gauge or f"height:p={prime}"))
     scale = _merge(args, config, "scale", str, gauge.scale)
     if scale not in ("T", "t"):
         raise SpecError(f"scale must be T or t, got {scale!r}")
-    tmax = _merge(args, config, "tmax", float, defaults["tmax"])
-    steps = _merge(args, config, "steps", int, defaults["steps"])
-    tmax_native = _to_native_tmax(gauge, scale, tmax)
-    thresholds = _grid(kind, gauge, tmax_native, steps)
-
-    observable = _merge(args, config, "observable", _parse_int_tuple, None)
-    if isinstance(observable, str):
-        observable = _parse_int_tuple(observable)
-    x0 = _merge(args, config, "x0", _parse_float_tuple, None)
-    if isinstance(x0, str):
-        x0 = _parse_float_tuple(x0)
-
+    tmax = _merge(args, config, "tmax", float, row.tmax)
+    steps = _merge(args, config, "steps", int, row.steps)
+    try:
+        tmax_native = _to_native_tmax(gauge, scale, tmax)
+    except OverflowError:
+        tmax_native = math.inf
+    if not math.isfinite(tmax_native):
+        raise SpecError(f"tmax {tmax:g} on the {scale} scale gives no finite threshold")
     return ExperimentSpec(
-        kind=kind,
+        kind=args.kind,
         group=group,
         gauge=gauge,
         scale=scale,
         tmax=tmax,
         steps=steps,
-        thresholds=thresholds,
-        q=_merge(args, config, "q", int, defaults.get("q")),
+        thresholds=_grid(args.kind, gauge, tmax_native, steps),
+        observable=_merge(args, config, "observable", _parse_int_tuple),
+        x0=_merge(args, config, "x0", _parse_float_tuple),
+        q=_merge(args, config, "q", int, row.q),
         p=_merge(args, config, "p", float, 2.0),
         r=_merge(args, config, "r", float, 2.0),
         prime=prime,
-        observable=observable,
-        x0=x0,
         threads=_merge(args, config, "threads", int, 1),
         seed=_merge(args, config, "seed", int, 0),
-        budget=_merge(args, config, "budget", int, None),
+        budget=_merge(args, config, "budget", int),
     )
 
 
@@ -298,6 +252,16 @@ def _ratio_decay_fit(series) -> dict | None:
         return None
     fit = fit_growth(samples, "exp_decay", window=(samples[0][0], samples[-1][0]))
     return fit.as_json_dict()
+
+
+_COUNT_COLUMNS = ("threshold", "count", "volume", "ratio", "abs_dev")
+
+
+def _bound(name: str, comparison: str, fitted, passed, **theory) -> dict:
+    """One pass/fail bound entry; theory is theoretical=..., or for a range
+    theoretical_low=... and theoretical_high=..."""
+    return {"name": name, "comparison": comparison, **theory,
+            "fitted": fitted, "passed": bool(passed)}
 
 
 def _run_count(spec: ExperimentSpec) -> Report:
@@ -317,17 +281,14 @@ def _run_count(spec: ExperimentSpec) -> Report:
             summary = spectral_summary(spec.group, spec.gauge, p=spec.p, r=spec.r)
             fitted_rate = decay["params"]["a"]
             theoretical = summary["alpha_T_scale"]
-            bounds.append({
-                "name": "ratio_decay_rate_vs_alpha",
-                "comparison": "fitted decay rate (per log T) >= alpha_T_scale",
-                "theoretical": theoretical,
-                "fitted": fitted_rate,
-                "passed": bool(fitted_rate >= theoretical),
-            })
+            bounds.append(_bound("ratio_decay_rate_vs_alpha",
+                                 "fitted decay rate (per log T) >= alpha_T_scale",
+                                 fitted_rate, fitted_rate >= theoretical,
+                                 theoretical=theoretical))
             fits["alpha"] = summary
     return Report(
         spec=spec,
-        columns=("threshold", "count", "volume", "ratio", "abs_dev"),
+        columns=_COUNT_COLUMNS,
         rows=rows,
         fits=fits,
         bounds=bounds,
@@ -351,16 +312,11 @@ def _run_volume(spec: ExperimentSpec) -> Report:
     tol = 0.05 if desc.n == 2 else 0.2
     return Report(
         spec=spec,
-        columns=("threshold", "count", "volume", "ratio", "abs_dev"),
+        columns=_COUNT_COLUMNS,
         rows=rows,
         fits={"volume_growth": fit.as_json_dict()},
-        bounds=[{
-            "name": "volume_T_exponent",
-            "comparison": f"|fitted T-exponent - {theory:g}| <= {tol:g}",
-            "theoretical": theory,
-            "fitted": t_exponent,
-            "passed": bool(abs(t_exponent - theory) <= tol),
-        }],
+        bounds=[_bound("volume_T_exponent", f"|fitted T-exponent - {theory:g}| <= {tol:g}",
+                       t_exponent, abs(t_exponent - theory) <= tol, theoretical=theory)],
     )
 
 
@@ -382,14 +338,10 @@ def _run_admissibility(spec: ExperimentSpec) -> Report:
             "product_violations": report.product_violations,
             "product_c": report.product_c,
         },
-        bounds=[{
-            "name": "admissible_c",
-            "comparison": "|c_sup - 1| <= 0.05 and zero product violations",
-            "theoretical": 1.0,
-            "fitted": report.c_sup,
-            "passed": bool(abs(report.c_sup - 1.0) <= 0.05
-                           and report.product_violations == 0),
-        }],
+        bounds=[_bound("admissible_c", "|c_sup - 1| <= 0.05 and zero product violations",
+                       report.c_sup,
+                       abs(report.c_sup - 1.0) <= 0.05 and report.product_violations == 0,
+                       theoretical=1.0)],
     )
 
 
@@ -421,13 +373,8 @@ def _run_balanced(spec: ExperimentSpec) -> Report:
             "delta": float(weight.delta),
             "volume_verdict": volume_verdict,
         },
-        bounds=[{
-            "name": "verdict_agreement",
-            "comparison": "weight-polytope verdict == volume-ratio verdict",
-            "theoretical": weight.verdict,
-            "fitted": volume_verdict,
-            "passed": bool(agree),
-        }],
+        bounds=[_bound("verdict_agreement", "weight-polytope verdict == volume-ratio verdict",
+                       volume_verdict, agree, theoretical=weight.verdict)],
     )
 
 
@@ -442,13 +389,9 @@ def _deviation_report(spec: ExperimentSpec, observable, point) -> Report:
         columns=("t", "deviation", "count"),
         rows=list(series.rows),
         fits={"deviation_decay": fit.as_json_dict()},
-        bounds=[{
-            "name": "decay_rate_positive",
-            "comparison": "fitted decay rate > 0 (paper rate is existential)",
-            "theoretical": 0.0,
-            "fitted": fit.a,
-            "passed": bool(fit.a > 0.0),
-        }],
+        bounds=[_bound("decay_rate_positive",
+                       "fitted decay rate > 0 (paper rate is existential)",
+                       fit.a, fit.a > 0.0, theoretical=0.0)],
         extras={"observable": series.observable_label},
     )
 
@@ -469,6 +412,7 @@ def _run_spectral(spec: ExperimentSpec) -> Report:
     base = default_params(spec.group, p=spec.p, r=spec.r)
     theta_exact = spectral_decay_theta(float(n * n - n), base)
     alpha_exact = counting_error_exponent(replace(base, theta=theta_exact))
+    alpha = summary["alpha_T_scale"]
     steps = max(2, spec.steps)
     s_vals = [10.0 * i / (steps - 1) for i in range(steps)]
     rows = [(s, xi_eval(s)) for s in s_vals]
@@ -477,13 +421,9 @@ def _run_spectral(spec: ExperimentSpec) -> Report:
         columns=("s", "xi"),
         rows=rows,
         fits={"alpha": summary},
-        bounds=[{
-            "name": "alpha_T_scale",
-            "comparison": "alpha from measured volume growth vs exact-growth alpha",
-            "theoretical": alpha_exact,
-            "fitted": summary["alpha_T_scale"],
-            "passed": bool(abs(summary["alpha_T_scale"] - alpha_exact) <= 0.01),
-        }],
+        bounds=[_bound("alpha_T_scale",
+                       "alpha from measured volume growth vs exact-growth alpha",
+                       alpha, abs(alpha - alpha_exact) <= 0.01, theoretical=alpha_exact)],
     )
 
 
@@ -504,13 +444,8 @@ def _run_forms(spec: ExperimentSpec) -> Report:
         columns=("threshold", "orbit_count", "stabilizer_order", "gamma_count"),
         rows=rows,
         fits={"orbit_growth": fit.as_json_dict()},
-        bounds=[{
-            "name": "orbit_exponent",
-            "comparison": f"|fitted exponent - {theory:g}| <= 0.15",
-            "theoretical": theory,
-            "fitted": fit.a,
-            "passed": bool(abs(fit.a - theory) <= 0.15),
-        }],
+        bounds=[_bound("orbit_exponent", f"|fitted exponent - {theory:g}| <= 0.15",
+                       fit.a, abs(fit.a - theory) <= 0.15, theoretical=theory)],
     )
 
 
@@ -528,37 +463,46 @@ def _run_sarith(spec: ExperimentSpec) -> Report:
     fit = fit_growth(samples, "power", window=_tail_window(spec.thresholds, spec.gauge))
     return Report(
         spec=spec,
-        columns=("threshold", "count", "volume", "ratio", "abs_dev"),
+        columns=_COUNT_COLUMNS,
         rows=rows,
         fits={"count_growth": fit.as_json_dict()},
-        bounds=[{
-            "name": "sarith_count_exponent",
-            "comparison": "2.0 <= fitted exponent <= 2.3",
-            "theoretical_low": 2.0,
-            "theoretical_high": 2.3,
-            "fitted": fit.a,
-            "passed": bool(2.0 <= fit.a <= 2.3),
-        }],
+        bounds=[_bound("sarith_count_exponent", "2.0 <= fitted exponent <= 2.3",
+                       fit.a, 2.0 <= fit.a <= 2.3,
+                       theoretical_low=2.0, theoretical_high=2.3)],
     )
 
 
-_RUNNERS = {
-    "count": _run_count,
-    "volume": _run_volume,
-    "admissibility": _run_admissibility,
-    "balanced": _run_balanced,
-    "coset": _run_coset,
-    "torus": _run_torus,
-    "spectral": _run_spectral,
-    "forms": _run_forms,
-    "sarith": _run_sarith,
+@dataclass(frozen=True)
+class _Kind:
+    """One experiment kind: its pipeline and the defaults of its spec."""
+
+    run: Callable[[ExperimentSpec], Report]
+    gauge: str | None  # None: the height gauge of --prime
+    tmax: float
+    steps: int
+    q: int | None = None
+    group: str = "sl2z"
+
+
+# The kinds in CLI order, each with its pipeline and the knobs that have a
+# natural experiment scale.
+_KINDS = {
+    "count": _Kind(_run_count, "rnorm:2", 150.0, 12),
+    "volume": _Kind(_run_volume, "rnorm:2", 150.0, 9),
+    "admissibility": _Kind(_run_admissibility, "hyperbolic", 20.0, 6),
+    "balanced": _Kind(_run_balanced, "rnorm:2", 20.0, 5, q=3),
+    "coset": _Kind(_run_coset, "rnorm:2", 150.0, 14, q=2),
+    "torus": _Kind(_run_torus, "rnorm:2", 150.0, 14),
+    "spectral": _Kind(_run_spectral, "rnorm:2", 10.0, 21),
+    "forms": _Kind(_run_forms, "form:deg=4:coeffs=1,0,0,0,1", 1e5, 9),
+    "sarith": _Kind(_run_sarith, None, 150.0, 9, group="sl2z1p"),
 }
 
 
 def run_experiment(spec: ExperimentSpec) -> Report:
     """Dispatch to the kind's pipeline and stamp the runtime."""
     start = time.perf_counter()
-    report = _RUNNERS[spec.kind](spec)
+    report = _KINDS[spec.kind].run(spec)
     report.runtime_seconds = time.perf_counter() - start
     return report
 

@@ -303,10 +303,13 @@ def _enumerate_sl2(gauge: Gauge, threshold: float) -> Iterator[GroupElement]:
 def _check_ball(group: str, gauge: Gauge, threshold: float, budget: int | None) -> None:
     """Reject unsupported pairs and bad thresholds, then apply the budget gate."""
     _check_supported(group, gauge)
-    if threshold <= 0:
-        raise SpecError(f"threshold must be positive, got {threshold}")
+    if not 0 < threshold < math.inf:
+        raise SpecError(f"threshold must be positive and finite, got {threshold}")
     cap = _resolve_budget(budget)
-    est = estimate_count(group, gauge, threshold)
+    try:
+        est = estimate_count(group, gauge, threshold)
+    except OverflowError:  # too large for a float: over any budget
+        est = math.inf
     if est > cap:
         raise BudgetError(
             f"estimated {est} elements for {group} ball at threshold {threshold:g} "
@@ -471,8 +474,10 @@ def _sl3_ball(norm: str, caps: Sequence[int]) -> Iterator[tuple[int, ...]]:
 
 
 def _check_grid(thresholds: Sequence[float]) -> None:
-    if not thresholds or any(b <= a for a, b in zip(thresholds, thresholds[1:])):
-        raise SpecError("thresholds must be strictly increasing and nonempty")
+    # not b > a also catches nan; finite ends then bound every entry
+    if (not thresholds or not math.isfinite(thresholds[0]) or not math.isfinite(thresholds[-1])
+            or any(not b > a for a, b in zip(thresholds, thresholds[1:]))):
+        raise SpecError("thresholds must be finite, strictly increasing and nonempty")
 
 
 def progression_buckets(
@@ -487,7 +492,7 @@ def progression_buckets(
     rnorm:1, rnorm:2, rnorm:inf, hyperbolic and form gauges and sl2z1p with
     height, and _sl3_ball serves sl3z with rnorm:1, rnorm:2 and rnorm:inf
     (records (bucket, 1, *entries), nine entries).  Returns None for every
-    other ball, which then needs enumerate_ball.  The grid check (strictly
+    other ball, which then needs enumerate_ball.  The grid check (finite, strictly
     increasing, nonempty), the checks and the budget gate of enumerate_ball
     run first, at the call, for every ball.
     """
@@ -524,7 +529,7 @@ class CountSeries:
 
 def bucket_index(gauge: Gauge, el: GroupElement, thresholds: Sequence[float]) -> int:
     """Smallest i with gauge(el) <= thresholds[i], decided exactly at ties (SpecError
-    unless thresholds is strictly increasing and nonempty)."""
+    unless thresholds is finite, strictly increasing and nonempty)."""
     _check_grid(thresholds)
     value = gauge_eval(gauge, el)
     i = bisect.bisect_left(thresholds, value)
@@ -542,7 +547,7 @@ def threshold_bucketer(
 
     Elements with an integer key (gauge_key) are placed by bisecting the caps;
     the rest (fractional r, r-norms of p-power elements) go through
-    bucket_index.  thresholds must be strictly increasing and nonempty
+    bucket_index.  thresholds must be finite, strictly increasing and nonempty
     (SpecError at the call otherwise).
     """
     _check_grid(thresholds)
@@ -572,7 +577,7 @@ def ball_buckets(
     threshold whose ball holds it, as bucket_index gives it.  This is the one
     place that picks the route: the progression kernel where it covers the
     ball, else enumerate_ball; given elements are bucketed as they are and
-    those above thresholds[-1] are dropped.  The grid must be strictly
+    those above thresholds[-1] are dropped.  The grid must be finite, strictly
     increasing and nonempty (SpecError otherwise); without elements, the
     ball's checks and budget gate run at the call too.  Order is unspecified.
     """

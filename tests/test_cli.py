@@ -115,6 +115,19 @@ def test_config_file_merges_under_flags(tmp_path, capsys):
     assert payload["spec"]["steps"] == 3
 
 
+def test_config_and_flags_give_the_same_spec(tmp_path):
+    cfg = tmp_path / "torus.cfg"
+    cfg.write_text("observable = 2,1\nx0 = 0.1,0.7\ntmax = 3\nsteps = 5\nscale = t\n")
+    parser = build_parser()
+    from_config = resolve_spec(parser.parse_args(["torus", "--config", str(cfg)]))
+    from_flags = resolve_spec(parser.parse_args(
+        ["torus", "--observable", "2,1", "--x0", "0.1,0.7", "--tmax", "3",
+         "--steps", "5", "--scale", "t"]))
+    assert from_config == from_flags
+    assert from_config.observable == (2, 1) and from_config.x0 == (0.1, 0.7)
+    assert from_config.scale == "t" and from_config.steps == 5
+
+
 def test_config_errors(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("no-equals-sign\n")
@@ -141,6 +154,32 @@ def test_exit_code_io_failure(capsys):
     code, _, err = _cli(capsys, *COUNT_SMALL, "--out",
                         "/nonexistent-dir-xyz/prefix")
     assert code == 5 and "I/O" in err
+
+
+NON_FINITE_TMAX = (
+    "count --tmax nan",
+    "torus --tmax nan",
+    "count --gauge hyperbolic --scale T --tmax nan",
+    "admissibility --tmax nan",
+    "count --scale t --tmax 1000",
+    "count --gauge rnorm:3 --scale t --tmax 800",
+    "spectral --tmax nan",
+    "balanced --tmax nan",
+    "count --tmax inf",
+)
+
+
+@pytest.mark.parametrize("command", NON_FINITE_TMAX)
+def test_non_finite_tmax_is_a_spec_error(capsys, command):
+    # nan, inf, or a t-scale tmax whose T-scale value overflows a float
+    code, out, err = _cli(capsys, *command.split())
+    assert code == 2 and "invalid spec" in err
+    assert out == ""
+
+
+def test_overflowing_estimate_exits_budget(capsys):
+    code, _, err = _cli(capsys, "count", "--gauge", "hyperbolic", "--tmax", "1e6")
+    assert code == 3 and "budget" in err
 
 
 def test_unknown_kind_exits_two(capsys):
@@ -177,16 +216,39 @@ def test_balanced_kind_verdicts(capsys):
     assert bound["passed"] is True
 
 
+BOUND_RUNS = (
+    ("count", "--tmax", "20", "--steps", "6"),
+    ("volume", "--tmax", "20"),
+    ("admissibility", "--tmax", "12"),
+    ("balanced", "--q", "2"),
+    ("coset", "--tmax", "20"),
+    ("torus", "--tmax", "20"),
+    ("spectral",),
+    ("forms", "--tmax", "3000"),
+    ("sarith", "--tmax", "30"),
+)
+
+
+def _refuse_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
 def test_bounds_always_carry_both_numbers(capsys):
-    # report invariant: any pass/fail bound shows what was compared
-    for args in (("spectral", "--group", "sl2z", "--gauge", "rnorm:2"),
-                 ("count", *COUNT_SMALL[1:])):
-        payload = _json_run(capsys, *args)
+    # report invariant: every kind's bounds show what was compared, in strict JSON
+    for args in BOUND_RUNS:
+        code, out, err = _cli(capsys, *args)
+        assert code == 0, err
+        payload = json.loads(out, parse_constant=_refuse_constant)
+        assert payload["bounds"], args
         for bound in payload["bounds"]:
-            assert "passed" in bound
-            numeric = [v for v in bound.values()
-                       if isinstance(v, (int, float)) and not isinstance(v, bool)]
-            assert len(numeric) >= 2
+            assert {"name", "comparison", "fitted", "passed"} <= set(bound), args
+            assert isinstance(bound["passed"], bool)
+            if not isinstance(bound["fitted"], str):  # balanced compares two verdicts
+                numeric = [v for v in bound.values()
+                           if isinstance(v, (int, float)) and not isinstance(v, bool)]
+                assert len(numeric) >= 2, args
+            assert ("theoretical" in bound
+                    or {"theoretical_low", "theoretical_high"} <= set(bound)), args
 
 
 def test_emit_header_only_for_empty_rows(tmp_path):

@@ -5,7 +5,10 @@ Each entry is one command line with the SHA-256 of its CSV and of its JSON
 Haar volume rules, the growth fit in both threshold scales, the det p^(2k)
 level ladder, the gauge scale metadata, the weight-polytope boundedness
 check, and the coset and torus passes on SL(2,Z[1/p]), SL(3,Z) and the r = 1
-kernel.  A refactor that means to keep every output byte keeps these digests.
+kernel.  Others pin how the CLI resolves a spec: a hyperbolic gauge on the
+T scale, t-scale runs of T-native gauges, torus flags parsed into tuples, an
+sl3z spectral run and a balanced run.  A refactor that means to keep every
+output byte keeps these digests.
 """
 
 import hashlib
@@ -58,6 +61,24 @@ PINNED = [
     ("torus --gauge rnorm:1 --tmax 60",
      "e87589332beed8b59ac6b493b46de9381aecf94805bb1c5a8fe893da86ff7802",
      "cba08a130d47d0c41c4bc68ad313d4c8e4808fd644b594369fffb5dea85ddedb"),
+    ("count --gauge hyperbolic --scale T --tmax 40",
+     "bf1750f4e4a87bbf6fed9dbf4fdf237233ea938ec4ae9dc04b8427fb248bc4c4",
+     "baabeb8cf47d7a929bfd93ebe891ea7576b6ecfbedce38c1aeb24fe1ced8e990"),
+    ("count --scale t --tmax 8",
+     "384464c1f0b49c723d40ba6553c135ffa28638f230a06a218e9f93c49fca9e0e",
+     "97827efc658535588db306597cb1b0ea82f46f0ae7395158e22e8b490e8456c1"),
+    ("sarith --scale t --tmax 3.5",
+     "1953ec15e9a0d97d7e1f9e80adf5a0ce725519c603d09ef2aee76ae2d5129e8b",
+     "8993136d009554144c684b945efbb5e23abc66954d33b7e321bfa2e2f774d249"),
+    ("torus --observable 2,1 --x0 0.1,0.7 --tmax 60",
+     "c1a304043be2a6029ac81731a38149898f712afd340199bda9ab97379bcf1bd8",
+     "9df27e23457dab23d8a5101856cf43477a0b9e6ee4b9388c13d638ad449b3dc5"),
+    ("spectral --group sl3z --p 4 --r 2",
+     "742832920252f2a5d561eb43f6e9e0e5b6d5f38840ddcf059d5e9e46d4423682",
+     "7822892a4ee3deb62a712da78a5773f9040f2ac2d4d3105c74118776fa8150ad"),
+    ("balanced --q 4",
+     "88484331094752624f0ca1951d66d65e6bfaff485082aeda63c576bbf3ba2a42",
+     "0fd46b08c63a62ba486ee34d6bfd5bbbd8b21f3f3fb3fbf31cb15dc3d54b782d"),
 ]
 
 

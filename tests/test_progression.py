@@ -206,7 +206,8 @@ def test_negative_threshold_stays_on_the_kernel():
     assert (row.count, row.volume, row.ratio) == (0, 0.0, None)
 
 
-BAD_GRIDS = [(), (2.0, 2.0, 4.0), (2.0, 1.5, 4.0)]
+BAD_GRIDS = [(), (2.0, 2.0, 4.0), (2.0, 1.5, 4.0),
+             (math.nan,), (1.0, math.nan, 3.0), (2.0, math.inf)]
 SERIES_CALLS = {
     "count_series": lambda thr: count_series("sl2z", rnorm_gauge(2), thr),
     "torus": lambda thr: deviation_series("sl2z", rnorm_gauge(2), thr, TorusCharacter((1, 0)), X0),
@@ -221,7 +222,8 @@ SERIES_CALLS = {
 
 
 @pytest.mark.parametrize("call", SERIES_CALLS.values(), ids=SERIES_CALLS)
-@pytest.mark.parametrize("thr", BAD_GRIDS, ids=["empty", "repeated", "unsorted"])
+@pytest.mark.parametrize("thr", BAD_GRIDS, ids=["empty", "repeated", "unsorted",
+                                                 "nan", "nan-inside", "inf-top"])
 def test_bad_grids_raise(call, thr):
     with pytest.raises(SpecError, match="strictly increasing and nonempty"):
         call(thr)
@@ -244,6 +246,21 @@ def test_budget_gate_fires_before_the_kernel():
         deviation_series("sl2z", rnorm_gauge(2), [30.0], CosetObservable(2), budget=10)
     with pytest.raises(BudgetError):
         deviation_series("sl2z", hyperbolic_gauge(), [3.0], TorusCharacter((1, 0)), X0, budget=10)
+
+
+@pytest.mark.usefixtures("kernel_never_runs")
+def test_an_overflowing_estimate_is_over_budget():
+    # 14 cosh(t) has no float value at t = 1e6, so no budget admits the ball
+    with pytest.raises(BudgetError):
+        count_series("sl2z", hyperbolic_gauge(), [1e6])
+    with pytest.raises(BudgetError):
+        deviation_series("sl2z", hyperbolic_gauge(), [1e6], CosetObservable(2))
+
+
+@pytest.mark.parametrize("threshold", [math.nan, math.inf])
+def test_non_finite_ball_threshold_is_a_spec_error(threshold):
+    with pytest.raises(SpecError, match="positive and finite"):
+        list(enumerate_ball("sl2z", rnorm_gauge(2), threshold))
 
 
 @pytest.mark.usefixtures("kernel_never_runs")
