@@ -333,11 +333,21 @@ def volume_of_ball(group: str, gauge: Gauge, threshold: float) -> float:
     """Haar volume of the gauge ball (geometric normalization; SL3 raw).
 
     0.0 at threshold <= 0; a pair without a volume rule raises SpecError there too.
+    A volume that does not fit a float raises NumericalError.
     """
     rule = _volume_rule(group, gauge)
     if rule is None:
         raise SpecError(f"no volume rule for gauge {gauge.describe()!r} on {group}")
-    return 0.0 if threshold <= 0 else rule[0](threshold)
+    if threshold <= 0:
+        return 0.0
+    try:
+        volume = rule[0](threshold)
+    except OverflowError:
+        volume = math.inf
+    if not math.isfinite(volume):
+        raise NumericalError(
+            f"ball volume of {gauge.describe()} on {group} at {threshold:g} overflows a float")
+    return volume
 
 
 def lattice_normalized_volumes(
@@ -374,25 +384,16 @@ def volume_growth(
 
 @dataclass(frozen=True)
 class VolumeProfile:
-    """A nondecreasing volume function t -> v(t) with optional point masses.
+    """A nondecreasing volume function t -> v(t); scale is "T" or "t"."""
 
-    fn carries the continuous part; atoms are (position, mass) pairs summed for
-    positions <= t.  scale is "T" or "t".
-    """
-
-    fn: Callable[[float], float] | None
+    fn: Callable[[float], float]
     scale: str = "t"
-    atoms: tuple[tuple[float, float], ...] = ()
     label: str = ""
     gauge: Gauge | None = None
     factors: tuple["VolumeProfile", ...] = ()
 
     def __call__(self, t: float) -> float:
-        total = self.fn(t) if self.fn is not None else 0.0
-        for pos, mass in self.atoms:
-            if pos <= t:
-                total += mass
-        return total
+        return self.fn(t)
 
 
 def ball_volume_profile(group: str, gauge: Gauge) -> VolumeProfile:
@@ -403,16 +404,6 @@ def ball_volume_profile(group: str, gauge: Gauge) -> VolumeProfile:
         label=f"{group}:{gauge.describe()}",
         gauge=gauge,
     )
-
-
-def _interp_profile(ts: np.ndarray, vs: np.ndarray, **kw) -> VolumeProfile:
-    ts = np.asarray(ts, dtype=float)
-    vs = np.asarray(vs, dtype=float)
-
-    def fn(t: float) -> float:
-        return float(np.interp(t, ts, vs, left=0.0))
-
-    return VolumeProfile(fn=fn, **kw)
 
 
 def tensor_factor_profiles(l: int) -> tuple[VolumeProfile, VolumeProfile]:
@@ -432,50 +423,35 @@ def tensor_factor_profiles(l: int) -> tuple[VolumeProfile, VolumeProfile]:
     return make(1.0, "factor-1"), make(float(l - 1), f"factor-2(l={l})")
 
 
-def _stieltjes_increments(v: VolumeProfile, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Increments of v less its atoms over the grid cells, and the cell midpoints."""
-    cont = np.array([v(s) for s in grid])
-    for pos, mass in v.atoms:
-        cont -= np.where(grid >= pos, mass, 0.0)
-    return np.diff(cont), 0.5 * (grid[:-1] + grid[1:])
+def _stieltjes_sum(v: VolumeProfile, t: float, grid: np.ndarray, w: np.ndarray) -> float:
+    """Sum of v(t - mid) * dw over the cells of grid below t, left to right.
+
+    w holds the weight profile's values on grid; cells where it does not grow
+    are skipped.
+    """
+    mids = 0.5 * (grid[:-1] + grid[1:])
+    dw = np.diff(w)
+    keep = (mids < t) & (dw != 0.0)
+    fn, acc = v.fn, 0.0
+    for mid, step in zip(mids[keep].tolist(), dw[keep].tolist()):
+        acc += fn(t - mid) * step
+    return acc
 
 
 def convolve_profiles(v1: VolumeProfile, v2: VolumeProfile, *,
-                      t_max: float = 20.0, steps: int = 512,
-                      exponent: float = 1.0) -> VolumeProfile:
-    """Product-family volume v(t) = integral of v1(t - s) dv2(s), Stieltjes.
+                      t_max: float = 20.0, steps: int = 512) -> VolumeProfile:
+    """Sum-gauge product volume v(t) = integral of v1(t - s) dv2(s), Stieltjes.
 
-    exponent p generalizes the sum gauge to (d1^p + d2^p)^{1/p}; the kernel
-    becomes v1((t^p - s^p)^{1/p}).  Atoms of v2 are added exactly; the result
-    remembers its factors for balancedness slicing.
+    Tabulated on a grid of steps cells up to t_max and interpolated between;
+    the result remembers its factors for balancedness slicing.
     """
     if v1.scale != "t" or v2.scale != "t":
         raise SpecError("convolution needs both profiles in t-scale")
-    if exponent < 1:
-        raise SpecError(f"gauge exponent must be >= 1, got {exponent}")
     grid = np.linspace(0.0, t_max, steps + 1)
-    inc, mids = _stieltjes_increments(v2, grid)
-    out = np.zeros_like(grid)
-    p = exponent
-
-    def kernel_arg(t: float, s: float) -> float:
-        if s >= t:
-            return 0.0
-        if p == 1.0:
-            return t - s
-        return (t ** p - s ** p) ** (1.0 / p)
-
-    for k, t in enumerate(grid):
-        acc = 0.0
-        for j in range(k):
-            if inc[j] != 0.0:
-                acc += v1(kernel_arg(t, mids[j])) * inc[j]
-        for pos, mass in v2.atoms:
-            if pos <= t:
-                acc += mass * v1(kernel_arg(t, pos) if pos > 0 else t)
-        out[k] = acc
-    return _interp_profile(
-        grid, out,
+    w = np.array([v2(s) for s in grid])
+    out = np.array([_stieltjes_sum(v1, t, grid, w) for t in grid.tolist()])
+    return VolumeProfile(
+        fn=lambda t: float(np.interp(t, grid, out, left=0.0)),
         scale="t",
         label=f"({v1.label})*({v2.label})",
         factors=(v1, v2),
@@ -490,23 +466,18 @@ def balanced_volume_ratio(product_profile: VolumeProfile,
     if len(product_profile.factors) != 2:
         raise SpecError("balancedness slicing implemented for two factors")
     f1, f2 = product_profile.factors
-    if factor_profile is f1 or factor_profile.label == f1.label:
+    if factor_profile is f1:
         constrained, other = f1, f2
-    elif factor_profile is f2 or factor_profile.label == f2.label:
+    elif factor_profile is f2:
         constrained, other = f2, f1
     else:
         raise SpecError(f"profile {factor_profile.label!r} is not a factor")
     total = product_profile(t)
     if total <= 0:
         raise SpecError(f"product volume vanishes at t={t:g}")
-    steps = 256
-    grid = np.linspace(0.0, min(1.0, t), steps + 1)
-    inc, mids = _stieltjes_increments(constrained, grid)
-    acc = sum(other(t - m) * dv for m, dv in zip(mids, inc) if dv != 0.0)
-    for pos, mass in constrained.atoms:
-        if pos <= min(1.0, t):
-            acc += mass * other(t - pos)
-    return acc / total
+    grid = np.linspace(0.0, min(1.0, t), 257)
+    w = np.array([constrained(s) for s in grid])
+    return _stieltjes_sum(other, t, grid, w) / total
 
 
 def balanced_volume_verdict(product_profile: VolumeProfile,

@@ -182,6 +182,30 @@ def test_overflowing_estimate_exits_budget(capsys):
     assert code == 3 and "budget" in err
 
 
+OVERFLOWING_VOLUME = (
+    "volume --gauge hyperbolic --tmax 1e6",
+    "admissibility --tmax 1e6 --steps 2",
+    "volume --tmax 1e155",
+    "volume --tmax 1e300",
+    "volume --gauge rnorm:1 --tmax 1e155 --steps 5",
+)
+
+
+@pytest.mark.parametrize("command", OVERFLOWING_VOLUME)
+def test_overflowing_volume_is_a_numerical_failure(capsys, command):
+    # a finite threshold whose ball volume does not fit a float
+    code, out, err = _cli(capsys, *command.split())
+    assert code == 4 and "numerical failure" in err
+    assert out == ""
+
+
+def test_largest_hyperbolic_volume_still_runs(capsys):
+    payload = _json_run(capsys, "volume", "--gauge", "hyperbolic", "--tmax", "700")
+    assert payload["table"]["columns"][2] == "volume"
+    assert all(math.isfinite(row[2]) for row in payload["table"]["rows"])
+    assert payload["bounds"][0]["passed"]
+
+
 def test_unknown_kind_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["banana"])

@@ -7,7 +7,8 @@ level ladder, the gauge scale metadata, the weight-polytope boundedness
 check, and the coset and torus passes on SL(2,Z[1/p]), SL(3,Z) and the r = 1
 kernel.  Others pin how the CLI resolves a spec: a hyperbolic gauge on the
 T scale, t-scale runs of T-native gauges, torus flags parsed into tuples, an
-sl3z spectral run and a balanced run.  A refactor that means to keep every
+sl3z spectral run and balanced runs at four tensor powers (the default q = 3
+run is in the benchmark's digests too).  A refactor that means to keep every
 output byte keeps these digests.
 """
 
@@ -79,6 +80,12 @@ PINNED = [
     ("balanced --q 4",
      "88484331094752624f0ca1951d66d65e6bfaff485082aeda63c576bbf3ba2a42",
      "0fd46b08c63a62ba486ee34d6bfd5bbbd8b21f3f3fb3fbf31cb15dc3d54b782d"),
+    ("balanced",
+     "4d59fe2a0efa2aa742457022bfe04c1a13edef77b0bd12fc0d8403459146d0d0",
+     "9fcf241d84ae056829efdbc72acc32f0138a877b54804a912db5e5e717494d3c"),
+    ("balanced --q 5 --tmax 30 --steps 9",
+     "14b703f9ab69d4c054560adc489ac3cae2f1ce95781f205f9662df7f5f99b44c",
+     "9df632fb7142cbf4c90a2bdd73a6bd32e778d6e6612e724e98513549b4a0ed7e"),
 ]
 
 
