@@ -187,11 +187,12 @@ def _sl2_kak_raw(gauge: Gauge, T: float, *, panels: int = 4, nodes: int = 16) ->
     if T <= 0:
         return 0.0
     # ||g||_F <= 2 ||g||_max <= 2 ||g||_r caps the singular exponent
-    if 2.0 * T * T <= 1.0:
+    cap = 2.0 * T * T
+    if cap <= 1.0:
         return 0.0
-    s_cap = 0.5 * math.acosh(max(1.0, 2.0 * T * T))
-    if s_cap <= 0.0:
-        return 0.0
+    if not math.isfinite(cap):
+        raise NumericalError(f"KAK cap 2 T^2 overflows a float at T={T:g}")
+    s_cap = 0.5 * math.acosh(cap)
     x, w = _gl_nodes(nodes)
     edges = np.linspace(0.0, math.pi / 2.0, panels + 1)
     theta_nodes = []

@@ -7,8 +7,10 @@ import os
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import accumulate, product
 from typing import Callable, Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .errors import BudgetError, SpecError
 from .gauges import (
@@ -63,6 +65,50 @@ def _level_count(p: int | None, cap: int) -> int:
     while p is not None and 2 * p ** (2 * levels) <= cap:
         levels += 1
     return levels
+
+
+def _shell_counts(gauge: Gauge, caps: Sequence[int]) -> list[int]:
+    """#{elements with key <= cap} for every cap of a nondecreasing grid, key_norm "sq".
+
+    An integer A = (a, b; c, d) with det A = D and ||A||^2 = n maps to the
+    points (a+d, b-c) of norm n + 2D and (a-d, b+c) of norm n - 2D, of equal
+    parity entrywise, and each such pair comes from one A (Lagrange's
+    two-squares identity).  Every pair has equal parity when n is even and
+    half of them when n is odd, so the shell n holds r2(n+2D) r2(n-2D) / (2 if
+    n odd else 1) matrices, and F(D, N) = #{det A = D, ||A||^2 <= N} is a
+    cumulative sum of shells.  Level l (det p^(2l); level 0 alone on sl2z)
+    counts F(p^(2l), cap) less the non-canonical p B, det B = p^(2l-2):
+    F(p^(2l-2), cap // p^2).  No element is built; the r2 table comes from
+    one bincount over a quadrant.
+    """
+    top = caps[-1]
+    if top < 2:  # ||A||^2 >= 2 |det A| >= 2
+        return [0] * len(caps)
+    p = gauge.prime
+    dets = [p ** (2 * l) if l else 1 for l in range(_level_count(p, top))]
+    size = top + 2 * dets[-1]
+    s = math.isqrt(size)
+    # x >= 1, y >= 0 holds one point of each orbit of the quarter turn on Z^2 - 0
+    x = np.arange(1, s + 1, dtype=np.int64)
+    y = np.arange(s + 1, dtype=np.int64)
+    norms = (x[:, None] * x[:, None] + y * y).ravel()
+    r2 = np.bincount(norms[norms <= size], minlength=size + 1).astype(np.int64, copy=False)
+    r2 *= 4
+    r2[0] = 1
+    # every shell is at most max(r2)^2, and the total adds top + 1 shells per level
+    assert (top + 1) * len(dets) * int(r2.max()) ** 2 < 2**63
+    cap_arr = np.asarray(caps, dtype=np.int64)
+
+    def below(det: int, cap: np.ndarray) -> np.ndarray:
+        n = np.arange(2 * det, top + 1, dtype=np.int64)
+        cum = np.cumsum((r2[n + 2 * det] * r2[n - 2 * det]) >> (n & 1))
+        idx = cap - 2 * det
+        return np.where(idx >= 0, cum[np.maximum(idx, 0)], 0)
+
+    total = below(1, cap_arr)
+    for low, det in zip(dets, dets[1:]):
+        total += below(det, cap_arr) - below(low, cap_arr // (p * p))
+    return [int(v) for v in total]
 
 
 def estimate_count(group: str, gauge: Gauge, threshold: float) -> int:
@@ -575,9 +621,9 @@ def ball_buckets(
     The element is entries / denom (entries row-major, denom = p^k, 1 on
     integral elements) and bucket < len(thresholds) is the index of the first
     threshold whose ball holds it, as bucket_index gives it.  This is the one
-    place that picks the route: the progression kernel where it covers the
-    ball, else enumerate_ball; given elements are bucketed as they are and
-    those above thresholds[-1] are dropped.  The grid must be finite, strictly
+    place that picks the route for records: the progression kernel where it
+    covers the ball, else enumerate_ball; given elements are bucketed as they
+    are and those above thresholds[-1] are dropped.  The grid must be finite, strictly
     increasing and nonempty (SpecError otherwise); without elements, the
     ball's checks and budget gate run at the call too.  Order is unspecified.
     """
@@ -609,19 +655,23 @@ def count_series(
 ) -> CountSeries:
     """Cumulative lattice counts over an increasing threshold grid.
 
-    One pass over the ball at the largest threshold (ball_buckets) feeds every
-    bucket; volumes (when the gauge has a computable Haar volume) are
-    normalized so that the ratio column tends to 1.
+    The "sq" balls of sl2z and sl2z1p (rnorm:2, hyperbolic, height) are counted
+    from r2 shells (_shell_counts) without walking them; the grid check and
+    the budget gate of ball_buckets still run first.  Every other ball, and
+    given elements, take one pass over the ball at the largest threshold
+    (ball_buckets) that feeds every bucket.  Volumes (when the gauge has a
+    computable Haar volume) are normalized so that the ratio column tends to 1.
     """
     thr = [float(t) for t in thresholds]
-    buckets = [0] * len(thr)
-    for rec in ball_buckets(group, gauge, thr, elements=elements, budget=budget):
-        buckets[rec[0]] += 1
-    counts = []
-    running = 0
-    for i in range(len(thr)):
-        running += buckets[i]
-        counts.append(running)
+    if elements is None and group in ("sl2z", "sl2z1p") and key_norm(gauge) == "sq":
+        _check_grid(thr)
+        _check_ball(group, gauge, thr[-1], budget)
+        counts = _shell_counts(gauge, [gauge_cap(gauge, t) for t in thr])
+    else:
+        buckets = [0] * len(thr)
+        for rec in ball_buckets(group, gauge, thr, elements=elements, budget=budget):
+            buckets[rec[0]] += 1
+        counts = list(accumulate(buckets))
     volumes: list[float | None] = [None] * len(thr)
     if with_volume:
         from .haar import lattice_normalized_volumes

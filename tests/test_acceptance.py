@@ -233,13 +233,17 @@ def test_criterion_8_sarith_ball_growth():
         i = bisect.bisect_left(caps, s_sq)
         if i < len(caps):
             counts[i] += 1
-    cumulative = list(np.cumsum(counts))
+    cumulative = [int(c) for c in np.cumsum(counts)]
+    # independent route: r2 shells, no Bezout walk, ext_gcd or GroupElement
+    shells_ok = cumulative == count_series("sl2z1p", gauge, thresholds,
+                                           with_volume=False).counts()
     slope, r2 = _loglog_slope(thresholds, cumulative)
-    ok = injective and codecs_ok and small_ok and 2.0 <= slope <= 2.3
+    ok = injective and codecs_ok and small_ok and shells_ok and 2.0 <= slope <= 2.3
     record_acceptance(
         8, "S-arithmetic ball grows like T^2 log T", ok,
-        f"exponent {slope:.3f} in [2.0, 2.3], |C_150| {int(cumulative[-1])}, "
-        f"bijection exact at {len(thresholds)} thresholds + brute force to T=8")
+        f"exponent {slope:.3f} in [2.0, 2.3], |C_150| {cumulative[-1]}, "
+        f"bijection exact at {len(thresholds)} thresholds + brute force to T=8, "
+        f"r2 shell counts {'equal' if shells_ok else 'differ'} at every threshold")
     assert ok
 
 

@@ -154,6 +154,9 @@ def test_nonpositive_threshold_has_zero_volume(group, gauge):
 def test_volume_that_overflows_a_float_is_a_numerical_error():
     with pytest.raises(NumericalError, match="overflows"):
         volume_of_ball("sl2z", hyperbolic_gauge(), 1e6)
+    # 2 T^2 is inf: refused before the sublevel search runs on inf nodes
+    with pytest.raises(NumericalError, match="KAK cap"):
+        volume_of_ball("sl2z", rnorm_gauge(1), 1e155)
 
 
 # ---------------------------------------------------------------------------

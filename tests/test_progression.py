@@ -234,6 +234,7 @@ def kernel_never_runs(monkeypatch):
     def boom(*args, **kwargs):
         raise AssertionError("the kernel ran before the checks")
     monkeypatch.setattr(lattice, "_progression_ball", boom)
+    monkeypatch.setattr(lattice, "_shell_counts", boom)
 
 
 @pytest.mark.usefixtures("kernel_never_runs")
@@ -398,6 +399,70 @@ def test_orbit_series_matches_brute_counts(f0):
         [brute_orbit_count(f0, t) for t in grid]
     assert orbit_forms_series(f0, grid[::-1]) == series[::-1]
     assert [orbit_forms_count(f0, t) for t in grid] == series
+
+
+# ---------------------------------------------------------------------------
+# "sq" counts from r2 shells: the kernel and the enumeration are the oracles
+# ---------------------------------------------------------------------------
+
+# ties at T = sqrt(integer) and integer 2 cosh t, runs of equal caps, levels
+# opening at T^2 = 2 p^(2k)
+SHELL_CASES = [
+    ("sl2z", rnorm_gauge(2), (1.5, 2.0, 5.0, 5.01, math.sqrt(50.0), 37.5, 100.0, 150.0,
+                              math.sqrt(40000.0))),
+    ("sl2z", hyperbolic_gauge(), (0.5, 1.0, 2.0, 3.0, 3.0001, math.acosh(500.0), 9.0,
+                                  math.acosh(20000.0))),
+    ("sl2z1p", height_gauge(2), (2.0, 3.0, 5.0, 5.01, math.sqrt(32.0), math.sqrt(512.0),
+                                 40.0, 60.0)),
+    ("sl2z1p", height_gauge(3), (2.0, math.sqrt(18.0), 7.0, 9.0, 9.5, math.sqrt(162.0), 45.0)),
+    ("sl2z1p", height_gauge(5), (2.0, math.sqrt(50.0), 8.0, 20.0, math.sqrt(1250.0), 45.0)),
+]
+SHELL_IDS = [f"{g}-{gauge.describe()}" for g, gauge, _ in SHELL_CASES]
+
+
+@pytest.mark.parametrize("group,gauge,thr", SHELL_CASES, ids=SHELL_IDS)
+def test_shell_counts_match_the_kernel(group, gauge, thr):
+    buckets = Counter(i for i, *_ in progression_buckets(group, gauge, thr))
+    kernel = [sum(buckets[j] for j in range(i + 1)) for i in range(len(thr))]
+    assert count_series(group, gauge, thr, with_volume=False).counts() == kernel
+
+
+@pytest.mark.parametrize("group,gauge,thr", [
+    ("sl2z", rnorm_gauge(2), (-3.0, 0.5, 2.0, 5.0, math.sqrt(50.0), 40.0)),
+    ("sl2z", hyperbolic_gauge(), (-1.0, 0.0, 1.0, 3.0, 4.0)),
+    ("sl2z1p", height_gauge(2), (-2.0, 1.0, math.sqrt(8.0), 16.0, 30.0)),
+    ("sl2z1p", height_gauge(3), (-2.0, math.sqrt(18.0), 20.0)),
+], ids=["rnorm:2", "hyperbolic", "height:p=2", "height:p=3"])
+def test_shell_counts_match_enumeration(group, gauge, thr):
+    oracle = Counter(i for i, _ in oracle_buckets(group, gauge, thr))
+    assert oracle[0] == 0
+    assert count_series(group, gauge, thr, with_volume=False).counts() == \
+        [sum(oracle[j] for j in range(i + 1)) for i in range(len(thr))]
+
+
+def test_shell_count_of_a_large_ball():
+    # 6,000,052 at T = 1000 also came from a row-level Bezout count
+    assert count_series("sl2z", rnorm_gauge(2), [1000.0], budget=10**8).counts() == [6000052]
+
+
+def test_sq_counts_take_the_shell_route(monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("an sq count walked the ball")
+    monkeypatch.setattr(lattice, "_progression_ball", boom)
+    monkeypatch.setattr(lattice, "_enumerate_sl2", boom)
+    assert count_series("sl2z", rnorm_gauge(2), [10.0, 37.5]).counts() == [580, 8324]
+    assert count_series("sl2z", hyperbolic_gauge(), [1.0, 2.0]).counts() == [20, 52]
+    assert count_series("sl2z1p", height_gauge(2), [3.0, 30.0]).counts() == [68, 32012]
+
+
+def test_given_elements_are_counted_as_given():
+    gauge = rnorm_gauge(2)
+    thr = (2.0, 5.0, 8.0)
+    some = list(enumerate_ball("sl2z", gauge, 8.0))[::3]
+    buckets = Counter(bucket_index(gauge, el, thr) for el in some)
+    assert count_series("sl2z", gauge, thr, with_volume=False, elements=some).counts() == \
+        [sum(buckets[j] for j in range(i + 1)) for i in range(len(thr))]
+    assert count_series("sl2z", gauge, thr, with_volume=False, elements=[]).counts() == [0, 0, 0]
 
 
 # ---------------------------------------------------------------------------
