@@ -392,74 +392,152 @@ _KERNEL_NORMS = {
 
 
 def _progression_ball(gauge: Gauge, caps: Sequence[int], box: int) -> Iterator[tuple[int, ...]]:
-    """(bisect_left(caps, key), p^l, a, b, c, d) for every element with key <= caps[-1].
+    """(bisect_left(caps, key), 1, a, b, c, d) for every element of sl2z with key <= caps[-1].
 
-    An element p^(-l) (a, b; c, d) is fixed by its level l, its top row (a, b)
-    and a shift k: the bottom row is (c0, d0) + k (a/g, b/g), g = gcd(a, b),
-    with a d0 - b c0 = det from ext_gcd (det = 1 on sl2z, p^(2l) on level l of
-    sl2z1p).  The key (gauge_key; key_norm names it) is convex in k, so the k
-    inside the ball form an interval: exact from isqrt of the discriminant for
-    "sq"; for the others _window_1d bounds |c| and |d| (by caps[-1] minus the
-    top row for "abs", caps[-1] for "max", the entry bound box for "form") and
-    the key test trims the rest.  Order is unspecified.
+    The Bezout walk for the "abs", "max" and "form" keys (the "sq" balls take
+    _sq_columns).  An element (a, b; c, d) is fixed by its top row (a, b) and
+    a shift k: the bottom row is (c0, d0) + k (a/g, b/g), g = gcd(a, b), with
+    a d0 - b c0 = 1 from ext_gcd.  The key (gauge_key; key_norm names it) is
+    convex in k, so the k inside the ball form an interval: _window_1d bounds
+    |c| and |d| (by caps[-1] minus the top row for "abs", caps[-1] for "max",
+    the entry bound box for "form") and the key test trims the rest.  Order
+    is unspecified.
     """
     top = caps[-1]
-    p = gauge.prime
     norm = key_norm(gauge)
     # top rows that leave room for a nonzero bottom row
-    if norm == "sq":
-        amax = math.isqrt(top - 1) if top >= 1 else -1
-    else:
-        amax = {"abs": top - 1, "max": top, "form": box}[norm]
+    amax = {"abs": top - 1, "max": top, "form": box}[norm]
+    for a in range(-amax, amax + 1):
+        bmax = amax - abs(a) if norm == "abs" else amax
+        for b in range(-bmax, bmax + 1):
+            if math.gcd(a, b) != 1:
+                continue
+            _, x, y = ext_gcd(a, b)
+            c, d = -y, x  # a*d - b*c = 1
+            ab = abs(a) + abs(b) if norm == "abs" else max(abs(a), abs(b))
+            bound = top - ab if norm == "abs" else amax
+            window = _intersect(_window_1d(c, a, bound), _window_1d(d, b, bound))
+            if window is None:
+                continue
+            klo, khi = window
+            c += klo * a
+            d += klo * b
+            for _ in range(khi - klo + 1):
+                if norm == "abs":
+                    key = ab + abs(c) + abs(d)
+                elif norm == "max":
+                    key = max(ab, abs(c), abs(d))
+                else:
+                    key = form_key(gauge.form, a, b, c, d)
+                if key <= top:
+                    yield bisect.bisect_left(caps, key), 1, a, b, c, d
+                c += a
+                d += b
+
+
+# _sq_columns keeps int64 exact up to this cap: every intermediate is below 2**62
+_SQ_CAP_MAX = 2**30
+# top rows per chunk of _sq_columns; bounds the walk's memory, not its output
+_SQ_CHUNK_ROWS = 2048
+
+
+def _bezout(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """x, y with a x + b y = gcd(a, b) entrywise, a, b >= 0: ext_gcd on every pair at once."""
+    r0, r1 = a, b
+    x0, x1 = np.ones_like(a), np.zeros_like(a)
+    y0, y1 = np.zeros_like(a), np.ones_like(a)
+    while r1.any():
+        live = r1 != 0
+        q = np.floor_divide(r0, np.where(live, r1, 1))
+        r0, r1 = np.where(live, r1, r0), np.where(live, r0 - q * r1, r1)
+        x0, x1 = np.where(live, x1, x0), np.where(live, x0 - q * x1, x1)
+        y0, y1 = np.where(live, y1, y0), np.where(live, y0 - q * y1, y1)
+    return x0, y0
+
+
+def _sq_columns(gauge: Gauge, caps: Sequence[int]) -> Iterator[tuple[np.ndarray, ...]]:
+    """Chunks of int64 columns (bucket, p^l, a, b, c, d), one entry per element
+    p^(-l) (a, b; c, d) with a^2 + b^2 + c^2 + d^2 <= C = caps[-1].
+
+    The "sq" balls of sl2z (rnorm:2, hyperbolic) and sl2z1p (height, every
+    det = p^(2l) level; level 0 alone on sl2z), walked in numpy.  The quarter
+    turn M -> M (0, -1; 1, 0) keeps det, the key and divisibility by p and
+    moves the top row (a, b) to (b, -a), so the walk takes the top rows a > 0,
+    b >= 0, a^2 + b^2 < C, _SQ_CHUNK_ROWS at a time, and each chunk holds them
+    with their three turns.  With g = gcd(a, b) dividing det, the bottom rows
+    are the Bezout progression (c0, d0) + k u, u = (a, b) / g, a d0 - b c0 =
+    det.  Shifting (c0, d0) along u makes 0 <= B = u . (c0, d0) < A = |u|^2;
+    the k inside the ball are those with |A k + B| <= isqrt(disc), disc = A (C
+    - a^2 - b^2) - (det / g)^2 (Lagrange: B^2 - A |(c0, d0)|^2 = -(det /
+    g)^2).  Above level 0, p times a matrix of the level below is not
+    canonical and is dropped.  bucket is bisect_left(caps, key).  Every chunk
+    is nonempty and lies on one level; the order of chunks and within them is
+    unspecified.
+
+    A cap above _SQ_CAP_MAX raises BudgetError before any column is computed.
+    Below it a, b, x, y <= C^(1/2) and det <= C / 2, so the unshifted B, the
+    shift times u and disc all stay under C^2 <= 2**60.
+    """
+    top = caps[-1]
+    if top > _SQ_CAP_MAX:
+        raise BudgetError(f"cap {top} is above {_SQ_CAP_MAX}, the int64 bound of the sq walk")
+    if top < 2:  # ||A||^2 >= 2 |det A| >= 2
+        return
+    p = gauge.prime
+    cap_arr = np.asarray(caps, dtype=np.int64)
+    # the top rows a = 1 .. amax, b = 0 .. bmax[a - 1], one after another
+    amax = math.isqrt(top - 1)
+    bmax = np.array([math.isqrt(top - 1 - a * a) for a in range(1, amax + 1)], dtype=np.int64)
+    ends = np.cumsum(bmax + 1)
+    rows = int(ends[-1])
     for level in range(_level_count(p, top)):
         den = p ** level if level else 1
         det = den * den
-        for a in range(-amax, amax + 1):
-            if norm == "sq":
-                bmax = math.isqrt(top - 1 - a * a)
-            else:
-                bmax = amax - abs(a) if norm == "abs" else amax
-            for b in range(-bmax, bmax + 1):
-                g = math.gcd(a, b)
-                if g == 0 or det % g:
-                    continue
-                _, x, y = ext_gcd(a, b)
-                m = det // g
-                c, d = -y * m, x * m  # a*d - b*c = det
-                sa, sb = a // g, b // g
-                # above level 0, p * (a matrix of the level below) is not canonical
-                skip_p = p if level and g % p == 0 else 0
-                if norm == "sq":
-                    ab = a * a + b * b
-                    A = sa * sa + sb * sb
-                    B = c * sa + d * sb
-                    disc = B * B - A * (c * c + d * d + ab - top)
-                    if disc < 0:
-                        continue
-                    r = math.isqrt(disc)
-                    klo, khi = -((B + r) // A), (r - B) // A
-                else:
-                    ab = abs(a) + abs(b) if norm == "abs" else max(abs(a), abs(b))
-                    bound = top - ab if norm == "abs" else amax
-                    window = _intersect(_window_1d(c, sa, bound), _window_1d(d, sb, bound))
-                    if window is None:
-                        continue
-                    klo, khi = window
-                c += klo * sa
-                d += klo * sb
-                for _ in range(khi - klo + 1):
-                    if norm == "sq":
-                        key = ab + c * c + d * d
-                    elif norm == "abs":
-                        key = ab + abs(c) + abs(d)
-                    elif norm == "max":
-                        key = max(ab, abs(c), abs(d))
-                    else:
-                        key = form_key(gauge.form, a, b, c, d)
-                    if key <= top and not (skip_p and c % skip_p == 0 and d % skip_p == 0):
-                        yield bisect.bisect_left(caps, key), den, a, b, c, d
-                    c += sa
-                    d += sb
+        for start in range(0, rows, _SQ_CHUNK_ROWS):
+            idx = np.arange(start, min(start + _SQ_CHUNK_ROWS, rows), dtype=np.int64)
+            row = np.searchsorted(ends, idx, "right")
+            a, b = row + 1, idx - ends[row] + bmax[row] + 1
+            g = np.gcd(a, b)
+            m = det // g
+            sa, sb = a // g, b // g
+            A = sa * sa + sb * sb
+            disc = A * (top - a * a - b * b) - m * m
+            ok = (det % g == 0) & (disc >= 0)
+            a, b, g, m, sa, sb, A, disc = (v[ok] for v in (a, b, g, m, sa, sb, A, disc))
+            x, y = _bezout(a, b)
+            c0, d0 = -y * m, x * m  # a*d0 - b*c0 = det
+            shift = (c0 * sa + d0 * sb) // A
+            c0 -= shift * sa
+            d0 -= shift * sb
+            B = c0 * sa + d0 * sb
+            r = np.sqrt(disc.astype(np.float64)).astype(np.int64)
+            r -= r * r > disc
+            r += (r + 1) * (r + 1) <= disc
+            assert ((r * r <= disc) & (disc < (r + 1) * (r + 1))).all()
+            klo = -((B + r) // A)
+            n = (r - B) // A - klo + 1
+            src = np.repeat(np.arange(len(n)), n)
+            k = klo[src] + np.arange(len(src)) - (np.cumsum(n) - n)[src]
+            a, b = a[src], b[src]
+            c = c0[src] + k * sa[src]
+            d = d0[src] + k * sb[src]
+            if level:
+                keep = (g[src] % p != 0) | (c % p != 0) | (d % p != 0)
+                a, b, c, d = a[keep], b[keep], c[keep], d[keep]
+            if not len(a):
+                continue
+            key = a * a + b * b + c * c + d * d
+            assert (key <= top).all() and (a * d - b * c == det).all()
+            yield (np.tile(np.searchsorted(cap_arr, key, "left"), 4),
+                   np.full(4 * len(a), den, np.int64),
+                   np.concatenate((a, b, -a, -b)), np.concatenate((b, -a, -b, a)),
+                   np.concatenate((c, d, -c, -d)), np.concatenate((d, -c, -d, c)))
+
+
+def _sq_records(gauge: Gauge, caps: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """_sq_columns flattened into ball_buckets records."""
+    for cols in _sq_columns(gauge, caps):
+        yield from zip(*(col.tolist() for col in cols))
 
 
 def _sl3_ball(norm: str, caps: Sequence[int]) -> Iterator[tuple[int, ...]]:
@@ -526,6 +604,34 @@ def _check_grid(thresholds: Sequence[float]) -> None:
         raise SpecError("thresholds must be finite, strictly increasing and nonempty")
 
 
+def _sq_caps(group: str, gauge: Gauge, thresholds: Sequence[float],
+             budget: int | None) -> list[int] | None:
+    """The integer caps of an "sq" ball of sl2z or sl2z1p, after the grid check,
+    the ball's checks and its budget gate; None, with nothing checked, for every
+    other ball."""
+    if group not in ("sl2z", "sl2z1p") or key_norm(gauge) != "sq":
+        return None
+    _check_grid(thresholds)
+    _check_ball(group, gauge, thresholds[-1], budget)
+    return [gauge_cap(gauge, t) for t in thresholds]
+
+
+def ball_columns(
+    group: str, gauge: Gauge, thresholds: Sequence[float], budget: int | None = None
+) -> Iterator[tuple[np.ndarray, ...]] | None:
+    """The ball at thresholds[-1] as chunks of int64 columns (bucket, p^l, a, b, c, d).
+
+    Row j of a chunk is the ball_buckets record of one element; every element
+    comes once.  Covers the "sq" balls of sl2z (rnorm:2, hyperbolic) and
+    sl2z1p (height), from one numpy walk (_sq_columns) whose memory stays
+    bounded; returns None for every other ball, which then needs
+    ball_buckets.  For a covered ball the grid check, the checks and the
+    budget gate of enumerate_ball run first, at the call.
+    """
+    caps = _sq_caps(group, gauge, thresholds, budget)
+    return None if caps is None else _sq_columns(gauge, caps)
+
+
 def progression_buckets(
     group: str, gauge: Gauge, thresholds: Sequence[float], budget: int | None = None
 ) -> Iterator[tuple[int, ...]] | None:
@@ -534,14 +640,18 @@ def progression_buckets(
     Each record is (bucket, p^l, a, b, c, d) for the element p^(-l) (a, b; c, d)
     (p^l = 1 on sl2z); bucket is the index of the first threshold whose ball
     holds the element, as bucket_index gives it.  _KERNEL_NORMS says which
-    balls it covers: one Bezout walk (_progression_ball) serves sl2z with
-    rnorm:1, rnorm:2, rnorm:inf, hyperbolic and form gauges and sl2z1p with
-    height, and _sl3_ball serves sl3z with rnorm:1, rnorm:2 and rnorm:inf
-    (records (bucket, 1, *entries), nine entries).  Returns None for every
-    other ball, which then needs enumerate_ball.  The grid check (finite, strictly
+    balls it covers: the "sq" balls of sl2z (rnorm:2, hyperbolic) and sl2z1p
+    (height) flatten the column chunks of ball_columns; a Python Bezout walk
+    (_progression_ball) serves sl2z with rnorm:1, rnorm:inf and form gauges;
+    and _sl3_ball serves sl3z with rnorm:1, rnorm:2 and rnorm:inf (records
+    (bucket, 1, *entries), nine entries).  Returns None for every other ball,
+    which then needs enumerate_ball.  The grid check (finite, strictly
     increasing, nonempty), the checks and the budget gate of enumerate_ball
     run first, at the call, for every ball.
     """
+    caps = _sq_caps(group, gauge, thresholds, budget)
+    if caps is not None:
+        return _sq_records(gauge, caps)
     _check_grid(thresholds)
     _check_ball(group, gauge, thresholds[-1], budget)
     norm = key_norm(gauge)
@@ -621,11 +731,13 @@ def ball_buckets(
     The element is entries / denom (entries row-major, denom = p^k, 1 on
     integral elements) and bucket < len(thresholds) is the index of the first
     threshold whose ball holds it, as bucket_index gives it.  This is the one
-    place that picks the route for records: the progression kernel where it
-    covers the ball, else enumerate_ball; given elements are bucketed as they
-    are and those above thresholds[-1] are dropped.  The grid must be finite, strictly
-    increasing and nonempty (SpecError otherwise); without elements, the
-    ball's checks and budget gate run at the call too.  Order is unspecified.
+    place that picks the route for records: progression_buckets where it
+    covers the ball (for the "sq" balls of sl2z and sl2z1p, the column chunks
+    of ball_columns flattened into records), else enumerate_ball; given
+    elements are bucketed as they are and those above thresholds[-1] are
+    dropped.  The grid must be finite, strictly increasing and nonempty
+    (SpecError otherwise); without elements, the ball's checks and budget gate
+    run at the call too.  Order is unspecified.
     """
     if elements is None:
         kernel = progression_buckets(group, gauge, thresholds, budget)
@@ -663,10 +775,9 @@ def count_series(
     computable Haar volume) are normalized so that the ratio column tends to 1.
     """
     thr = [float(t) for t in thresholds]
-    if elements is None and group in ("sl2z", "sl2z1p") and key_norm(gauge) == "sq":
-        _check_grid(thr)
-        _check_ball(group, gauge, thr[-1], budget)
-        counts = _shell_counts(gauge, [gauge_cap(gauge, t) for t in thr])
+    caps = None if elements is not None else _sq_caps(group, gauge, thr, budget)
+    if caps is not None:
+        counts = _shell_counts(gauge, caps)
     else:
         buckets = [0] * len(thr)
         for rec in ball_buckets(group, gauge, thr, elements=elements, budget=budget):

@@ -9,11 +9,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
+import numpy as np
+
 from .errors import SpecError
 from .gauges import Gauge
 from .groups import GroupElement, ResidueClass, adjugate, denominator_scale, resolve_group
 from .haar import GrowthFit, fit_growth
-from .lattice import CosetHistogram, ball_buckets, sl_residue_order
+from .lattice import CosetHistogram, ball_buckets, ball_columns, sl_residue_order
 
 __all__ = [
     "TorusCharacter",
@@ -116,6 +118,66 @@ def _residue_keys(records: Iterable[tuple[int, ...]], q: int, n: int) -> Iterato
     return ((rec[0], rec[1], *[e % q for e in rec[2:]]) for rec in records)
 
 
+def _tally(codes: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct codes, ascending, and the summed weights of each."""
+    order = np.argsort(codes)
+    codes, weights = codes[order], weights[order]
+    starts = np.flatnonzero(np.concatenate(([True], codes[1:] != codes[:-1])))
+    return codes[starts], np.add.reduceat(weights, starts)
+
+
+def _column_residues(chunks: Iterable[tuple[np.ndarray, ...]], q: int, k: int) -> Counter:
+    """Counter(_residue_keys(records, q, 2)) for the records of ball_columns chunks.
+
+    Each record's (bucket, a, b, c, d mod q) packs into one int64 (k q^4 must
+    stay below 2**62).  The codes of every chunk (one denominator each) are
+    tallied at once, and the tallies of a denominator merged at the end.
+    """
+    found: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
+    for i, den, a, b, c, d in chunks:
+        code = (((i * q + a % q) * q + b % q) * q + c % q) * q + d % q
+        found.setdefault(int(den[0]), []).append(_tally(code, np.ones_like(code)))
+    residues: Counter[tuple[int, ...]] = Counter()
+    for den, parts in found.items():
+        codes, hits = _tally(*(np.concatenate(v) for v in zip(*parts)))
+        keys = zip(*(v.tolist() for v in np.unravel_index(codes, (k, q, q, q, q))))
+        for (i, *res), h in zip(keys, hits.tolist()):
+            residues[(i, den, *res)] = h
+    return residues
+
+
+def _column_turns(m: Sequence[int], point: Sequence[float], a, b, c, d) -> np.ndarray:
+    """_record_phase of every record of integral columns, at a float base point.
+
+    The same products and left-to-right sums as _record_phase, in numpy: a
+    float point makes every step one IEEE operation, the same in both, and
+    numpy's % 1.0 is Python's.  2 pi i f has real part 0 * f - 2 pi * 0 = 0
+    and imaginary part 2 pi f, one rounding, in numpy as in Python; exp stays
+    cmath's, one record at a time.
+    """
+    m0, m1 = m
+    x0, x1 = point
+    frac = (0 + m0 * (0 + d * x0 + -b * x1) + m1 * (0 + -c * x0 + a * x1)) % 1.0
+    return np.fromiter(map(cmath.exp, (frac * (2j * math.pi)).tolist()), complex, len(frac))
+
+
+def _column_phase_sums(chunks: Iterable[tuple[np.ndarray, ...]], m: Sequence[int],
+                       point: Sequence[float], k: int) -> list[tuple[float, float, int]]:
+    """(fsum of the real parts, fsum of the imaginary parts, count) of the
+    phases in each of the k buckets of ball_columns chunks."""
+    parts: list[list[np.ndarray]] = [[np.zeros(0, complex)] for _ in range(k)]
+    for i, den, a, b, c, d in chunks:
+        if den[0] != 1:
+            raise SpecError(_NOT_INTEGRAL)
+        z = _column_turns(m, point, a, b, c, d)[np.argsort(i)]
+        for j, part in enumerate(np.split(z, np.cumsum(np.bincount(i, minlength=k))[:-1])):
+            parts[j].append(part)
+    sums = []
+    for zs in map(np.concatenate, parts):
+        sums.append((math.fsum(zs.real.tolist()), math.fsum(zs.imag.tolist()), len(zs)))
+    return sums
+
+
 @dataclass(frozen=True)
 class DeviationSeries:
     """Deviation-from-equidistribution at each threshold of one experiment."""
@@ -135,13 +197,18 @@ def deviation_series(
     elements: Sequence[GroupElement] | None = None,
     budget: int | None = None,
 ) -> DeviationSeries:
-    """One pass over the ball (lattice.ball_buckets), deviations at every threshold.
+    """One pass over the ball, deviations at every threshold.
 
     The observable picks the pass: a TorusCharacter averages its phase at the
     base point, a CosetObservable takes the sup-deviation over the residue
-    classes mod q.  With elements, the average runs over those of them inside
-    the top ball.  Torus sums are fsum'd per bucket, so the order of the pass
-    does not matter.
+    classes mod q.  The "sq" balls of sl2z and sl2z1p (lattice.ball_columns)
+    run both passes over numpy column chunks: torus phases at an all-float
+    base point, bit for bit as _record_phase gives them, and coset residues
+    packed into int64 codes.  Every other ball, an exact (Fraction or int)
+    base point and given elements take the records of lattice.ball_buckets.
+    With elements, the average runs over those of them inside the top ball.
+    Torus sums are fsum'd per bucket, so the order of the pass does not
+    matter.
     """
     n = resolve_group(group).n
     thr = tuple(float(x) for x in thresholds)
@@ -151,22 +218,27 @@ def deviation_series(
             raise SpecError("torus average needs a base point of matching dimension")
         if len(observable.m) != n:
             raise SpecError("frequency vector dimension mismatch")
-        phase = _record_phase(observable.m, point, n)
-        bucket_re: list[list[float]] = [[] for _ in range(k)]
-        bucket_im: list[list[float]] = [[] for _ in range(k)]
-        for rec in ball_buckets(group, gauge, thr, elements=elements, budget=budget):
-            z = phase(rec)
-            bucket_re[rec[0]].append(z.real)
-            bucket_im[rec[0]].append(z.imag)
+        chunks = None
+        if elements is None and all(isinstance(x, float) for x in point):
+            chunks = ball_columns(group, gauge, thr, budget)
+        if chunks is None:
+            phase = _record_phase(observable.m, point, n)
+            phases: list[list[complex]] = [[] for _ in range(k)]
+            for rec in ball_buckets(group, gauge, thr, elements=elements, budget=budget):
+                phases[rec[0]].append(phase(rec))
+            sums = [(math.fsum(z.real for z in zs), math.fsum(z.imag for z in zs), len(zs))
+                    for zs in phases]
+        else:
+            sums = _column_phase_sums(chunks, observable.m, point, k)
         target = observable.target()
         rows = []
         re_parts: list[float] = []
         im_parts: list[float] = []
         count = 0
-        for i in range(k):
-            re_parts.append(math.fsum(bucket_re[i]))
-            im_parts.append(math.fsum(bucket_im[i]))
-            count += len(bucket_re[i])
+        for i, (re, im, size) in enumerate(sums):
+            re_parts.append(re)
+            im_parts.append(im)
+            count += size
             if count == 0:
                 rows.append((thr[i], 0.0, 0))
                 continue
@@ -175,8 +247,14 @@ def deviation_series(
     elif isinstance(observable, CosetObservable):
         q = observable.q
         order = sl_residue_order(n, q)
-        records = ball_buckets(group, gauge, thr, elements=elements, budget=budget)
-        residues: Counter[tuple[int, ...]] = Counter(_residue_keys(records, q, n))
+        chunks = None
+        if elements is None and k * q**4 < 2**62:
+            chunks = ball_columns(group, gauge, thr, budget)
+        if chunks is None:
+            records = ball_buckets(group, gauge, thr, elements=elements, budget=budget)
+            residues: Counter[tuple[int, ...]] = Counter(_residue_keys(records, q, n))
+        else:
+            residues = _column_residues(chunks, q, k)
         buckets: list[Counter[ResidueClass]] = [Counter() for _ in range(k)]
         for (i, den, *res), hits in residues.items():
             # 1/den reduces to a unit mod q; two denominators can share a class

@@ -1,9 +1,10 @@
 """Slow oracles the fast routes are checked against: exhaustive small-ball
-scans, residue-group and orbit counts by enumeration, and the per-node-pair
-KAK quadrature."""
+scans, the per-element Python walk of the "sq" balls, residue-group and orbit
+counts by enumeration, and the per-node-pair KAK quadrature."""
 
 from __future__ import annotations
 
+import bisect
 import math
 from fractions import Fraction
 from itertools import product
@@ -20,7 +21,8 @@ from latcount.gauges import (
     gauge_leq,
     rep_form_gauge,
 )
-from latcount.groups import GroupElement, int_det
+from latcount.groups import GroupElement, ext_gcd, int_det
+from latcount.lattice import _level_count
 
 
 def brute_sl2z(gauge: Gauge, threshold: float) -> set[GroupElement]:
@@ -73,6 +75,53 @@ def brute_sl2z1p(gauge: Gauge, threshold: float) -> set[GroupElement]:
             if gauge_leq(gauge, el, threshold):
                 out.add(el)
         k += 1
+    return out
+
+
+def sq_ball_records(gauge: Gauge, caps) -> list[tuple[int, ...]]:
+    """(bisect_left(caps, key), p^l, a, b, c, d) for every element of an "sq" ball.
+
+    The per-element Python Bezout walk that lattice._sq_columns replaces, kept
+    as its oracle: for each level l (det = p^(2l); level 0 alone on sl2z) and
+    top row (a, b), a^2 + b^2 < caps[-1], the bottom rows (c0, d0) + k (a/g,
+    b/g), g = gcd(a, b), with k between the roots of the discriminant (math
+    isqrt), one shift at a time.  Above level 0, p times a matrix of the level
+    below is skipped.
+    """
+    top = caps[-1]
+    p = gauge.prime
+    amax = math.isqrt(top - 1) if top >= 1 else -1
+    out = []
+    for level in range(_level_count(p, top)):
+        den = p ** level if level else 1
+        det = den * den
+        for a in range(-amax, amax + 1):
+            bmax = math.isqrt(top - 1 - a * a)
+            for b in range(-bmax, bmax + 1):
+                g = math.gcd(a, b)
+                if g == 0 or det % g:
+                    continue
+                _, x, y = ext_gcd(a, b)
+                m = det // g
+                c, d = -y * m, x * m  # a*d - b*c = det
+                sa, sb = a // g, b // g
+                skip_p = p if level and g % p == 0 else 0
+                ab = a * a + b * b
+                A = sa * sa + sb * sb
+                B = c * sa + d * sb
+                disc = B * B - A * (c * c + d * d + ab - top)
+                if disc < 0:
+                    continue
+                r = math.isqrt(disc)
+                klo, khi = -((B + r) // A), (r - B) // A
+                c += klo * sa
+                d += klo * sb
+                for _ in range(khi - klo + 1):
+                    key = ab + c * c + d * d
+                    if key <= top and not (skip_p and c % skip_p == 0 and d % skip_p == 0):
+                        out.append((bisect.bisect_left(caps, key), den, a, b, c, d))
+                    c += sa
+                    d += sb
     return out
 
 

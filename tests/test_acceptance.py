@@ -33,6 +33,7 @@ from latcount.haar import (
     volume_of_ball,
 )
 from latcount.lattice import (
+    _shell_counts,
     count_series,
     enumerate_ball,
     orbit_forms_count,
@@ -128,8 +129,22 @@ def test_criterion_3_ratio_error_decays_for_all_rnorms():
         ok = ok and slope <= -0.20
         name = "inf" if math.isinf(r) else f"{r:g}"
         details.append(f"r={name}: slope {slope:.2f} (R^2 {r2:.2f})")
+    # r = 2 on exact shells: sup |N / (6T^2 - 12) - 1| over dyadic T windows in
+    # [16, 1024], N at every integer cap T^2, against Selberg's O(X^(2/3)), X =
+    # T^2, which is a slope of -2/3 for the relative error
+    caps = np.arange(16**2, 1024**2 + 1)
+    counts = np.array(_shell_counts(rnorm_gauge(2), caps.tolist()), dtype=float)
+    rel_err = np.abs(counts / (6.0 * caps - 12.0) - 1.0)
+    windows = [(16 * 2**i, 32 * 2**i) for i in range(6)]
+    sups = [rel_err[(caps >= lo * lo) & ((caps < hi * hi) | (hi == 1024))
+                    & (caps <= hi * hi)].max() for lo, hi in windows]
+    shell_slope, shell_r2 = _loglog_slope([math.sqrt(lo * hi) for lo, hi in windows], sups)
+    selberg = -2.0 / 3.0 + 0.05
+    ok = ok and shell_slope <= selberg
+    details.append(f"r=2 exact shells T in [16, 1024]: sup slope {shell_slope:.3f} <= "
+                   f"{selberg:.3f} (R^2 {shell_r2:.3f})")
     record_acceptance(
-        3, "log|ratio-1| slope <= -0.20 for r in {1,2,inf}", ok,
+        3, "log|ratio-1| slope <= -0.20 for r in {1,2,inf}; r=2 shells at Selberg's -2/3", ok,
         "; ".join(details))
     assert ok
 

@@ -5,15 +5,20 @@ Each entry is one command line with the SHA-256 of its CSV and of its JSON
 Haar volume rules, the growth fit in both threshold scales, the det p^(2k)
 level ladder, the gauge scale metadata, the weight-polytope boundedness
 check, and the coset and torus passes on SL(2,Z[1/p]), SL(3,Z) and the r = 1
-kernel.  Others pin how the CLI resolves a spec: a hyperbolic gauge on the
-T scale, t-scale runs of T-native gauges, torus flags parsed into tuples, an
-sl3z spectral run and balanced runs at four tensor powers (the default q = 3
-run is in the benchmark's digests too).  A refactor that means to keep every
+kernel.  Three more pin the columnar "sq" walk: a seed-2 benchmark torus
+line (non-integer top threshold, random base point), a hyperbolic coset run
+at q = 3 and an sl2z1p coset run whose p B exclusion bites at p = 3.  Others
+pin how the CLI resolves a spec: a hyperbolic gauge on the T scale, t-scale
+runs of T-native gauges, torus flags parsed into tuples, an sl3z spectral run
+and balanced runs at four tensor powers (the default q = 3 run is in the
+benchmark's digests too).  A refactor that means to keep every
 output byte keeps these digests.
 """
 
 import hashlib
+import importlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -86,6 +91,15 @@ PINNED = [
     ("balanced --q 5 --tmax 30 --steps 9",
      "14b703f9ab69d4c054560adc489ac3cae2f1ce95781f205f9662df7f5f99b44c",
      "9df632fb7142cbf4c90a2bdd73a6bd32e778d6e6612e724e98513549b4a0ed7e"),
+    ("torus --tmax 151.43405140783386 --x0 0.9478274870593494,0.05655136772680869",
+     "53319f7132561cec6d3e2ee349beb3935723d9ac3bb422f95b6ee1feffa618d1",
+     "7d3915f1a9f66654de8302204a839727f1a57fd7740a531bcd236ee17ac7e5cb"),
+    ("coset --gauge hyperbolic --q 3 --tmax 9",
+     "f525677e1ce766976ccce671c9b2f6a610ced1ff8286d6fa1cf1853d96c1d9ad",
+     "37f891a27da68c4e3bd2ce5c8e4c164fa7f298285c77ea765073ff16bf2e2853"),
+    ("coset --group sl2z1p --gauge height:p=3 --q 2 --tmax 30",
+     "e051a6dcd513589d8a9e9e95ee09e4046dc28bfd1cb30018c69241b76c5ec025",
+     "95a29fb1ab6f4d3ce2ed1d21bbf2c205f07844f6448e49286f14e34089cc2665"),
 ]
 
 
@@ -101,3 +115,21 @@ def test_cli_output_bytes(command, csv_digest, json_digest):
     payload.pop("runtime_seconds")
     assert _sha256(render_csv(report)) == csv_digest
     assert _sha256(json.dumps(payload, sort_keys=True)) == json_digest
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_benchmark_coset_and_torus_lines_keep_their_digests(seed, monkeypatch):
+    # seeds 1 and 2 move --tmax off an integer and draw the torus --x0; the
+    # digests are computed as perfbench/worker.py computes them
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    worker = importlib.import_module("worker")
+    workloads = importlib.import_module("workloads")
+    reference = json.loads((PERFBENCH / "reference" / "digests.json").read_text())
+    lines = workloads.command_lines(workloads.WORKLOADS["sl2z-frobenius"], seed)
+    for label in ("coset", "torus"):
+        report = run_experiment(resolve_spec(build_parser().parse_args(lines[label])))
+        got = worker.digests(render_csv(report), render_json(report))
+        assert got == reference["sl2z-frobenius"][str(seed)][label], (label, lines[label])

@@ -4,17 +4,20 @@ progression_buckets counts SL(2)-type balls along Bezout progressions, SL(3)
 balls by their third rows and form balls by an integer form key, all without
 building elements; enumerate_ball + bucket_index is the independent route it
 must reproduce exactly: per-bucket counts, residue histograms, torus rows and
-orbit counts.
+orbit counts.  The "sq" balls are walked in numpy columns (ball_columns); the
+per-element Python walk in _brute is their record-for-record oracle.
 """
 
 import inspect
 import math
+import tracemalloc
 from collections import Counter
+from fractions import Fraction
 from functools import lru_cache
 
 import pytest
 
-from _brute import brute_orbit_count
+from _brute import brute_orbit_count, sq_ball_records
 from latcount.errors import BudgetError, SpecError
 from latcount.gauges import (
     BinaryForm,
@@ -43,8 +46,17 @@ from latcount.lattice import (
     sl_residue_order,
     threshold_bucketer,
 )
-from latcount.torus import CosetObservable, TorusCharacter, deviation_series
+from latcount.torus import (
+    CosetObservable,
+    TorusCharacter,
+    _column_residues,
+    _column_turns,
+    _record_phase,
+    _residue_keys,
+    deviation_series,
+)
 import latcount.lattice as lattice
+import latcount.torus as torus
 
 INF = math.inf
 X0 = (math.sqrt(2.0) - 1.0, math.sqrt(3.0) - 1.0)
@@ -234,6 +246,7 @@ def kernel_never_runs(monkeypatch):
     def boom(*args, **kwargs):
         raise AssertionError("the kernel ran before the checks")
     monkeypatch.setattr(lattice, "_progression_ball", boom)
+    monkeypatch.setattr(lattice, "_sq_columns", boom)
     monkeypatch.setattr(lattice, "_shell_counts", boom)
 
 
@@ -449,6 +462,7 @@ def test_sq_counts_take_the_shell_route(monkeypatch):
     def boom(*args, **kwargs):
         raise AssertionError("an sq count walked the ball")
     monkeypatch.setattr(lattice, "_progression_ball", boom)
+    monkeypatch.setattr(lattice, "_sq_columns", boom)
     monkeypatch.setattr(lattice, "_enumerate_sl2", boom)
     assert count_series("sl2z", rnorm_gauge(2), [10.0, 37.5]).counts() == [580, 8324]
     assert count_series("sl2z", hyperbolic_gauge(), [1.0, 2.0]).counts() == [20, 52]
@@ -490,3 +504,144 @@ def test_kernel_routes(group, gauge, thr):
 ])
 def test_enumeration_routes(group, gauge):
     assert progression_buckets(group, gauge, (2.0,)) is None
+
+
+# ---------------------------------------------------------------------------
+# "sq" balls in numpy columns: the Python walk of _brute is the oracle
+# ---------------------------------------------------------------------------
+
+SEED2_X0 = (0.9478274870593494, 0.05655136772680869)  # the benchmark's seed-2 torus point
+T_SEED2 = 151.43405140783386
+# the tie grids of CASES, the benchmark's T = 150 and seed-2 balls in one grid,
+# and the p B skip at p = 2, 3, 5
+COLUMN_CASES = [case for case in CASES if key_norm(case[1]) == "sq"] + [
+    ("sl2z", rnorm_gauge(2), (2.0, math.sqrt(50.0), 100.0, 149.9, 150.0, 151.0, T_SEED2)),
+    ("sl2z", hyperbolic_gauge(), (1.0, 3.0, math.acosh(500.0), 9.0)),
+    ("sl2z1p", height_gauge(2), (2.0, math.sqrt(32.0), math.sqrt(512.0), 40.0)),
+    ("sl2z1p", height_gauge(3), (2.0, math.sqrt(18.0), 9.0, math.sqrt(162.0), 45.0)),
+    ("sl2z1p", height_gauge(5), (2.0, math.sqrt(50.0), 20.0, math.sqrt(1250.0), 45.0)),
+]
+COLUMN_IDS = [f"{g}-{gauge.describe()}-T{thr[-1]:.6g}" for g, gauge, thr in COLUMN_CASES]
+
+
+def column_records(group, gauge, thr):
+    """Every row of every ball_columns chunk, as a ball_buckets record."""
+    chunks = lattice.ball_columns(group, gauge, thr)
+    return [rec for cols in chunks for rec in zip(*(col.tolist() for col in cols))]
+
+
+def oracle_records(gauge, thr):
+    return sq_ball_records(gauge, [gauge_cap(gauge, t) for t in thr])
+
+
+@pytest.mark.parametrize("group,gauge,thr", COLUMN_CASES, ids=COLUMN_IDS)
+def test_column_records_match_the_python_walk(group, gauge, thr):
+    columns = Counter(column_records(group, gauge, thr))
+    assert columns == Counter(oracle_records(gauge, thr))
+    assert set(columns.values()) == {1}
+    assert Counter(progression_buckets(group, gauge, thr)) == columns
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+@pytest.mark.parametrize("group,gauge,thr", [case for case in CASES if key_norm(case[1]) == "sq"],
+                         ids=[i for i, case in zip(IDS, CASES) if key_norm(case[1]) == "sq"])
+def test_column_records_do_not_depend_on_the_chunk_size(monkeypatch, rows, group, gauge, thr):
+    monkeypatch.setattr(lattice, "_SQ_CHUNK_ROWS", rows)
+    chunks = list(lattice.ball_columns(group, gauge, thr))
+    assert all(len(cols[0]) and len(set(cols[1].tolist())) == 1 for cols in chunks)
+    assert Counter(column_records(group, gauge, thr)) == Counter(oracle_records(gauge, thr))
+
+
+@pytest.mark.parametrize("m,point", [
+    ((1, 0), X0),
+    ((1, 0), SEED2_X0),
+    ((2, -1), SEED2_X0),
+    ((3, 5), (0.1, 0.7)),
+    ((0, 0), (0.5, 0.25)),
+    ((1, 1), (-2.75, 1e-3)),
+], ids=["m10-x0", "m10-seed2", "m2-1-seed2", "m35", "trivial", "negative-point"])
+def test_column_phases_equal_record_phases(m, point):
+    phase = _record_phase(m, point, 2)
+    for cols in lattice.ball_columns("sl2z", rnorm_gauge(2), (20.0, 60.0)):
+        records = zip(*(col.tolist() for col in cols))
+        assert _column_turns(m, point, *cols[2:]).tolist() == [phase(rec) for rec in records]
+
+
+@pytest.mark.parametrize("group,gauge,thr", [
+    ("sl2z", rnorm_gauge(2), (5.0, math.sqrt(50.0), 25.0, 40.0)),
+    ("sl2z", hyperbolic_gauge(), (1.0, 3.0, 5.0, 7.0)),
+    ("sl2z1p", height_gauge(3), (2.0, 3.0, 4.0, 4.2)),
+], ids=["rnorm:2", "hyperbolic", "height:p=3-level-0"])
+@pytest.mark.parametrize("point", [X0, SEED2_X0], ids=["x0", "seed2"])
+def test_torus_rows_of_columns_match_the_elements(group, gauge, thr, point):
+    ball = list(enumerate_ball(group, gauge, thr[-1]))
+    for m in ((1, 0), (2, -1)):
+        via_columns = deviation_series(group, gauge, thr, TorusCharacter(m), point)
+        via_elements = deviation_series(group, gauge, thr, TorusCharacter(m), point,
+                                        elements=ball)
+        assert via_columns.rows == via_elements.rows  # floats compared with ==
+
+
+def test_exact_points_take_the_record_route(monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("an exact point took the float columns")
+    monkeypatch.setattr(torus, "_column_turns", boom)
+    thr = (5.0, 12.0, 25.0)
+    ball = list(enumerate_ball("sl2z", rnorm_gauge(2), thr[-1]))
+    for point in ((Fraction(1, 3), Fraction(2, 7)), (1, 0)):
+        via_records = deviation_series("sl2z", rnorm_gauge(2), thr, TorusCharacter((1, 0)), point)
+        via_elements = deviation_series("sl2z", rnorm_gauge(2), thr, TorusCharacter((1, 0)),
+                                        point, elements=ball)
+        assert via_records.rows == via_elements.rows
+
+
+def test_a_level_above_zero_stops_the_torus_columns():
+    with pytest.raises(SpecError, match="integral"):
+        deviation_series("sl2z1p", height_gauge(2), (2.0, 3.0), TorusCharacter((1, 0)), X0)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+@pytest.mark.parametrize("group,gauge,thr", [
+    ("sl2z", rnorm_gauge(2), (5.0, math.sqrt(50.0), 20.0, 30.0)),
+    ("sl2z", hyperbolic_gauge(), (1.0, 3.0, 6.0)),
+    ("sl2z1p", height_gauge(2), (2.0, math.sqrt(32.0), 16.0, 20.0)),
+    ("sl2z1p", height_gauge(5), (2.0, math.sqrt(50.0), 20.0, 30.0)),
+], ids=["rnorm:2", "hyperbolic", "height:p=2", "height:p=5"])
+def test_column_residues_match_the_records(monkeypatch, q, group, gauge, thr):
+    monkeypatch.setattr(lattice, "_SQ_CHUNK_ROWS", 3)  # many chunks to merge
+    records = oracle_records(gauge, thr)
+    chunks = lattice.ball_columns(group, gauge, thr)
+    assert _column_residues(chunks, q, len(thr)) == Counter(_residue_keys(records, q, 2))
+
+
+def test_a_cap_above_the_int64_bound_fails_before_the_walk(monkeypatch):
+    class NoNumpy:
+        def __getattr__(self, name):
+            raise AssertionError(f"np.{name} used before the cap check")
+
+    monkeypatch.setattr(lattice, "np", NoNumpy())
+    with pytest.raises(BudgetError, match="int64"):
+        next(lattice._sq_columns(rnorm_gauge(2), [lattice._SQ_CAP_MAX + 1]))
+    monkeypatch.undo()
+    # T^2 = 32769^2 > 2**30 passes a budget of 10**12 (14 T^2 = 1.5e10 elements)
+    with pytest.raises(BudgetError, match="int64"):
+        deviation_series("sl2z", rnorm_gauge(2), [32769.0], CosetObservable(2), budget=10**12)
+    with pytest.raises(BudgetError, match="int64"):
+        list(progression_buckets("sl2z", rnorm_gauge(2), [32769.0], budget=10**12))
+    assert gauge_cap(rnorm_gauge(2), 32768.0) == lattice._SQ_CAP_MAX
+
+
+def test_torus_pass_memory_stays_below_the_record_walk():
+    # 8,765,590 bytes: the tracemalloc peak of this same pass when its phases
+    # came from per-element Python records (Python 3.11.7, numpy 2.4.6)
+    record_walk_peak = 8_765_590
+    thr = tuple(2.0 * 75.0 ** (i / 13) for i in range(14))  # the torus CLI grid
+    chi = TorusCharacter((1, 0))
+    deviation_series("sl2z", rnorm_gauge(2), thr[:3], chi, X0)  # warm the caches
+    tracemalloc.start()
+    try:
+        deviation_series("sl2z", rnorm_gauge(2), thr, chi, X0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= record_walk_peak
