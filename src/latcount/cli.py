@@ -114,7 +114,9 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--x0", help="torus base point a,b")
     ap.add_argument("--threads", type=int, help="no effect; echoed in the JSON spec")
     ap.add_argument("--seed", type=int)
-    ap.add_argument("--budget", type=int, help="element budget override")
+    ap.add_argument("--budget", type=int,
+                    help="budget override: elements of a walked ball, "
+                         "r2 table entries of a shell count")
     ap.add_argument("--out", help="output path prefix (default: stdout)")
     ap.add_argument("--format", choices=("csv", "json"),
                     help="emit only this format (default: both)")

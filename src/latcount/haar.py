@@ -265,8 +265,9 @@ def _sl3_inner(a1: float, T: float, nodes: int) -> float:
     disc = R * R - 4.0 * c
     if disc < 0:
         return 0.0
-    x_lo = 0.5 * (R - math.sqrt(disc))
     x_hi = 0.5 * (R + math.sqrt(disc))
+    # x_lo x_hi = c; R - sqrt(disc) would cancel to 0 once c << R^2 (T ~ 670)
+    x_lo = 2.0 * c / (R + math.sqrt(disc))
     a2_lo = max(-0.5 * a1, 0.5 * math.log(x_lo))
     a2_hi = min(a1, 0.5 * math.log(x_hi))
     if a2_hi <= a2_lo:

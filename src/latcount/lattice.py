@@ -67,6 +67,13 @@ def _level_count(p: int | None, cap: int) -> int:
     return levels
 
 
+def _shell_table(p: int | None, top: int) -> tuple[list[int], int]:
+    """The dets p^(2l) of the levels of an "sq" ball of cap top, and the size
+    top + 2 det_max of the r2 table that counts it."""
+    dets = [p ** (2 * l) if l else 1 for l in range(_level_count(p, top))]
+    return dets, top + 2 * dets[-1]
+
+
 def _shell_counts(gauge: Gauge, caps: Sequence[int]) -> list[int]:
     """#{elements with key <= cap} for every cap of a nondecreasing grid, key_norm "sq".
 
@@ -85,14 +92,14 @@ def _shell_counts(gauge: Gauge, caps: Sequence[int]) -> list[int]:
     if top < 2:  # ||A||^2 >= 2 |det A| >= 2
         return [0] * len(caps)
     p = gauge.prime
-    dets = [p ** (2 * l) if l else 1 for l in range(_level_count(p, top))]
-    size = top + 2 * dets[-1]
+    dets, size = _shell_table(p, top)
     s = math.isqrt(size)
     # x >= 1, y >= 0 holds one point of each orbit of the quarter turn on Z^2 - 0
     x = np.arange(1, s + 1, dtype=np.int64)
     y = np.arange(s + 1, dtype=np.int64)
     norms = (x[:, None] * x[:, None] + y * y).ravel()
     r2 = np.bincount(norms[norms <= size], minlength=size + 1).astype(np.int64, copy=False)
+    del norms  # the largest array here: free it before the shells
     r2 *= 4
     r2[0] = 1
     # every shell is at most max(r2)^2, and the total adds top + 1 shells per level
@@ -100,8 +107,10 @@ def _shell_counts(gauge: Gauge, caps: Sequence[int]) -> list[int]:
     cap_arr = np.asarray(caps, dtype=np.int64)
 
     def below(det: int, cap: np.ndarray) -> np.ndarray:
-        n = np.arange(2 * det, top + 1, dtype=np.int64)
-        cum = np.cumsum((r2[n + 2 * det] * r2[n - 2 * det]) >> (n & 1))
+        # shells n = 2 det .. top; r2(n + 2 det) and r2(n - 2 det) are slices
+        cum = r2[4 * det : top + 2 * det + 1] * r2[: top - 2 * det + 1]
+        cum[1::2] >>= 1  # odd n
+        np.cumsum(cum, out=cum)
         idx = cap - 2 * det
         return np.where(idx >= 0, cum[np.maximum(idx, 0)], 0)
 
@@ -129,14 +138,17 @@ def estimate_count(group: str, gauge: Gauge, threshold: float) -> int:
             est = min(est, sum(2**i * math.comb(8, i) * math.comb(b, i) for i in range(9)))
         return est
     if gauge.kind == "hyperbolic":
-        return max(16, int(14.0 * math.cosh(threshold)))
-    if gauge.kind == "height":
-        levels = _level_count(gauge.prime, gauge_cap(gauge, threshold))
-        return max(16, int(14.0 * threshold**2) * levels)
-    if gauge.kind == "rep_form":
-        bound = entry_bound(gauge, threshold)
-        return max(16, 16 * bound * bound)
-    return max(16, int(14.0 * threshold**2))
+        # the rnorm:2 estimate 14 T^2 at the same integer cap: ||g||^2 <= 2 cosh t
+        est = 14 * gauge_cap(gauge, threshold)
+    elif gauge.kind == "height":
+        est = int(14.0 * threshold**2) * _level_count(gauge.prime, gauge_cap(gauge, threshold))
+    elif gauge.kind == "rep_form":
+        est = 16 * entry_bound(gauge, threshold) ** 2
+    else:
+        est = int(14.0 * threshold**2)
+    # the 20 elements of SL(2,Z) with entries in {-1, 0, 1} hold every ball of
+    # entry bound 1, such as rnorm:inf for 1 <= T < 2
+    return max(20, est)
 
 
 def _check_supported(group: str, gauge: Gauge) -> None:
@@ -346,11 +358,16 @@ def _enumerate_sl2(gauge: Gauge, threshold: float) -> Iterator[GroupElement]:
                         yield el
 
 
-def _check_ball(group: str, gauge: Gauge, threshold: float, budget: int | None) -> None:
-    """Reject unsupported pairs and bad thresholds, then apply the budget gate."""
+def _check_threshold(group: str, gauge: Gauge, threshold: float) -> None:
+    """Reject unsupported pairs and thresholds that are not positive and finite."""
     _check_supported(group, gauge)
     if not 0 < threshold < math.inf:
         raise SpecError(f"threshold must be positive and finite, got {threshold}")
+
+
+def _check_ball(group: str, gauge: Gauge, threshold: float, budget: int | None) -> None:
+    """Reject unsupported pairs and bad thresholds, then apply the budget gate."""
+    _check_threshold(group, gauge, threshold)
     cap = _resolve_budget(budget)
     try:
         est = estimate_count(group, gauge, threshold)
@@ -534,12 +551,6 @@ def _sq_columns(gauge: Gauge, caps: Sequence[int]) -> Iterator[tuple[np.ndarray,
                    np.concatenate((c, d, -c, -d)), np.concatenate((d, -c, -d, c)))
 
 
-def _sq_records(gauge: Gauge, caps: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    """_sq_columns flattened into ball_buckets records."""
-    for cols in _sq_columns(gauge, caps):
-        yield from zip(*(col.tolist() for col in cols))
-
-
 def _sl3_ball(norm: str, caps: Sequence[int]) -> Iterator[tuple[int, ...]]:
     """(bisect_left(caps, key), 1, *entries) for every element of SL(3,Z) with key <= caps[-1].
 
@@ -604,32 +615,84 @@ def _check_grid(thresholds: Sequence[float]) -> None:
         raise SpecError("thresholds must be finite, strictly increasing and nonempty")
 
 
+def _is_sq_ball(group: str, gauge: Gauge) -> bool:
+    return group in ("sl2z", "sl2z1p") and key_norm(gauge) == "sq"
+
+
 def _sq_caps(group: str, gauge: Gauge, thresholds: Sequence[float],
              budget: int | None) -> list[int] | None:
-    """The integer caps of an "sq" ball of sl2z or sl2z1p, after the grid check,
-    the ball's checks and its budget gate; None, with nothing checked, for every
-    other ball."""
-    if group not in ("sl2z", "sl2z1p") or key_norm(gauge) != "sq":
+    """The integer caps of an "sq" ball of sl2z or sl2z1p to be walked, after the
+    grid check, the ball's checks and its budget gate; None, with nothing
+    checked, for every other ball."""
+    if not _is_sq_ball(group, gauge):
         return None
     _check_grid(thresholds)
     _check_ball(group, gauge, thresholds[-1], budget)
     return [gauge_cap(gauge, t) for t in thresholds]
 
 
+def _shell_caps(group: str, gauge: Gauge, thresholds: Sequence[float],
+                budget: int | None) -> list[int] | None:
+    """The integer caps of an "sq" ball that is only counted (_shell_counts).
+
+    The grid check and the ball's checks run as in _sq_caps, but no element is
+    kept, so the budget gates the r2 table instead: caps[-1] + 2 p^(2l)
+    entries, l the top level, compared in integers before any array exists.
+    None, with nothing checked, for every other ball.
+    """
+    if not _is_sq_ball(group, gauge):
+        return None
+    _check_grid(thresholds)
+    _check_threshold(group, gauge, thresholds[-1])
+    cap = _resolve_budget(budget)
+    try:
+        top = gauge_cap(gauge, thresholds[-1])
+    except OverflowError:  # 2 cosh t has no float value: no table holds the ball
+        raise BudgetError(f"{group} ball at threshold {thresholds[-1]:g} has no float cap, "
+                          f"over budget {cap}") from None
+    _, size = _shell_table(gauge.prime, top)
+    if size > cap:
+        raise BudgetError(f"r2 table of {size} entries for {group} ball at threshold "
+                          f"{thresholds[-1]:g} exceeds budget {cap}")
+    return [gauge_cap(gauge, t) for t in thresholds]
+
+
+# records per chunk of ball_columns off the "sq" walk
+_CHUNK_RECORDS = 4096
+
+
+def _record_chunks(records: Iterable[tuple[int, ...]]) -> Iterator[tuple[np.ndarray, ...]]:
+    """ball_buckets records packed into int64 column chunks of _CHUNK_RECORDS
+    records, one denominator per chunk (the last chunk of each shorter)."""
+    pending: dict[int, list[tuple[int, ...]]] = {}
+    for rec in records:
+        chunk = pending.setdefault(rec[1], [])
+        chunk.append(rec)
+        if len(chunk) == _CHUNK_RECORDS:
+            yield tuple(np.array(pending.pop(rec[1]), dtype=np.int64).T)
+    for chunk in pending.values():
+        yield tuple(np.array(chunk, dtype=np.int64).T)
+
+
 def ball_columns(
-    group: str, gauge: Gauge, thresholds: Sequence[float], budget: int | None = None
-) -> Iterator[tuple[np.ndarray, ...]] | None:
-    """The ball at thresholds[-1] as chunks of int64 columns (bucket, p^l, a, b, c, d).
+    group: str, gauge: Gauge, thresholds: Sequence[float], budget: int | None = None, *,
+    elements: Iterable[GroupElement] | None = None,
+) -> Iterator[tuple[np.ndarray, ...]]:
+    """The ball at thresholds[-1] as chunks of int64 columns (bucket, denom, *entries).
 
     Row j of a chunk is the ball_buckets record of one element; every element
-    comes once.  Covers the "sq" balls of sl2z (rnorm:2, hyperbolic) and
-    sl2z1p (height), from one numpy walk (_sq_columns) whose memory stays
-    bounded; returns None for every other ball, which then needs
-    ball_buckets.  For a covered ball the grid check, the checks and the
-    budget gate of enumerate_ball run first, at the call.
+    comes once, and every chunk is nonempty with one denominator.  The "sq"
+    balls of sl2z (rnorm:2, hyperbolic) and sl2z1p (height) come from one
+    numpy walk (_sq_columns); every other ball, and given elements, pack the
+    records of ball_buckets, _CHUNK_RECORDS at a time.  Entries must fit
+    int64, as they do in every ball its budget admits.  The grid check, and
+    without elements the checks and the budget gate of enumerate_ball, run
+    first, at the call.
     """
-    caps = _sq_caps(group, gauge, thresholds, budget)
-    return None if caps is None else _sq_columns(gauge, caps)
+    caps = None if elements is not None else _sq_caps(group, gauge, thresholds, budget)
+    if caps is not None:
+        return _sq_columns(gauge, caps)
+    return _record_chunks(ball_buckets(group, gauge, thresholds, elements=elements, budget=budget))
 
 
 def progression_buckets(
@@ -641,7 +704,7 @@ def progression_buckets(
     (p^l = 1 on sl2z); bucket is the index of the first threshold whose ball
     holds the element, as bucket_index gives it.  _KERNEL_NORMS says which
     balls it covers: the "sq" balls of sl2z (rnorm:2, hyperbolic) and sl2z1p
-    (height) flatten the column chunks of ball_columns; a Python Bezout walk
+    (height) flatten the column chunks of _sq_columns; a Python Bezout walk
     (_progression_ball) serves sl2z with rnorm:1, rnorm:inf and form gauges;
     and _sl3_ball serves sl3z with rnorm:1, rnorm:2 and rnorm:inf (records
     (bucket, 1, *entries), nine entries).  Returns None for every other ball,
@@ -651,7 +714,8 @@ def progression_buckets(
     """
     caps = _sq_caps(group, gauge, thresholds, budget)
     if caps is not None:
-        return _sq_records(gauge, caps)
+        chunks = _sq_columns(gauge, caps)
+        return (rec for cols in chunks for rec in zip(*(col.tolist() for col in cols)))
     _check_grid(thresholds)
     _check_ball(group, gauge, thresholds[-1], budget)
     norm = key_norm(gauge)
@@ -733,7 +797,7 @@ def ball_buckets(
     threshold whose ball holds it, as bucket_index gives it.  This is the one
     place that picks the route for records: progression_buckets where it
     covers the ball (for the "sq" balls of sl2z and sl2z1p, the column chunks
-    of ball_columns flattened into records), else enumerate_ball; given
+    of _sq_columns flattened into records), else enumerate_ball; given
     elements are bucketed as they are and those above thresholds[-1] are
     dropped.  The grid must be finite, strictly increasing and nonempty
     (SpecError otherwise); without elements, the ball's checks and budget gate
@@ -769,13 +833,14 @@ def count_series(
 
     The "sq" balls of sl2z and sl2z1p (rnorm:2, hyperbolic, height) are counted
     from r2 shells (_shell_counts) without walking them; the grid check and
-    the budget gate of ball_buckets still run first.  Every other ball, and
+    the ball's checks still run first, and the budget gates the size of the
+    r2 table instead of the element estimate.  Every other ball, and
     given elements, take one pass over the ball at the largest threshold
     (ball_buckets) that feeds every bucket.  Volumes (when the gauge has a
     computable Haar volume) are normalized so that the ratio column tends to 1.
     """
     thr = [float(t) for t in thresholds]
-    caps = None if elements is not None else _sq_caps(group, gauge, thr, budget)
+    caps = None if elements is not None else _shell_caps(group, gauge, thr, budget)
     if caps is not None:
         counts = _shell_counts(gauge, caps)
     else:

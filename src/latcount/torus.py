@@ -7,7 +7,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -15,7 +15,7 @@ from .errors import SpecError
 from .gauges import Gauge
 from .groups import GroupElement, ResidueClass, adjugate, denominator_scale, resolve_group
 from .haar import GrowthFit, fit_growth
-from .lattice import CosetHistogram, ball_buckets, ball_columns, sl_residue_order
+from .lattice import CosetHistogram, ball_columns, sl_residue_order
 
 __all__ = [
     "TorusCharacter",
@@ -81,41 +81,26 @@ def _turn(total) -> complex:
 _NOT_INTEGRAL = "torus action needs integral matrices (p_power 0)"
 
 
-def _record_phase(m: Sequence[int], point: Sequence, n: int):
-    """ball_buckets record -> exp(2 pi i <m, gamma^{-1} x>) for n x n elements.
+def _rows(flat: Sequence) -> tuple:
+    """The n rows of n^2 row-major entries."""
+    n = math.isqrt(len(flat))
+    return tuple(tuple(flat[i * n : (i + 1) * n]) for i in range(n))
 
-    gamma^{-1} is the adjugate of an integral gamma; a record with a
-    denominator raises SpecError.  The coordinates are exact when the point is
-    rational.
+
+def _column_turns(m: Sequence[int], point: Sequence[float],
+                  entries: Sequence[np.ndarray]) -> np.ndarray:
+    """exp(2 pi i <m, gamma^{-1} x>) of every record of integral int64 columns,
+    at a float base point.
+
+    gamma^{-1} = adjugate(gamma) at det 1, and the sum of _phase over _act
+    runs on whole columns: a float point makes every step one IEEE operation,
+    in the same order as on one record, and numpy's % 1.0 is Python's.  2 pi
+    i f has real part 0 * f - 2 pi * 0 = 0 and imaginary part 2 pi f, one
+    rounding, in numpy as in Python; exp stays cmath's, one record at a time.
     """
-    if n == 2:
-        m0, m1 = m
-        x0, x1 = point
-
-        def phase(rec: tuple[int, ...]) -> complex:
-            _, den, a, b, c, d = rec
-            if den != 1:
-                raise SpecError(_NOT_INTEGRAL)
-            # _phase(m, _act(((d, -b), (-c, a)), point)) unrolled: the same
-            # products and left-to-right sums from 0, so the same floats
-            return _turn(0 + m0 * (0 + d * x0 + -b * x1) + m1 * (0 + -c * x0 + a * x1))
-
-        return phase
-
-    def phase(rec: tuple[int, ...]) -> complex:
-        if rec[1] != 1:
-            raise SpecError(_NOT_INTEGRAL)
-        rows = tuple(rec[2 + i * n : 2 + (i + 1) * n] for i in range(n))
-        return _phase(m, _act(adjugate(rows), point))
-
-    return phase
-
-
-def _residue_keys(records: Iterable[tuple[int, ...]], q: int, n: int) -> Iterator[tuple[int, ...]]:
-    """(bucket, denom, entries mod q) of each ball_buckets record of an n x n element."""
-    if n == 2:
-        return ((i, den, a % q, b % q, c % q, d % q) for i, den, a, b, c, d in records)
-    return ((rec[0], rec[1], *[e % q for e in rec[2:]]) for rec in records)
+    total = sum(mi * ci for mi, ci in zip(m, _act(adjugate(_rows(entries)), point)))
+    frac = total % 1.0
+    return np.fromiter(map(cmath.exp, (frac * (2j * math.pi)).tolist()), complex, len(frac))
 
 
 def _tally(codes: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -126,50 +111,57 @@ def _tally(codes: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return codes[starts], np.add.reduceat(weights, starts)
 
 
-def _column_residues(chunks: Iterable[tuple[np.ndarray, ...]], q: int, k: int) -> Counter:
-    """Counter(_residue_keys(records, q, 2)) for the records of ball_columns chunks.
+def _column_residues(chunks: Iterable[tuple[np.ndarray, ...]], q: int, k: int, n: int) -> Counter:
+    """Counter of (bucket, denom, *entries mod q) over the records of ball_columns
+    chunks of n x n elements in k buckets.
 
-    Each record's (bucket, a, b, c, d mod q) packs into one int64 (k q^4 must
-    stay below 2**62).  The codes of every chunk (one denominator each) are
-    tallied at once, and the tallies of a denominator merged at the end.
+    While k q^(n^2) < 2**62 each record packs into one int64 code, tallied
+    per chunk (one denominator each) and merged per denominator; above, the
+    tuples are counted one record at a time.
     """
+    shape = (k,) + (q,) * (n * n)
+    packed = k * q ** (n * n) < 2**62
     found: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
-    for i, den, a, b, c, d in chunks:
-        code = (((i * q + a % q) * q + b % q) * q + c % q) * q + d % q
-        found.setdefault(int(den[0]), []).append(_tally(code, np.ones_like(code)))
     residues: Counter[tuple[int, ...]] = Counter()
+    for i, den, *entries in chunks:
+        if not packed:
+            records = zip(*(col.tolist() for col in (i, den, *entries)))
+            residues.update((b, d, *(e % q for e in rec)) for b, d, *rec in records)
+            continue
+        code = i
+        for e in entries:
+            code = code * q + e % q
+        found.setdefault(int(den[0]), []).append(_tally(code, np.ones_like(code)))
     for den, parts in found.items():
         codes, hits = _tally(*(np.concatenate(v) for v in zip(*parts)))
-        keys = zip(*(v.tolist() for v in np.unravel_index(codes, (k, q, q, q, q))))
+        keys = zip(*(v.tolist() for v in np.unravel_index(codes, shape)))
         for (i, *res), h in zip(keys, hits.tolist()):
             residues[(i, den, *res)] = h
     return residues
 
 
-def _column_turns(m: Sequence[int], point: Sequence[float], a, b, c, d) -> np.ndarray:
-    """_record_phase of every record of integral columns, at a float base point.
-
-    The same products and left-to-right sums as _record_phase, in numpy: a
-    float point makes every step one IEEE operation, the same in both, and
-    numpy's % 1.0 is Python's.  2 pi i f has real part 0 * f - 2 pi * 0 = 0
-    and imaginary part 2 pi f, one rounding, in numpy as in Python; exp stays
-    cmath's, one record at a time.
-    """
-    m0, m1 = m
-    x0, x1 = point
-    frac = (0 + m0 * (0 + d * x0 + -b * x1) + m1 * (0 + -c * x0 + a * x1)) % 1.0
-    return np.fromiter(map(cmath.exp, (frac * (2j * math.pi)).tolist()), complex, len(frac))
-
-
 def _column_phase_sums(chunks: Iterable[tuple[np.ndarray, ...]], m: Sequence[int],
-                       point: Sequence[float], k: int) -> list[tuple[float, float, int]]:
+                       point: Sequence, k: int) -> list[tuple[float, float, int]]:
     """(fsum of the real parts, fsum of the imaginary parts, count) of the
-    phases in each of the k buckets of ball_columns chunks."""
+    phases in each of the k buckets of ball_columns chunks.
+
+    A float point runs on whole columns (_column_turns); an exact (Fraction
+    or int) point, and 3 x 3 entries whose int64 cofactors could overflow
+    (|e| >= 2**31, only among given elements), take _phase one record at a
+    time, on Python integers.
+    """
+    exact = not all(isinstance(x, float) for x in point)
     parts: list[list[np.ndarray]] = [[np.zeros(0, complex)] for _ in range(k)]
-    for i, den, a, b, c, d in chunks:
+    for i, den, *entries in chunks:
         if den[0] != 1:
             raise SpecError(_NOT_INTEGRAL)
-        z = _column_turns(m, point, a, b, c, d)[np.argsort(i)]
+        big = len(entries) > 4 and max(max(int(e.max()), -int(e.min())) for e in entries) >= 2**31
+        if exact or big:
+            records = zip(*(e.tolist() for e in entries))
+            z = np.array([_phase(m, _act(adjugate(_rows(rec)), point)) for rec in records])
+        else:
+            z = _column_turns(m, point, entries)
+        z = z[np.argsort(i)]
         for j, part in enumerate(np.split(z, np.cumsum(np.bincount(i, minlength=k))[:-1])):
             parts[j].append(part)
     sums = []
@@ -201,14 +193,14 @@ def deviation_series(
 
     The observable picks the pass: a TorusCharacter averages its phase at the
     base point, a CosetObservable takes the sup-deviation over the residue
-    classes mod q.  The "sq" balls of sl2z and sl2z1p (lattice.ball_columns)
-    run both passes over numpy column chunks: torus phases at an all-float
-    base point, bit for bit as _record_phase gives them, and coset residues
-    packed into int64 codes.  Every other ball, an exact (Fraction or int)
-    base point and given elements take the records of lattice.ball_buckets.
-    With elements, the average runs over those of them inside the top ball.
-    Torus sums are fsum'd per bucket, so the order of the pass does not
-    matter.
+    classes mod q.  Both passes read the int64 column chunks of
+    lattice.ball_columns, for every ball and for given elements.  Torus
+    phases at an all-float base point run on whole columns, bit for bit as
+    _phase gives them one record at a time; an exact (Fraction or int) point
+    takes _phase on each record of the chunk.  Coset residues are packed into
+    int64 codes while k q^(n^2) < 2**62 and counted as tuples above.  With
+    elements, the average runs over those of them inside the top ball.  Torus
+    sums are fsum'd per bucket, so the order of the pass does not matter.
     """
     n = resolve_group(group).n
     thr = tuple(float(x) for x in thresholds)
@@ -218,18 +210,8 @@ def deviation_series(
             raise SpecError("torus average needs a base point of matching dimension")
         if len(observable.m) != n:
             raise SpecError("frequency vector dimension mismatch")
-        chunks = None
-        if elements is None and all(isinstance(x, float) for x in point):
-            chunks = ball_columns(group, gauge, thr, budget)
-        if chunks is None:
-            phase = _record_phase(observable.m, point, n)
-            phases: list[list[complex]] = [[] for _ in range(k)]
-            for rec in ball_buckets(group, gauge, thr, elements=elements, budget=budget):
-                phases[rec[0]].append(phase(rec))
-            sums = [(math.fsum(z.real for z in zs), math.fsum(z.imag for z in zs), len(zs))
-                    for zs in phases]
-        else:
-            sums = _column_phase_sums(chunks, observable.m, point, k)
+        chunks = ball_columns(group, gauge, thr, budget, elements=elements)
+        sums = _column_phase_sums(chunks, observable.m, point, k)
         target = observable.target()
         rows = []
         re_parts: list[float] = []
@@ -247,14 +229,8 @@ def deviation_series(
     elif isinstance(observable, CosetObservable):
         q = observable.q
         order = sl_residue_order(n, q)
-        chunks = None
-        if elements is None and k * q**4 < 2**62:
-            chunks = ball_columns(group, gauge, thr, budget)
-        if chunks is None:
-            records = ball_buckets(group, gauge, thr, elements=elements, budget=budget)
-            residues: Counter[tuple[int, ...]] = Counter(_residue_keys(records, q, n))
-        else:
-            residues = _column_residues(chunks, q, k)
+        chunks = ball_columns(group, gauge, thr, budget, elements=elements)
+        residues = _column_residues(chunks, q, k, n)
         buckets: list[Counter[ResidueClass]] = [Counter() for _ in range(k)]
         for (i, den, *res), hits in residues.items():
             # 1/den reduces to a unit mod q; two denominators can share a class

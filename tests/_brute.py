@@ -1,6 +1,7 @@
 """Slow oracles the fast routes are checked against: exhaustive small-ball
-scans, the per-element Python walk of the "sq" balls, residue-group and orbit
-counts by enumeration, and the per-node-pair KAK quadrature."""
+scans, the per-element Python walk of the "sq" balls, per-record torus phases
+and coset residues, residue-group and orbit counts by enumeration, and the
+per-node-pair KAK quadrature."""
 
 from __future__ import annotations
 
@@ -21,8 +22,9 @@ from latcount.gauges import (
     gauge_leq,
     rep_form_gauge,
 )
-from latcount.groups import GroupElement, ext_gcd, int_det
+from latcount.groups import GroupElement, adjugate, ext_gcd, int_det
 from latcount.lattice import _level_count
+from latcount.torus import _act, _phase, _turn
 
 
 def brute_sl2z(gauge: Gauge, threshold: float) -> set[GroupElement]:
@@ -123,6 +125,41 @@ def sq_ball_records(gauge: Gauge, caps) -> list[tuple[int, ...]]:
                     c += sa
                     d += sb
     return out
+
+
+def record_phase(m, point, n: int):
+    """ball_buckets record -> exp(2 pi i <m, gamma^{-1} x>) for n x n elements,
+    one record at a time: the per-record pass the torus columns replace.
+
+    gamma^{-1} is the adjugate of an integral gamma; a record with a
+    denominator raises SpecError.  For 2 x 2 the phase expression is unrolled
+    by hand: the products and left-to-right sums from 0 of _phase(m,
+    _act(((d, -b), (-c, a)), point)), so the same floats.
+    """
+    if n == 2:
+        m0, m1 = m
+        x0, x1 = point
+
+        def phase(rec: tuple[int, ...]) -> complex:
+            _, den, a, b, c, d = rec
+            if den != 1:
+                raise SpecError("torus action needs integral matrices (p_power 0)")
+            return _turn(0 + m0 * (0 + d * x0 + -b * x1) + m1 * (0 + -c * x0 + a * x1))
+
+        return phase
+
+    def phase(rec: tuple[int, ...]) -> complex:
+        if rec[1] != 1:
+            raise SpecError("torus action needs integral matrices (p_power 0)")
+        rows = tuple(rec[2 + i * n : 2 + (i + 1) * n] for i in range(n))
+        return _phase(m, _act(adjugate(rows), point))
+
+    return phase
+
+
+def residue_keys(records, q: int) -> list[tuple[int, ...]]:
+    """(bucket, denom, entries mod q) of each ball_buckets record, one at a time."""
+    return [(rec[0], rec[1], *[e % q for e in rec[2:]]) for rec in records]
 
 
 def brute_sl_residue_order(n: int, q: int) -> int:

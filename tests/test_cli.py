@@ -182,6 +182,13 @@ def test_overflowing_estimate_exits_budget(capsys):
     assert code == 3 and "budget" in err
 
 
+def test_count_past_the_element_estimate_runs_on_shells(capsys):
+    # 14 T^2 = 10,020,024 elements would be over the default budget for a walk;
+    # the r2 table of 715,718 entries is not
+    payload = _json_run(capsys, "count", "--tmax", "846")
+    assert payload["table"]["rows"][-1][1] == 4_294_388
+
+
 OVERFLOWING_VOLUME = (
     "volume --gauge hyperbolic --tmax 1e6",
     "admissibility --tmax 1e6 --steps 2",
@@ -203,6 +210,14 @@ def test_largest_hyperbolic_volume_still_runs(capsys):
     payload = _json_run(capsys, "volume", "--gauge", "hyperbolic", "--tmax", "700")
     assert payload["table"]["columns"][2] == "volume"
     assert all(math.isfinite(row[2]) for row in payload["table"]["rows"])
+    assert payload["bounds"][0]["passed"]
+
+
+def test_sl3_volume_runs_past_the_root_cancellation(capsys):
+    # the small root of x^2 - R x + c, taken as R - sqrt(R^2 - 4c), was 0 here
+    payload = _json_run(capsys, "volume", "--group", "sl3z", "--tmax", "1000")
+    vols = [row[2] for row in payload["table"]["rows"]]
+    assert all(math.isfinite(v) and v > 0 for v in vols) and vols == sorted(vols)
     assert payload["bounds"][0]["passed"]
 
 

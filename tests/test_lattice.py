@@ -26,6 +26,7 @@ from latcount.lattice import (
     count_series,
     enumerate_ball,
     _level_count,
+    _shell_counts,
     estimate_count,
     orbit_forms_count,
     sl_residue_order,
@@ -243,6 +244,38 @@ def test_sl3z_estimate_bounds_the_count(r, grid):
     counts = count_series("sl3z", gauge, grid, with_volume=False).counts()
     for t, count in zip(grid, counts):
         assert estimate_count("sl3z", gauge, t) >= count
+
+
+@pytest.mark.parametrize("group,gauge", [
+    ("sl2z", G2),
+    ("sl2z", hyperbolic_gauge()),
+    ("sl2z1p", height_gauge(2)),
+    ("sl2z1p", height_gauge(3)),
+], ids=["rnorm:2", "hyperbolic", "height:p=2", "height:p=3"])
+def test_sq_estimate_bounds_the_count_at_every_integer_cap(group, gauge):
+    # the least threshold of each cap; at cap 7 the hyperbolic ball holds 52
+    # elements, over the 49 it was priced at as 14 cosh t
+    caps = range(2, 20_001)
+    counts = [0, 0] + _shell_counts(gauge, list(caps))
+    for cap in caps:
+        t = math.acosh(cap / 2) if gauge.kind == "hyperbolic" else math.sqrt(cap)
+        assert estimate_count(group, gauge, t) >= counts[gauge_cap(gauge, t)]
+
+
+@pytest.mark.parametrize("group,gauge,grid", [
+    ("sl2z", rnorm_gauge(1), (2.0, 3.0, 5.0, 10.0, 20.0, 40.0, 80.0)),
+    ("sl2z", rnorm_gauge(math.inf), (1.0, 1.5, 2.0, 3.0, 5.0, 10.0, 20.0, 40.0)),
+    ("sl2z", rnorm_gauge(3), (1.5, 2.0, 3.0, 5.0, 10.0, 20.0)),
+    ("sl2z", rnorm_gauge(1.5), (1.5, 2.0, 3.0, 5.0, 10.0, 20.0)),
+    ("sl2z", parse_gauge("form:deg=4:coeffs=1,0,0,0,1"), (1.5, 10.0, 60.0, 250.0, 1000.0)),
+    ("sl2z", parse_gauge("form:deg=4:coeffs=1,0,1,0,1"), (1.5, 10.0, 60.0, 250.0, 1000.0)),
+    ("sl3z", rnorm_gauge(3), (1.5, 2.0)),
+], ids=["rnorm:1", "rnorm:inf", "rnorm:3", "rnorm:1.5", "x4+y4", "x4+x2y2+y4", "sl3z-rnorm:3"])
+def test_estimate_bounds_the_count_on_a_grid(group, gauge, grid):
+    # rnorm:inf at T = 1 holds the 20 elements with entries in {-1, 0, 1}
+    counts = count_series(group, gauge, grid, with_volume=False).counts()
+    for t, count in zip(grid, counts):
+        assert estimate_count(group, gauge, t) >= count
 
 
 def test_height_estimate_counts_every_level():

@@ -10,6 +10,7 @@ per-element Python walk in _brute is their record-for-record oracle.
 
 import inspect
 import math
+import random
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -17,7 +18,7 @@ from functools import lru_cache
 
 import pytest
 
-from _brute import brute_orbit_count, sq_ball_records
+from _brute import brute_orbit_count, record_phase, residue_keys, sq_ball_records
 from latcount.errors import BudgetError, SpecError
 from latcount.gauges import (
     BinaryForm,
@@ -51,8 +52,6 @@ from latcount.torus import (
     TorusCharacter,
     _column_residues,
     _column_turns,
-    _record_phase,
-    _residue_keys,
     deviation_series,
 )
 import latcount.lattice as lattice
@@ -269,6 +268,37 @@ def test_an_overflowing_estimate_is_over_budget():
         count_series("sl2z", hyperbolic_gauge(), [1e6])
     with pytest.raises(BudgetError):
         deviation_series("sl2z", hyperbolic_gauge(), [1e6], CosetObservable(2))
+
+
+class NoNumpy:
+    def __getattr__(self, name):
+        raise AssertionError(f"np.{name} used before the gate")
+
+
+@pytest.mark.parametrize("group,gauge,T,size", [
+    ("sl2z", rnorm_gauge(2), 900.0, 810_002),
+    ("sl2z", hyperbolic_gauge(), math.acosh(20_000.0), 40_002),
+    ("sl2z1p", height_gauge(2), 40.0, 1600 + 2 * 4**4),  # levels 0..4
+    ("sl2z1p", height_gauge(3), 45.0, 2025 + 2 * 9**3),  # levels 0..3
+], ids=["rnorm:2", "hyperbolic", "height:p=2", "height:p=3"])
+def test_shell_counts_are_gated_on_the_table_size(monkeypatch, group, gauge, T, size):
+    # a count keeps no element: the budget bounds the r2 table, caps[-1] + 2 det_max
+    counts = count_series(group, gauge, [T], with_volume=False, budget=size).counts()
+    assert counts == count_series(group, gauge, [T], with_volume=False, budget=10**8).counts()
+    monkeypatch.setattr(lattice, "np", NoNumpy())
+    with pytest.raises(BudgetError, match="r2 table"):
+        count_series(group, gauge, [T], with_volume=False, budget=size - 1)
+
+
+def test_walks_keep_the_element_gate():
+    # 14 T^2 = 11,340,000 elements at T = 900 is over the default budget for a
+    # walk, while the count's table of 810,002 entries is under it
+    assert count_series("sl2z", rnorm_gauge(2), [900.0], with_volume=False).counts() == \
+        [4_857_140]
+    with pytest.raises(BudgetError, match="estimated 11340000 elements"):
+        deviation_series("sl2z", rnorm_gauge(2), [900.0], CosetObservable(2))
+    with pytest.raises(BudgetError, match="estimated 11340000 elements"):
+        progression_buckets("sl2z", rnorm_gauge(2), [900.0])
 
 
 @pytest.mark.parametrize("threshold", [math.nan, math.inf])
@@ -561,10 +591,10 @@ def test_column_records_do_not_depend_on_the_chunk_size(monkeypatch, rows, group
     ((1, 1), (-2.75, 1e-3)),
 ], ids=["m10-x0", "m10-seed2", "m2-1-seed2", "m35", "trivial", "negative-point"])
 def test_column_phases_equal_record_phases(m, point):
-    phase = _record_phase(m, point, 2)
+    phase = record_phase(m, point, 2)
     for cols in lattice.ball_columns("sl2z", rnorm_gauge(2), (20.0, 60.0)):
         records = zip(*(col.tolist() for col in cols))
-        assert _column_turns(m, point, *cols[2:]).tolist() == [phase(rec) for rec in records]
+        assert _column_turns(m, point, cols[2:]).tolist() == [phase(rec) for rec in records]
 
 
 @pytest.mark.parametrize("group,gauge,thr", [
@@ -611,7 +641,7 @@ def test_column_residues_match_the_records(monkeypatch, q, group, gauge, thr):
     monkeypatch.setattr(lattice, "_SQ_CHUNK_ROWS", 3)  # many chunks to merge
     records = oracle_records(gauge, thr)
     chunks = lattice.ball_columns(group, gauge, thr)
-    assert _column_residues(chunks, q, len(thr)) == Counter(_residue_keys(records, q, 2))
+    assert _column_residues(chunks, q, len(thr), 2) == Counter(residue_keys(records, q))
 
 
 def test_a_cap_above_the_int64_bound_fails_before_the_walk(monkeypatch):
@@ -645,3 +675,129 @@ def test_torus_pass_memory_stays_below_the_record_walk():
     finally:
         tracemalloc.stop()
     assert peak <= record_walk_peak
+
+
+# ---------------------------------------------------------------------------
+# every ball in column chunks: the per-record oracles of _brute
+# ---------------------------------------------------------------------------
+
+# balls off the "sq" walk: the Python kernels, and enumeration (rnorm:3, rnorm:1.5)
+PACKED_CASES = [
+    ("sl2z", rnorm_gauge(1), (2.0, 3.5, 5.0, 12.0, 20.0)),
+    ("sl2z", rnorm_gauge(INF), (1.0, 2.0, 5.5, 11.0)),
+    ("sl2z", rnorm_gauge(3), (1.5, 2.0, 5.0, 8.0)),
+    ("sl2z", rnorm_gauge(1.5), (2.0, 3.0, 6.0)),
+    ("sl2z", rep_form_gauge(QUARTIC), (math.sqrt(2.0), 10.0, 60.0)),
+    ("sl3z", rnorm_gauge(2), (2.0, 3.0, 3.5)),
+    ("sl3z", rnorm_gauge(1), (2.0, 3.0, 4.0)),
+    ("sl3z", rnorm_gauge(INF), (0.5, 1.0, 1.5)),
+]
+PACKED_IDS = [f"{g}-{gauge.describe()}" for g, gauge, _ in PACKED_CASES]
+
+
+@pytest.mark.parametrize("group,gauge,thr", PACKED_CASES, ids=PACKED_IDS)
+def test_ball_columns_cover_every_ball(monkeypatch, group, gauge, thr):
+    monkeypatch.setattr(lattice, "_CHUNK_RECORDS", 100)  # many chunks
+    chunks = list(lattice.ball_columns(group, gauge, thr))
+    assert all(col.dtype.name == "int64" for cols in chunks for col in cols)
+    assert all(len(cols[0]) == 100 for cols in chunks[:-1]) and len(chunks[-1][0])
+    assert Counter(column_records(group, gauge, thr)) == Counter(ball_buckets(group, gauge, thr))
+
+
+@pytest.mark.parametrize("gauge,thr", [case[1:] for case in PACKED_CASES[-3:]],
+                         ids=PACKED_IDS[-3:])
+def test_sl3_columns_equal_the_record_oracles(gauge, thr):
+    chunks = list(lattice.ball_columns("sl3z", gauge, thr))
+    records = [rec for cols in chunks for rec in zip(*(col.tolist() for col in cols))]
+    for m in ((1, 0, -1), (2, 3, 5)):
+        phase = record_phase(m, X3, 3)
+        turns = [z for cols in chunks for z in _column_turns(m, X3, cols[2:]).tolist()]
+        assert turns == [phase(rec) for rec in records]  # floats compared with ==
+    for q in (2, 3, 5):
+        assert _column_residues(chunks, q, len(thr), 3) == Counter(residue_keys(records, q))
+
+
+SL3_GRID = (1.5, 2.0, math.sqrt(5.0), 2.5, math.sqrt(8.0), 3.0, math.sqrt(10.0))
+SL2_GRID = (2.0, 5.0, math.sqrt(50.0), 12.0, 20.0, 30.0)
+
+
+@pytest.mark.parametrize("group,thr,q", [
+    ("sl3z", SL3_GRID, 97),       # 7 * 97^9 >= 2**62
+    ("sl3z", SL3_GRID[:-1], 97),  # 6 * 97^9 < 2**62, just
+    ("sl2z", SL2_GRID, 30_011),   # 6 * 30011^4 >= 2**62
+    ("sl2z", SL2_GRID[1:], 30_011),
+], ids=["sl3z-q97-k7", "sl3z-q97-k6", "sl2z-q30011-k6", "sl2z-q30011-k5"])
+def test_coset_codes_past_int64_count_tuples(monkeypatch, group, thr, q):
+    n = 3 if group == "sl3z" else 2
+    if len(thr) * q ** (n * n) >= 2**62:
+        def boom(*args, **kwargs):
+            raise AssertionError("codes past 2**62 were packed")
+        monkeypatch.setattr(torus, "_tally", boom)
+    records = list(ball_buckets(group, rnorm_gauge(2), thr))
+    chunks = lattice.ball_columns(group, rnorm_gauge(2), thr)
+    assert _column_residues(chunks, q, len(thr), n) == Counter(residue_keys(records, q))
+
+
+def test_wide_coset_rows_match_the_histograms():
+    q, gauge = 30_011, rnorm_gauge(2)
+    ball = list(enumerate_ball("sl2z", gauge, SL2_GRID[-1]))
+    order = sl_residue_order(2, q)
+    expected = []
+    for t in SL2_GRID:
+        inside = [el for el in ball if gauge_leq(gauge, el, t)]
+        expected.append((t, coset_histogram(inside, q).sup_deviation(order), len(inside)))
+    assert deviation_series("sl2z", gauge, SL2_GRID, CosetObservable(q)).rows == tuple(expected)
+
+
+def test_given_elements_chunk_by_denominator(monkeypatch):
+    monkeypatch.setattr(lattice, "_CHUNK_RECORDS", 3)
+    gauge, thr = height_gauge(2), (3.0, 6.0, 10.0)
+    ball = list(enumerate_ball("sl2z1p", gauge, 12.0))  # levels 0..2, some above thr[-1]
+    random.Random(0).shuffle(ball)
+    chunks = list(lattice.ball_columns("sl2z1p", gauge, thr, elements=ball))
+    dens = [set(cols[1].tolist()) for cols in chunks]
+    assert all(len(d) == 1 for d in dens)
+    assert set.union(*dens) == {1, 2, 4}
+    for den in (1, 2, 4):
+        sizes = [len(cols[0]) for cols, d in zip(chunks, dens) if d == {den}]
+        assert all(size == 3 for size in sizes[:-1]) and 1 <= sizes[-1] <= 3
+    assert Counter(rec for cols in chunks for rec in zip(*(col.tolist() for col in cols))) == \
+        Counter(ball_buckets("sl2z1p", gauge, thr, elements=ball))
+
+
+@pytest.mark.parametrize("group,gauge,thr", [
+    ("sl2z", rnorm_gauge(2), (5.0, 12.0)),
+    ("sl2z", rnorm_gauge(1), (5.0, 12.0)),
+    ("sl3z", rnorm_gauge(2), (1.5, 2.0)),
+], ids=["sq-walk", "sl2z-records", "sl3z-records"])
+def test_float_points_take_the_columns_and_exact_points_the_records(monkeypatch, group, gauge,
+                                                                     thr):
+    n = 3 if group == "sl3z" else 2
+    chi = TorusCharacter((1, 2, 0)[:n])
+    ball = list(enumerate_ball(group, gauge, thr[-1]))
+
+    def boom(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"{name} ran")
+        return call
+
+    for point, patched in (((X3 if n == 3 else X0), "_phase"),
+                           (tuple(Fraction(1, k + 3) for k in range(n)), "_column_turns")):
+        with monkeypatch.context() as patch:
+            patch.setattr(torus, patched, boom(patched))
+            via_ball = deviation_series(group, gauge, thr, chi, point)
+            via_elements = deviation_series(group, gauge, thr, chi, point, elements=ball)
+        assert via_ball.rows == via_elements.rows
+
+
+def test_large_sl3_entries_keep_exact_cofactors():
+    # the cofactor N^2 - N of N = 2**32 wraps to -N in int64, which would give a
+    # phase off 1; such given elements take the record route, on Python integers
+    big = 2**32
+    el = GroupElement.from_rows(((1, big, big), (0, 1, big), (0, 0, 1)))
+    thr = (2.0**34,)
+    chi = TorusCharacter((1, 2, -1))
+    (rec,) = ball_buckets("sl3z", rnorm_gauge(2), thr, elements=[el])
+    z = record_phase(chi.m, X3, 3)(rec)
+    rows = deviation_series("sl3z", rnorm_gauge(2), thr, chi, X3, elements=[el]).rows
+    assert rows == ((thr[0], abs(z), 1),)

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from _brute import record_phase
 from latcount.errors import BudgetError, SpecError
 from latcount.gauges import height_gauge, hyperbolic_gauge, rnorm_gauge
 from latcount.groups import adjugate, reduce_mod
@@ -15,7 +16,6 @@ from latcount.torus import (
     TorusCharacter,
     _act,
     _phase,
-    _record_phase,
     decay_fit,
     deviation_series,
 )
@@ -86,7 +86,7 @@ def test_rational_point_exact_vs_float(ball20):
 def test_unrolled_2x2_phase_is_the_generic_phase(point):
     # the 2x2 phase of every record must give the floats of _phase(_act(adjugate))
     m = (2, -1)
-    phase = _record_phase(m, point, 2)
+    phase = record_phase(m, point, 2)
     for rec in progression_buckets("sl2z", rnorm_gauge(2), [12.0]):
         rows = (rec[2:4], rec[4:6])
         assert phase(rec) == _phase(m, _act(adjugate(rows), point))
