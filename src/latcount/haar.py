@@ -5,6 +5,11 @@ Normalization: the geometric convention (hyperbolic area x unit mass on K) is
 used internally; lattice-facing volumes divide by the covolume and multiply by
 the center order from the group descriptor.  The KAK proportionality constant
 is calibrated once against the Frobenius closed form rather than asserted.
+
+Volumes are asked for on a whole threshold grid.  The SL2 KAK quadrature
+covers the grid in one theta1 loop: its sublevel searches run on the
+(threshold, theta2) rows of every threshold, a batch of thresholds at a time,
+and each threshold keeps the bits a pass of its own would give.
 """
 from __future__ import annotations
 
@@ -12,9 +17,9 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -118,21 +123,45 @@ def _kak_entry_coeffs(theta1: float, cos2: np.ndarray,
 
 
 def _rnorm_of_s(u: np.ndarray, v: np.ndarray, r: float, s: np.ndarray) -> np.ndarray:
-    """rnorm(u e^s + v e^{-s}) of row i at the points s[i] (or at s for every row)."""
+    """rnorm(u e^s + v e^{-s}) of row i at the points s[i], shape (rows, k).
+
+    One entry at a time on (rows, k) arrays, summed in the order (0,0), (0,1),
+    (1,0), (1,1): the bits of reducing the stacked (2, 2, rows, k) array over
+    its two leading axes, without building it.
+    """
     E = np.exp(s)
-    entries = np.abs(u[:, :, :, None] * E + v[:, :, :, None] / E)
-    if math.isinf(r):
-        return entries.max(axis=(0, 1))
-    return (entries ** r).sum(axis=(0, 1)) ** (1.0 / r)
+    power = not (r == 1.0 or math.isinf(r))  # x ** 1.0 is x; r = inf takes the max
+    acc = None
+    for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        t = u[i, j][:, None] * E
+        t += v[i, j][:, None] / E
+        np.abs(t, out=t)
+        if power:
+            t **= r
+        if acc is None:
+            acc = t
+        elif math.isinf(r):
+            np.maximum(acc, t, out=acc)
+        else:
+            acc += t
+    return acc ** (1.0 / r) if power else acc
 
 
-def _refine_crossing(u: np.ndarray, v: np.ndarray, r: float, T: float,
+def _spaced(lo: np.ndarray, hi: np.ndarray, n: int) -> np.ndarray:
+    """Row i holds the n points np.linspace(lo[i], hi[i], n), bit for bit."""
+    s = ((hi - lo) / (n - 1))[:, None] * np.arange(n, dtype=float)
+    s += lo[:, None]
+    s[:, -1] = hi
+    return s
+
+
+def _refine_crossing(u: np.ndarray, v: np.ndarray, r: float, T: np.ndarray,
                      lo: np.ndarray, hi: np.ndarray, want_leq_left: bool) -> np.ndarray:
     """Locate, row by row, the crossing of the (convex) s-profile through T in [lo, hi]."""
     rows = np.arange(lo.shape[0])
     for _ in range(5):
-        s = np.linspace(lo, hi, 33, axis=-1)
-        inside = _rnorm_of_s(u, v, r, s) <= T
+        s = _spaced(lo, hi, 33)
+        inside = _rnorm_of_s(u, v, r, s) <= T[:, None]
         if want_leq_left:
             idx = np.where(inside.all(axis=1), 32, inside.argmin(axis=1))
         else:
@@ -142,76 +171,108 @@ def _refine_crossing(u: np.ndarray, v: np.ndarray, r: float, T: float,
     return 0.5 * (lo + hi)
 
 
-def _sublevel_interval(u: np.ndarray, v: np.ndarray, r: float, T: float,
-                       s_cap: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row by row, the interval {s in [0, s_cap] : rnorm(k1 a_s k2) <= T}.
+def _sublevel_interval(u: np.ndarray, v: np.ndarray, r: float, T: np.ndarray,
+                       s_cap: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row by row, the interval {s in [0, s_cap[i]] : rnorm(k1 a_s k2) <= T[i]}.
 
     The profile in s is convex.  Returns (nonempty, s_a, s_b); s_a and s_b
     mean nothing on rows whose sublevel set is empty.
     """
     rows = np.arange(u.shape[2])
-    grid = np.linspace(0.0, s_cap, 65)
+    grid = _spaced(np.zeros(rows.shape), s_cap, 65)
     vals = _rnorm_of_s(u, v, r, grid)
     # locate the profile minimum (three refinement rounds)
     i = vals.argmin(axis=1)
-    lo, hi = grid[np.maximum(i - 1, 0)], grid[np.minimum(i + 1, 64)]
+    lo, hi = grid[rows, np.maximum(i - 1, 0)], grid[rows, np.minimum(i + 1, 64)]
+    # only the end values are read again; the refinement reuses the memory
+    left_in, right_in = vals[:, 0] <= T, vals[:, -1] <= T
+    del grid, vals
     for _ in range(3):
-        s = np.linspace(lo, hi, 33, axis=-1)
+        s = _spaced(lo, hi, 33)
         j = _rnorm_of_s(u, v, r, s).argmin(axis=1)
         lo, hi = s[rows, np.maximum(j - 1, 0)], s[rows, np.minimum(j + 1, 32)]
     s_min = 0.5 * (lo + hi)
     nonempty = ~(_rnorm_of_s(u, v, r, s_min[:, None])[:, 0] > T)
     s_a = np.zeros(rows.shape)
-    left = nonempty & ~(vals[:, 0] <= T)
+    left = nonempty & ~left_in
     if left.any():
-        s_a[left] = _refine_crossing(u[:, :, left], v[:, :, left], r, T,
+        s_a[left] = _refine_crossing(u[:, :, left], v[:, :, left], r, T[left],
                                      s_a[left], s_min[left], want_leq_left=False)
-    s_b = np.full(rows.shape, s_cap)
-    right = nonempty & ~(vals[:, -1] <= T)
+    s_b = s_cap.copy()
+    right = nonempty & ~right_in
     if right.any():
-        s_b[right] = _refine_crossing(u[:, :, right], v[:, :, right], r, T,
+        s_b[right] = _refine_crossing(u[:, :, right], v[:, :, right], r, T[right],
                                       s_min[right], s_b[right], want_leq_left=True)
     return nonempty, s_a, s_b
 
 
-def _sl2_kak_raw(gauge: Gauge, T: float, *, panels: int = 4, nodes: int = 16) -> float:
-    """Uncalibrated integral of sinh(2s) over the KAK ball, (theta1,theta2) in [0,pi/2]^2.
+# (threshold, theta2) rows per sublevel search.  A search holds about five
+# (rows, 65) float arrays at once, so this bounds its memory whatever the grid
+# length; past about 128 rows the arithmetic, not the per-call overhead, sets
+# the time.
+_KAK_ROWS = 128
 
-    Quarter-period theta ranges suffice: shifting either angle by pi/2 permutes
-    the entry magnitudes, leaving any entrywise gauge invariant; the lost factor
-    is absorbed by the calibration constant.  The sublevel search runs on all
-    theta2 nodes of one theta1 node at once; the sum keeps theta1-major order.
+
+def _sl2_kak_raw(gauge: Gauge, thresholds: Sequence[float], *, panels: int = 4,
+                 nodes: int = 16) -> list[float]:
+    """Uncalibrated integrals of sinh(2s) over the KAK balls, (theta1,theta2) in [0,pi/2]^2.
+
+    One value per threshold, 0.0 for an empty ball.  Quarter-period theta
+    ranges suffice: shifting either angle by pi/2 permutes the entry
+    magnitudes, leaving any entrywise gauge invariant; the lost factor is
+    absorbed by the calibration constant.  Every cap is checked, in grid order,
+    before the one theta1 loop; at each theta1 node the sublevel search runs
+    on the (threshold, theta2) rows of a batch of thresholds.  Each sum keeps
+    theta1-major order, so a threshold's value does not depend on the grid.
     """
     if gauge.kind != "rnorm":
         raise SpecError(f"KAK quadrature handles rnorm gauges, not {gauge.kind!r}")
-    if T <= 0:
-        return 0.0
-    # ||g||_F <= 2 ||g||_max <= 2 ||g||_r caps the singular exponent
-    cap = 2.0 * T * T
-    if cap <= 1.0:
-        return 0.0
-    if not math.isfinite(cap):
-        raise NumericalError(f"KAK cap 2 T^2 overflows a float at T={T:g}")
-    s_cap = 0.5 * math.acosh(cap)
+    live = []  # (index, T, exponent cap) of each nonempty ball
+    for k, T in enumerate(thresholds):
+        if T <= 0:
+            continue
+        # ||g||_F <= 2 ||g||_max <= 2 ||g||_r caps the singular exponent
+        cap = 2.0 * T * T
+        if cap <= 1.0:
+            continue
+        if not math.isfinite(cap):
+            raise NumericalError(f"KAK cap 2 T^2 overflows a float at T={T:g}")
+        live.append((k, T, 0.5 * math.acosh(cap)))
+    totals = [0.0] * len(thresholds)
+    if not live:
+        return totals
     x, w = _gl_nodes(nodes)
     edges = np.linspace(0.0, math.pi / 2.0, panels + 1)
     theta_nodes = []
     theta_weights = []
     for lo, hi in zip(edges[:-1], edges[1:]):
         mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-        theta_nodes.extend(mid + half * x)
-        theta_weights.extend(half * w)
-    cos2 = np.array([math.cos(th) for th in theta_nodes])
-    sin2 = np.array([math.sin(th) for th in theta_nodes])
-    total = 0.0
+        theta_nodes.extend((mid + half * x).tolist())
+        theta_weights.extend((half * w).tolist())
+    m = len(theta_nodes)
+    per_batch = max(1, _KAK_ROWS // m)
+    batches = []
+    for at in range(0, len(live), per_batch):
+        ks, Ts, caps = zip(*live[at:at + per_batch])
+        batches.append((ks, np.repeat(Ts, m), np.repeat(caps, m)))
+    reps = len(batches[0][0])
+    cos2 = np.tile([math.cos(th) for th in theta_nodes], reps)
+    sin2 = np.tile([math.sin(th) for th in theta_nodes], reps)
     for th1, w1 in zip(theta_nodes, theta_weights):
         u, v = _kak_entry_coeffs(th1, cos2, sin2)
-        nonempty, s_a, s_b = _sublevel_interval(u, v, gauge.r, T, s_cap)
-        for w2, inside, a, b in zip(theta_weights, nonempty.tolist(),
-                                    s_a.tolist(), s_b.tolist()):
-            if inside:
-                total += w1 * w2 * 0.5 * (math.cosh(2.0 * b) - math.cosh(2.0 * a))
-    return total
+        for ks, T_rows, cap_rows in batches:
+            n = len(ks) * m
+            nonempty, s_a, s_b = _sublevel_interval(u[:, :, :n], v[:, :, :n], gauge.r,
+                                                    T_rows, cap_rows)
+            rows = zip(nonempty.tolist(), s_a.tolist(), s_b.tolist())
+            for k in ks:
+                total = totals[k]
+                # zip stops at the m-th weight before it draws another row
+                for w2, (inside, a, b) in zip(theta_weights, rows):
+                    if inside:
+                        total += w1 * w2 * 0.5 * (math.cosh(2.0 * b) - math.cosh(2.0 * a))
+                totals[k] = total
+    return totals
 
 
 @lru_cache(maxsize=1)
@@ -219,14 +280,14 @@ def _kak_calibration() -> float:
     """Constant mapping the raw KAK integral to the geometric normalization.
 
     Fixed by matching the Frobenius (r = 2) ball against its closed form at two
-    thresholds; the two estimates agreeing is the idempotence check.
+    thresholds, both from one KAK pass; the two estimates agreeing is the
+    idempotence check.
     """
     from .gauges import rnorm_gauge
 
-    g2 = rnorm_gauge(2)
+    thresholds = (10.0, 25.0)
     kappas = []
-    for T in (10.0, 25.0):
-        raw = _sl2_kak_raw(g2, T)
+    for T, raw in zip(thresholds, _sl2_kak_raw(rnorm_gauge(2), thresholds)):
         if raw <= 0:
             raise NumericalError("degenerate KAK calibration integral")
         kappas.append(frobenius_ball_volume(T) / raw)
@@ -312,23 +373,74 @@ def _sl3_volume(T: float) -> float:
 # public volume API
 # ---------------------------------------------------------------------------
 
-def _volume_rule(group: str, gauge: Gauge) -> tuple[Callable[[float], float], float] | None:
-    """(ball volume on positive thresholds, lattice covolume), or None without a rule.
+def _kak_volumes(gauge: Gauge, thresholds: Sequence[float]) -> Iterator[float]:
+    """Calibrated KAK volumes in grid order, failing where a pass per threshold would.
+
+    _sl2_kak_raw refuses a grid at its first threshold whose cap 2 T^2
+    overflows, before any quadrature.  Only when a volume before that
+    threshold may overflow a float too are those thresholds integrated first,
+    so that the first overflow in grid order is the one reported.
+    """
+    ts = list(thresholds)
+    first = next((k for k, T in enumerate(ts) if not math.isfinite(2.0 * T * T)), len(ts))
+    # ||g||_2 <= 4^(1/2 - 1/r) ||g||_r for r > 2, so vol_r(T) is at most the
+    # Frobenius ball's pi T^2 times 4^max(0, 1 - 2/r); 1e-3 covers the quadrature
+    bound = 1.001 * math.pi * 4.0 ** max(0.0, 1.0 - 2.0 / gauge.r)
+    safe = all(math.isfinite(bound * T * T) for T in ts[:first])
+    for grid in ([ts] if safe else [ts[:first], ts[first:]]):
+        for raw in _sl2_kak_raw(gauge, grid):
+            yield _kak_calibration() * raw
+
+
+def _volume_rule(
+    group: str, gauge: Gauge
+) -> tuple[Callable[[Sequence[float]], Iterable[float]], float] | None:
+    """(ball volumes on a grid of positive thresholds, lattice covolume), or None.
 
     SL2 rules use the geometric normalization (covolume pi/3); the SL3 chamber
-    quadrature is raw, meaningful up to scale, so its covolume is 1.
+    quadrature is raw, meaningful up to scale, so its covolume is 1.  The closed
+    forms and the SL3 rule yield lazily, one threshold at a time; the KAK rule
+    integrates the whole grid in one pass before it yields.
     """
     desc = resolve_group(group)
     sl2 = desc.n == 2 and not desc.s_arithmetic
     if sl2 and gauge.kind == "hyperbolic":
-        return hyperbolic_ball_area, covolume_psl2z()
+        return partial(map, hyperbolic_ball_area), covolume_psl2z()
     if sl2 and gauge.kind == "rnorm" and gauge.r == 2:
-        return frobenius_ball_volume, covolume_psl2z()
+        return partial(map, frobenius_ball_volume), covolume_psl2z()
     if sl2 and gauge.kind == "rnorm":
-        return (lambda T: _kak_calibration() * _sl2_kak_raw(gauge, T)), covolume_psl2z()
+        return partial(_kak_volumes, gauge), covolume_psl2z()
     if desc.n == 3 and gauge.kind == "rnorm" and gauge.r == 2:
-        return _sl3_volume, 1.0
+        return partial(map, _sl3_volume), 1.0
     return None
+
+
+def _ball_volumes(group: str, gauge: Gauge,
+                  thresholds: Sequence[float]) -> tuple[list[float], float]:
+    """Ball volumes on a threshold grid, and the covolume in the same normalization.
+
+    0.0 at thresholds <= 0; a pair without a volume rule raises SpecError even
+    there.  Volumes are checked in grid order: the first that does not fit a
+    float raises NumericalError.
+    """
+    rule = _volume_rule(group, gauge)
+    if rule is None:
+        raise SpecError(f"no volume rule for gauge {gauge.describe()!r} on {group}")
+    found = iter(rule[0]([t for t in thresholds if not t <= 0]))
+    volumes = []
+    for t in thresholds:
+        if t <= 0:
+            volumes.append(0.0)
+            continue
+        try:
+            volume = next(found)
+        except OverflowError:
+            volume = math.inf
+        if not math.isfinite(volume):
+            raise NumericalError(
+                f"ball volume of {gauge.describe()} on {group} at {t:g} overflows a float")
+        volumes.append(volume)
+    return volumes, rule[1]
 
 
 def volume_of_ball(group: str, gauge: Gauge, threshold: float) -> float:
@@ -337,19 +449,7 @@ def volume_of_ball(group: str, gauge: Gauge, threshold: float) -> float:
     0.0 at threshold <= 0; a pair without a volume rule raises SpecError there too.
     A volume that does not fit a float raises NumericalError.
     """
-    rule = _volume_rule(group, gauge)
-    if rule is None:
-        raise SpecError(f"no volume rule for gauge {gauge.describe()!r} on {group}")
-    if threshold <= 0:
-        return 0.0
-    try:
-        volume = rule[0](threshold)
-    except OverflowError:
-        volume = math.inf
-    if not math.isfinite(volume):
-        raise NumericalError(
-            f"ball volume of {gauge.describe()} on {group} at {threshold:g} overflows a float")
-    return volume
+    return _ball_volumes(group, gauge, [threshold])[0][0]
 
 
 def lattice_normalized_volumes(
@@ -359,11 +459,11 @@ def lattice_normalized_volumes(
 
     center_order * ball volume / covolume, both in the rule's normalization.
     """
-    rule = _volume_rule(group, gauge)
-    if rule is None:
+    if _volume_rule(group, gauge) is None:
         return None
-    center, covol = resolve_group(group).center_order, rule[1]
-    return [center * volume_of_ball(group, gauge, t) / covol for t in thresholds]
+    volumes, covol = _ball_volumes(group, gauge, thresholds)
+    center = resolve_group(group).center_order
+    return [center * v / covol for v in volumes]
 
 
 def volume_growth(
@@ -374,7 +474,7 @@ def volume_growth(
     t-scale gauges fit power_exp in t, T-scale gauges power in T; the fitted
     rate times gauge.dt_dlogT() is the exponent per log T.
     """
-    volumes = [volume_of_ball(group, gauge, t) for t in thresholds]
+    volumes = _ball_volumes(group, gauge, thresholds)[0]
     model = "power_exp" if gauge.scale == "t" else "power"
     fit = fit_growth(list(zip(thresholds, volumes)), model, window=window)
     return volumes, fit, fit.a * gauge.dt_dlogT()

@@ -52,8 +52,19 @@ def test_frobenius_gauge_dual_routes_agree():
 
     kappa = _kak_calibration()
     for T in (6.0, 40.0):
-        raw = _sl2_kak_raw(rnorm_gauge(2), T)
+        raw = _sl2_kak_raw(rnorm_gauge(2), [T])[0]
         assert kappa * raw == pytest.approx(frobenius_ball_volume(T), rel=1e-6)
+
+
+def test_kak_calibration_is_the_haar_constant():
+    # on the quarter theta ranges the raw r = 2 integral is (pi/2)^2 / 2 times
+    # (T^2/2 - 1) while the volume is 2 pi (T^2/2 - 1): kappa = 16/pi, and
+    # the fitted kappa is off by the sublevel search's r = 2 error alone
+    from latcount.haar import _kak_calibration
+
+    kappa, exact = _kak_calibration(), 16.0 / math.pi
+    error = abs(kappa - exact) / exact
+    assert error <= 5e-8, f"kappa {kappa!r} vs 16/pi {exact!r}: relative error {error:.3g}"
 
 
 # 0.6: early exit (2T^2 <= 1); 0.9 with r=inf: a partial ball; 1.2 with r=1:
@@ -64,15 +75,44 @@ def test_kak_raw_equals_per_pair_reference(r, T):
     from latcount.haar import _sl2_kak_raw
 
     gauge = rnorm_gauge(r)
-    assert _sl2_kak_raw(gauge, T, panels=2, nodes=8) == kak_raw_reference(
+    assert _sl2_kak_raw(gauge, [T], panels=2, nodes=8)[0] == kak_raw_reference(
         gauge, T, panels=2, nodes=8)
+
+
+# nonpositive, empty (2T^2 <= 1) and partial balls, a repeated threshold and a
+# descending pair: one pass must give each threshold its per-threshold bits
+ONE_PASS_GRID = (-1.0, 0.0, 0.6, 0.9, 1.2, 2.0, 3.7, 7.5, 16.05, 60.0, 150.0, 3.7, 40.0, 20.0)
+
+
+@pytest.mark.parametrize("r", [1.0, 2.0, 3.0, 1.5, math.inf])
+def test_kak_one_pass_equals_per_threshold_reference(r):
+    from latcount.haar import _KAK_ROWS, _sl2_kak_raw
+
+    # 16 theta2 rows per threshold at panels=2, nodes=8: the grid's live
+    # thresholds span more than one batch and do not fill the last one
+    live = sum(1 for T in ONE_PASS_GRID if 2.0 * T * T > 1.0)
+    per_batch = max(1, _KAK_ROWS // 16)
+    assert live > per_batch and live % per_batch != 0
+    gauge = rnorm_gauge(r)
+    assert _sl2_kak_raw(gauge, ONE_PASS_GRID, panels=2, nodes=8) == [
+        kak_raw_reference(gauge, T, panels=2, nodes=8) for T in ONE_PASS_GRID]
 
 
 def test_kak_raw_equals_per_pair_reference_at_default_size():
     from latcount.haar import _sl2_kak_raw
 
     gauge = rnorm_gauge(1)
-    assert _sl2_kak_raw(gauge, 150.0) == kak_raw_reference(gauge, 150.0)
+    assert _sl2_kak_raw(gauge, [150.0])[0] == kak_raw_reference(gauge, 150.0)
+
+
+def test_kak_one_pass_equals_per_threshold_reference_on_the_volume_grid():
+    # the grid of `volume --gauge rnorm:1` at its default spec, default rule size
+    from latcount.cli import _grid
+    from latcount.haar import _sl2_kak_raw
+
+    gauge = rnorm_gauge(1)
+    grid = _grid("volume", gauge, 150.0, 9)
+    assert _sl2_kak_raw(gauge, grid) == [kak_raw_reference(gauge, T) for T in grid]
 
 
 @pytest.mark.parametrize("r", [1.0, math.inf])
@@ -83,8 +123,8 @@ def test_kak_rnorm_volume_converges(r, T):
     from latcount.haar import _sl2_kak_raw
 
     gauge = rnorm_gauge(r)
-    coarse = _sl2_kak_raw(gauge, T, panels=4, nodes=16)
-    fine = _sl2_kak_raw(gauge, T, panels=8, nodes=32)
+    coarse = _sl2_kak_raw(gauge, [T], panels=4, nodes=16)[0]
+    fine = _sl2_kak_raw(gauge, [T], panels=8, nodes=32)[0]
     assert abs(coarse - fine) <= 1e-4 * fine
 
 
@@ -157,6 +197,47 @@ def test_volume_that_overflows_a_float_is_a_numerical_error():
     # 2 T^2 is inf: refused before the sublevel search runs on inf nodes
     with pytest.raises(NumericalError, match="KAK cap"):
         volume_of_ball("sl2z", rnorm_gauge(1), 1e155)
+    # a NaN threshold goes to the rule, as a positive one does, and fails there
+    with pytest.raises(NumericalError, match="at nan overflows"):
+        lattice_normalized_volumes("sl2z", rnorm_gauge(2), [2.0, math.nan, 3.0])
+
+
+def test_overflowing_kak_cap_fails_before_the_quadrature(monkeypatch):
+    # the grid of `volume --gauge rnorm:1 --tmax 1e155`: 2 T^2 first overflows
+    # at its fifth threshold, and no threshold is integrated before the error
+    import latcount.haar as haar
+    from latcount.cli import _grid
+
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("sublevel search ran before the cap check")
+
+    monkeypatch.setattr(haar, "_sublevel_interval", no_quadrature)
+    grid = _grid("volume", rnorm_gauge(1), 1e155, 9)
+    message = r"KAK cap 2 T\^2 overflows a float at T=1e\+154$"
+    with pytest.raises(NumericalError, match=message):
+        haar.volume_growth("sl2z", rnorm_gauge(1), grid, (grid[0], grid[-1]))
+    with pytest.raises(NumericalError, match=message):
+        lattice_normalized_volumes("sl2z", rnorm_gauge(1), grid)
+
+
+@pytest.mark.parametrize("r", [1.0, 1.5, 3.0, math.inf])
+def test_kak_volume_stays_below_its_frobenius_bound(r):
+    # ||g||_2 <= 4^max(0, 1/2 - 1/r) ||g||_r puts the r-ball inside a Frobenius
+    # ball; the overflow order of a grid rests on this bound
+    from latcount.haar import _ball_volumes
+
+    grid = [6.0, 1e6]
+    volumes, _ = _ball_volumes("sl2z", rnorm_gauge(r), grid)
+    for T, v in zip(grid, volumes):
+        assert 0.0 < v <= math.pi * T * T * 4.0 ** max(0.0, 1.0 - 2.0 / r)
+
+
+def test_volume_overflow_below_the_kak_cap_is_reported_first():
+    # r = inf volumes overflow a float from T ~ 6.6e153 on, below the T where
+    # 2 T^2 does: the first failure in grid order is the one reported
+    match = r"ball volume of rnorm:inf on sl2z at 8e\+153 overflows a float"
+    with pytest.raises(NumericalError, match=match):
+        lattice_normalized_volumes("sl2z", rnorm_gauge(math.inf), [8e153, 1e154])
 
 
 # ---------------------------------------------------------------------------

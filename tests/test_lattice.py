@@ -1,7 +1,9 @@
 """Enumerator correctness against exhaustive oracles, plus series plumbing."""
 
+import itertools
 import math
 import os
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -65,6 +67,39 @@ def test_frozen_counts():
     assert sum(1 for _ in enumerate_ball("sl2z", G2, 4.0)) == 100
     assert sum(1 for _ in enumerate_ball("sl3z", G2, 2.0)) == 312
     assert sum(1 for _ in enumerate_ball("sl2z1p", height_gauge(2), 3.0)) == 68
+
+
+def _definition_count(n: int, r: float, T: float) -> int:
+    """#{g in SL(n, Z) : ||g||_r <= T} for r in {1, inf}, from the definitions.
+
+    Box |e| <= floor(T), the determinant by cofactors and the norm compared
+    with Fraction(T); no gauge code.
+    """
+    B, bound = math.floor(T), Fraction(T)
+    count = 0
+    for e in itertools.product(range(-B, B + 1), repeat=n * n):
+        size = max(map(abs, e)) if math.isinf(r) else sum(map(abs, e))
+        if size > bound:
+            continue
+        if n == 2:
+            det = e[0] * e[3] - e[1] * e[2]
+        else:
+            det = (e[0] * (e[4] * e[8] - e[5] * e[7]) - e[1] * (e[3] * e[8] - e[5] * e[6])
+                   + e[2] * (e[3] * e[7] - e[4] * e[6]))
+        count += det == 1
+    return count
+
+
+@pytest.mark.parametrize("group,r,grid", [
+    ("sl2z", math.inf, (1.0, 2.0, 3.0, 4.0, 5.0, 6.0)),
+    ("sl2z", 1.0, (1.0, 2.0, 3.0, 4.0, 5.0, 6.0)),
+    ("sl3z", math.inf, (1.0,)),
+])
+def test_max_and_abs_balls_are_closed_at_integer_ties(group, r, grid):
+    # at integer T the "max" and "abs" keys sit exactly on the cap
+    n = 2 if group == "sl2z" else 3
+    counts = count_series(group, rnorm_gauge(r), grid, with_volume=False).counts()
+    assert counts == [_definition_count(n, r, T) for T in grid]
 
 
 BRUTE = {"sl2z": brute_sl2z, "sl3z": brute_sl3z, "sl2z1p": brute_sl2z1p}
