@@ -6,8 +6,9 @@ import math
 import os
 from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, product
+from itertools import accumulate, permutations, product
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -120,6 +121,30 @@ def _shell_counts(gauge: Gauge, caps: Sequence[int]) -> list[int]:
     return [int(v) for v in total]
 
 
+# _z8_ball_points takes O(n^1.5) steps; past this n (T = 32) it counts over
+# 4 * 10^12 points, beyond any walk, and the ball bound (1 + sqrt(2) / T)^8
+# times the volume is within a factor 1.42 of it
+_Z8_EXACT_MAX = 1024
+
+
+def _z8_ball_points(n: int) -> int:
+    """#{x in Z^8 : |x|^2 <= n}, in Python integers.
+
+    The counts of each square x^2 <= n on Z are convolved up to those of
+    Z^4, and a point of Z^8 is a pair of points of Z^4 with norms m and at
+    most n - m.
+    """
+    squares = [(x * x, 2 if x else 1) for x in range(math.isqrt(n) + 1)]
+    reps = [0] * (n + 1)
+    for sq, w in squares:
+        reps[sq] = w
+    for _ in range(3):
+        reps = [sum(w * reps[m - sq] for sq, w in squares[: math.isqrt(m) + 1])
+                for m in range(n + 1)]
+    below = list(accumulate(reps))
+    return sum(reps[m] * below[n - m] for m in range(n + 1))
+
+
 def estimate_count(group: str, gauge: Gauge, threshold: float) -> int:
     """Cheap a-priori overestimate of the number of elements in the ball."""
     desc = resolve_group(group)
@@ -127,13 +152,17 @@ def estimate_count(group: str, gauge: Gauge, threshold: float) -> int:
         # A -> (r1, r2, r3 without entry j), j where |(r1 x r2)_j| is largest, is
         # one-to-one on SL(3,Z): r3 . (r1 x r2) = 1 gives the entry back.  The
         # image keeps the entrywise r-norm <= T, so count the points of Z^8 in
-        # the r-ball: the cube |x_i| <= B; for r <= 2 the euclidean ball, whose
-        # points own disjoint unit cubes inside radius T + sqrt(2); for r = 1
-        # the cross-polytope, exactly.
+        # the r-ball: the cube |x_i| <= B; for r <= 2 the euclidean ball
+        # |x|^2 <= floor(T^2) (|x|_2 <= |x|_r), exactly up to _Z8_EXACT_MAX and
+        # above it by its points' disjoint unit cubes inside radius T +
+        # sqrt(2); for r = 1 the cross-polytope, exactly.
         b = entry_bound(gauge, threshold)
         est = (2 * b + 1) ** 8
         if gauge.r <= 2:
             est = min(est, math.ceil(math.pi**4 / 24 * (threshold + math.sqrt(2.0)) ** 8))
+            n = math.floor(Fraction(threshold) ** 2)
+            if n <= _Z8_EXACT_MAX:
+                est = min(est, _z8_ball_points(n))
         if gauge.r == 1:
             est = min(est, sum(2**i * math.comb(8, i) * math.comb(b, i) for i in range(9)))
         return est
@@ -551,16 +580,50 @@ def _sq_columns(gauge: Gauge, caps: Sequence[int]) -> Iterator[tuple[np.ndarray,
                    np.concatenate((c, d, -c, -d)), np.concatenate((d, -c, -d, c)))
 
 
-def _sl3_ball(norm: str, caps: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    """(bisect_left(caps, key), 1, *entries) for every element of SL(3,Z) with key <= caps[-1].
+# the 24 signed permutation matrices Q with det Q = 1, identity first, as (perm,
+# signs): (r Q)_j = signs[j] r[perm[j]], so g Q permutes and signs g's columns
+_ROTATIONS = [
+    (perm, signs)
+    for perm in permutations(range(3))
+    for signs in product((1, -1), repeat=3)
+    if signs[0] * signs[1] * signs[2]
+    * (-1) ** sum(perm[i] > perm[j] for i, j in ((0, 1), (0, 2), (1, 2))) == 1
+]
+_Row3 = tuple[int, int, int]
+_Rotation = tuple[_Row3, _Row3]
 
-    The sweep of _enumerate_sl3z, pruned by the integer key of key_norm norm
-    (C = caps[-1]): for "abs" and "sq" each row's own key is at most C - 2,
-    since the other two rows are nonzero integer rows of key >= 1.  The third
-    rows r3 . (r1 x r2) = 1 come from _third_row_candidates under the squared
-    norm the first two rows leave: C - k1 - k2 ("sq"), (C - k1 - k2)^2
-    ("abs", as |x|_2 <= |x|_1), or the box |e| <= C ("max").  Order is
-    unspecified.
+
+def _orbit_transversal(r1: _Row3) -> list[_Rotation] | None:
+    """One rotation per distinct image r1 Q, the identity first, when r1 is the
+    lexicographic minimum of its orbit under _ROTATIONS; None otherwise."""
+    images: dict[_Row3, _Rotation] = {}
+    for rot in _ROTATIONS:
+        (i, j, k), (si, sj, sk) = rot
+        image = (si * r1[i], sj * r1[j], sk * r1[k])
+        if image < r1:
+            return None
+        images.setdefault(image, rot)
+    return list(images.values())
+
+
+def _sl3_orbits(norm: str, caps: Sequence[int]) -> Iterator[
+        tuple[_Row3, list[_Rotation], Iterator[tuple[int, _Row3, _Row3]]]]:
+    """(r1, transversal, completions) for every primitive first row r1 of
+    SL(3,Z) with key <= C = caps[-1] that is the lexicographic minimum of its
+    orbit.
+
+    g -> g Q, Q one of the 24 _ROTATIONS, maps SL(3,Z) onto itself, keeps the
+    entrywise key of key_norm norm ("sq", "abs", "max") and moves the first
+    row r1 to r1 Q.  So the ball is the union, over the representatives r1,
+    of (r1, r2, r3) Q for every completion (r2, r3) of r1 and every Q of
+    _orbit_transversal(r1): each element comes exactly once.  completions is
+    an iterator of (bisect_left(caps, key), r2, r3), possibly empty, to be
+    consumed before the next representative.  The sweep prunes by the key:
+    for "abs" and "sq" each row's own key is at most C - 2, since the other
+    two rows are nonzero integer rows of key >= 1.  The third rows r3 . (r1 x
+    r2) = 1 come from _third_row_candidates under the squared norm the first
+    two rows leave: C - k1 - k2 ("sq"), (C - k1 - k2)^2 ("abs", as |x|_2 <=
+    |x|_1), or the box |e| <= C ("max").  Order is unspecified.
     """
     top = caps[-1]
     if norm == "max":
@@ -579,10 +642,9 @@ def _sl3_ball(norm: str, caps: Sequence[int]) -> Iterator[tuple[int, ...]]:
         if 0 < key <= row_cap:
             rows.append((r, key))
     box_sq = 3 * top * top
-    rem = top
-    for r1, k1 in rows:
-        if math.gcd(math.gcd(r1[0], r1[1]), r1[2]) != 1:
-            continue
+
+    def completions(r1: _Row3, k1: int) -> Iterator[tuple[int, _Row3, _Row3]]:
+        rem = top
         for r2, k2 in rows:
             if norm != "max":
                 rem = top - k1 - k2
@@ -591,21 +653,62 @@ def _sl3_ball(norm: str, caps: Sequence[int]) -> Iterator[tuple[int, ...]]:
             w = _cross(r1, r2)
             if math.gcd(math.gcd(w[0], w[1]), w[2]) != 1:
                 continue  # also w == 0
-            head = (1, *r1, *r2)
             if norm == "sq":
                 for r3 in _third_row_candidates(w, math.isqrt(rem), rem):
                     key = top - rem + r3[0] * r3[0] + r3[1] * r3[1] + r3[2] * r3[2]
-                    yield (bisect.bisect_left(caps, key), *head, *r3)
+                    yield bisect.bisect_left(caps, key), r2, r3
             elif norm == "abs":
                 for r3 in _third_row_candidates(w, rem, rem * rem):
                     k3 = abs(r3[0]) + abs(r3[1]) + abs(r3[2])
                     if k3 <= rem:
-                        yield (bisect.bisect_left(caps, top - rem + k3), *head, *r3)
+                        yield bisect.bisect_left(caps, top - rem + k3), r2, r3
             else:
                 k12 = max(k1, k2)
                 for r3 in _third_row_candidates(w, top, box_sq):
                     key = max(k12, abs(r3[0]), abs(r3[1]), abs(r3[2]))
-                    yield (bisect.bisect_left(caps, key), *head, *r3)
+                    yield bisect.bisect_left(caps, key), r2, r3
+
+    for r1, k1 in rows:
+        if math.gcd(math.gcd(r1[0], r1[1]), r1[2]) != 1:
+            continue
+        transversal = _orbit_transversal(r1)
+        if transversal is not None:
+            yield r1, transversal, completions(r1, k1)
+
+
+def _sl3_counts(norm: str, caps: Sequence[int]) -> list[int]:
+    """#{elements of SL(3,Z) with key <= cap} for every cap of a nondecreasing grid.
+
+    Each completion of a representative stands for one element per rotation
+    of its transversal (_sl3_orbits); no element, record or array is built.
+    """
+    tally = [0] * len(caps)
+    for _, transversal, completions in _sl3_orbits(norm, caps):
+        weight = len(transversal)
+        for bucket, _, _ in completions:
+            tally[bucket] += weight
+    return list(accumulate(tally))
+
+
+def _sl3_columns(norm: str, caps: Sequence[int]) -> Iterator[tuple[np.ndarray, ...]]:
+    """Chunks of int64 columns (bucket, 1, *entries), one entry per element of
+    SL(3,Z) with key <= caps[-1]: the completions of each representative of
+    _sl3_orbits in one block, and one chunk per rotation Q of its
+    transversal, the block's entries with their columns permuted and signed.
+    Every chunk is nonempty; order is unspecified.
+    """
+    for r1, transversal, completions in _sl3_orbits(norm, caps):
+        block = [(b, *r2, *r3) for b, r2, r3 in completions]
+        if not block:
+            continue
+        cols = np.array(block, dtype=np.int64).T
+        bucket, tail = cols[0], cols[1:]
+        signed = {1: tail, -1: -tail}
+        ones = np.ones(len(bucket), np.int64)
+        for perm, signs in transversal:
+            head = [np.full(len(bucket), s * r1[i], np.int64) for i, s in zip(perm, signs)]
+            rest = [signed[s][3 * row + i] for row in (0, 1) for i, s in zip(perm, signs)]
+            yield (bucket, ones, *head, *rest)
 
 
 def _check_grid(thresholds: Sequence[float]) -> None:
@@ -619,29 +722,42 @@ def _is_sq_ball(group: str, gauge: Gauge) -> bool:
     return group in ("sl2z", "sl2z1p") and key_norm(gauge) == "sq"
 
 
-def _sq_caps(group: str, gauge: Gauge, thresholds: Sequence[float],
-             budget: int | None) -> list[int] | None:
-    """The integer caps of an "sq" ball of sl2z or sl2z1p to be walked, after the
-    grid check, the ball's checks and its budget gate; None, with nothing
-    checked, for every other ball."""
-    if not _is_sq_ball(group, gauge):
-        return None
+def _is_sl3_ball(group: str, gauge: Gauge) -> bool:
+    return group == "sl3z" and key_norm(gauge) in _KERNEL_NORMS["sl3z"]
+
+
+def _checked_caps(group: str, gauge: Gauge, thresholds: Sequence[float],
+                  budget: int | None) -> list[int]:
+    """The integer caps of the grid, after the grid check, the ball's checks and
+    its budget gate."""
     _check_grid(thresholds)
     _check_ball(group, gauge, thresholds[-1], budget)
     return [gauge_cap(gauge, t) for t in thresholds]
 
 
-def _shell_caps(group: str, gauge: Gauge, thresholds: Sequence[float],
-                budget: int | None) -> list[int] | None:
-    """The integer caps of an "sq" ball that is only counted (_shell_counts).
+def _column_walk(group: str, gauge: Gauge, thresholds: Sequence[float],
+                 budget: int | None) -> Iterator[tuple[np.ndarray, ...]] | None:
+    """The column chunks of a ball walked in numpy: _sq_columns for the "sq"
+    balls of sl2z and sl2z1p, _sl3_columns for sl3z with rnorm:1, rnorm:2 and
+    rnorm:inf.  The checks of _checked_caps run first, at the call; None, with
+    nothing checked, for every other ball."""
+    if _is_sq_ball(group, gauge):
+        return _sq_columns(gauge, _checked_caps(group, gauge, thresholds, budget))
+    if _is_sl3_ball(group, gauge):
+        return _sl3_columns(key_norm(gauge), _checked_caps(group, gauge, thresholds, budget))
+    return None
 
-    The grid check and the ball's checks run as in _sq_caps, but no element is
-    kept, so the budget gates the r2 table instead: caps[-1] + 2 p^(2l)
-    entries, l the top level, compared in integers before any array exists.
-    None, with nothing checked, for every other ball.
+
+def _shell_caps(group: str, gauge: Gauge, thresholds: Sequence[float],
+                budget: int | None) -> list[int]:
+    """The integer caps of an "sq" ball of sl2z or sl2z1p that is only counted
+    (_shell_counts).
+
+    The grid check and the ball's checks run as in _checked_caps, but no
+    element is kept, so the budget gates the r2 table instead: caps[-1] + 2
+    p^(2l) entries, l the top level, compared in integers before any array
+    exists.
     """
-    if not _is_sq_ball(group, gauge):
-        return None
     _check_grid(thresholds)
     _check_threshold(group, gauge, thresholds[-1])
     cap = _resolve_budget(budget)
@@ -683,15 +799,16 @@ def ball_columns(
     Row j of a chunk is the ball_buckets record of one element; every element
     comes once, and every chunk is nonempty with one denominator.  The "sq"
     balls of sl2z (rnorm:2, hyperbolic) and sl2z1p (height) come from one
-    numpy walk (_sq_columns); every other ball, and given elements, pack the
-    records of ball_buckets, _CHUNK_RECORDS at a time.  Entries must fit
-    int64, as they do in every ball its budget admits.  The grid check, and
-    without elements the checks and the budget gate of enumerate_ball, run
-    first, at the call.
+    numpy walk (_sq_columns), and sl3z with rnorm:1, rnorm:2 and rnorm:inf
+    from the first-row orbit sweep (_sl3_columns); every other ball, and
+    given elements, pack the records of ball_buckets, _CHUNK_RECORDS at a
+    time.  Entries must fit int64, as they do in every ball its budget
+    admits.  The grid check, and without elements the checks and the budget
+    gate of enumerate_ball, run first, at the call.
     """
-    caps = None if elements is not None else _sq_caps(group, gauge, thresholds, budget)
-    if caps is not None:
-        return _sq_columns(gauge, caps)
+    walk = None if elements is not None else _column_walk(group, gauge, thresholds, budget)
+    if walk is not None:
+        return walk
     return _record_chunks(ball_buckets(group, gauge, thresholds, elements=elements, budget=budget))
 
 
@@ -700,30 +817,24 @@ def progression_buckets(
 ) -> Iterator[tuple[int, ...]] | None:
     """The ball at thresholds[-1] as ball_buckets records, without building elements.
 
-    Each record is (bucket, p^l, a, b, c, d) for the element p^(-l) (a, b; c, d)
-    (p^l = 1 on sl2z); bucket is the index of the first threshold whose ball
-    holds the element, as bucket_index gives it.  _KERNEL_NORMS says which
-    balls it covers: the "sq" balls of sl2z (rnorm:2, hyperbolic) and sl2z1p
-    (height) flatten the column chunks of _sq_columns; a Python Bezout walk
-    (_progression_ball) serves sl2z with rnorm:1, rnorm:inf and form gauges;
-    and _sl3_ball serves sl3z with rnorm:1, rnorm:2 and rnorm:inf (records
-    (bucket, 1, *entries), nine entries).  Returns None for every other ball,
-    which then needs enumerate_ball.  The grid check (finite, strictly
-    increasing, nonempty), the checks and the budget gate of enumerate_ball
-    run first, at the call, for every ball.
+    Each record is (bucket, p^l, *entries) for the element p^(-l) (entries
+    row-major; p^l = 1 on sl2z and sl3z); bucket is the index of the first
+    threshold whose ball holds the element, as bucket_index gives it.
+    _KERNEL_NORMS says which balls it covers: the "sq" balls of sl2z (rnorm:2,
+    hyperbolic) and sl2z1p (height) flatten the column chunks of _sq_columns,
+    and sl3z with rnorm:1, rnorm:2 and rnorm:inf those of _sl3_columns; a
+    Python Bezout walk (_progression_ball) serves sl2z with rnorm:1, rnorm:inf
+    and form gauges.  Returns None for every other ball, which then needs
+    enumerate_ball.  The grid check (finite, strictly increasing, nonempty),
+    the checks and the budget gate of enumerate_ball run first, at the call,
+    for every ball.
     """
-    caps = _sq_caps(group, gauge, thresholds, budget)
-    if caps is not None:
-        chunks = _sq_columns(gauge, caps)
-        return (rec for cols in chunks for rec in zip(*(col.tolist() for col in cols)))
-    _check_grid(thresholds)
-    _check_ball(group, gauge, thresholds[-1], budget)
-    norm = key_norm(gauge)
-    if norm not in _KERNEL_NORMS[group]:
+    walk = _column_walk(group, gauge, thresholds, budget)
+    if walk is not None:
+        return (rec for cols in walk for rec in zip(*(col.tolist() for col in cols)))
+    caps = _checked_caps(group, gauge, thresholds, budget)
+    if key_norm(gauge) not in _KERNEL_NORMS[group]:
         return None
-    caps = [gauge_cap(gauge, t) for t in thresholds]
-    if group == "sl3z":
-        return _sl3_ball(norm, caps)
     return _progression_ball(gauge, caps, entry_bound(gauge, thresholds[-1]))
 
 
@@ -796,8 +907,9 @@ def ball_buckets(
     integral elements) and bucket < len(thresholds) is the index of the first
     threshold whose ball holds it, as bucket_index gives it.  This is the one
     place that picks the route for records: progression_buckets where it
-    covers the ball (for the "sq" balls of sl2z and sl2z1p, the column chunks
-    of _sq_columns flattened into records), else enumerate_ball; given
+    covers the ball (for the "sq" balls of sl2z and sl2z1p and the sl3z balls
+    of _KERNEL_NORMS, the column chunks of _sq_columns and _sl3_columns
+    flattened into records), else enumerate_ball; given
     elements are bucketed as they are and those above thresholds[-1] are
     dropped.  The grid must be finite, strictly increasing and nonempty
     (SpecError otherwise); without elements, the ball's checks and budget gate
@@ -834,15 +946,19 @@ def count_series(
     The "sq" balls of sl2z and sl2z1p (rnorm:2, hyperbolic, height) are counted
     from r2 shells (_shell_counts) without walking them; the grid check and
     the ball's checks still run first, and the budget gates the size of the
-    r2 table instead of the element estimate.  Every other ball, and
-    given elements, take one pass over the ball at the largest threshold
-    (ball_buckets) that feeds every bucket.  Volumes (when the gauge has a
-    computable Haar volume) are normalized so that the ratio column tends to 1.
+    r2 table instead of the element estimate.  sl3z with rnorm:1, rnorm:2 and
+    rnorm:inf is counted from the first-row orbit sweep (_sl3_counts), after
+    the checks and the budget gate of enumerate_ball, on Python integers
+    alone.  Every other ball, and given elements, take one pass over the
+    ball at the largest threshold (ball_buckets) that feeds every bucket.
+    Volumes (when the gauge has a computable Haar volume) are normalized so
+    that the ratio column tends to 1.
     """
     thr = [float(t) for t in thresholds]
-    caps = None if elements is not None else _shell_caps(group, gauge, thr, budget)
-    if caps is not None:
-        counts = _shell_counts(gauge, caps)
+    if elements is None and _is_sq_ball(group, gauge):
+        counts = _shell_counts(gauge, _shell_caps(group, gauge, thr, budget))
+    elif elements is None and _is_sl3_ball(group, gauge):
+        counts = _sl3_counts(key_norm(gauge), _checked_caps(group, gauge, thr, budget))
     else:
         buckets = [0] * len(thr)
         for rec in ball_buckets(group, gauge, thr, elements=elements, budget=budget):

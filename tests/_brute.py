@@ -1,7 +1,8 @@
 """Slow oracles the fast routes are checked against: exhaustive small-ball
-scans, the per-element Python walk of the "sq" balls, per-record torus phases
-and coset residues, residue-group and orbit counts by enumeration, and the
-per-node-pair KAK quadrature."""
+scans, the per-element Python walk of the "sq" balls, the flat SL(3) sweep
+over every first row, per-record torus phases and coset residues,
+residue-group and orbit counts by enumeration, and the per-node-pair KAK
+quadrature."""
 
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ from latcount.gauges import (
     rep_form_gauge,
 )
 from latcount.groups import GroupElement, adjugate, ext_gcd, int_det
-from latcount.lattice import _level_count
+from latcount.lattice import _cross, _level_count, _third_row_candidates
 from latcount.torus import _act, _phase, _turn
 
 
@@ -124,6 +125,67 @@ def sq_ball_records(gauge: Gauge, caps) -> list[tuple[int, ...]]:
                         out.append((bisect.bisect_left(caps, key), den, a, b, c, d))
                     c += sa
                     d += sb
+    return out
+
+
+def sl3_ball_records(norm: str, caps) -> list[tuple[int, ...]]:
+    """(bisect_left(caps, key), 1, *entries) for every element of SL(3,Z) with key <= caps[-1].
+
+    The flat Python sweep over every primitive first row that the first-row
+    orbit sweep of lattice (_sl3_orbits, _sl3_columns, _sl3_counts) replaces,
+    kept as its oracle.  It is the sweep of _enumerate_sl3z, pruned by the
+    integer key of key_norm norm (C = caps[-1]): for "abs" and "sq" each
+    row's own key is at most C - 2, since the other two rows are nonzero
+    integer rows of key >= 1.  The third rows r3 . (r1 x r2) = 1 come from
+    _third_row_candidates under the squared norm the first two rows leave: C
+    - k1 - k2 ("sq"), (C - k1 - k2)^2 ("abs", as |x|_2 <= |x|_1), or the box
+    |e| <= C ("max").  Order is unspecified.
+    """
+    top = caps[-1]
+    if norm == "max":
+        row_cap = bound = top
+    else:
+        row_cap = top - 2
+        bound = (math.isqrt(row_cap) if norm == "sq" else row_cap) if row_cap >= 1 else 0
+    rows = []
+    for r in product(range(-bound, bound + 1), repeat=3):
+        if norm == "sq":
+            key = r[0] * r[0] + r[1] * r[1] + r[2] * r[2]
+        elif norm == "abs":
+            key = abs(r[0]) + abs(r[1]) + abs(r[2])
+        else:
+            key = max(abs(r[0]), abs(r[1]), abs(r[2]))
+        if 0 < key <= row_cap:
+            rows.append((r, key))
+    box_sq = 3 * top * top
+    out = []
+    rem = top
+    for r1, k1 in rows:
+        if math.gcd(math.gcd(r1[0], r1[1]), r1[2]) != 1:
+            continue
+        for r2, k2 in rows:
+            if norm != "max":
+                rem = top - k1 - k2
+                if rem < 1:
+                    continue
+            w = _cross(r1, r2)
+            if math.gcd(math.gcd(w[0], w[1]), w[2]) != 1:
+                continue  # also w == 0
+            head = (1, *r1, *r2)
+            if norm == "sq":
+                for r3 in _third_row_candidates(w, math.isqrt(rem), rem):
+                    key = top - rem + r3[0] * r3[0] + r3[1] * r3[1] + r3[2] * r3[2]
+                    out.append((bisect.bisect_left(caps, key), *head, *r3))
+            elif norm == "abs":
+                for r3 in _third_row_candidates(w, rem, rem * rem):
+                    k3 = abs(r3[0]) + abs(r3[1]) + abs(r3[2])
+                    if k3 <= rem:
+                        out.append((bisect.bisect_left(caps, top - rem + k3), *head, *r3))
+            else:
+                k12 = max(k1, k2)
+                for r3 in _third_row_candidates(w, top, box_sq):
+                    key = max(k12, abs(r3[0]), abs(r3[1]), abs(r3[2]))
+                    out.append((bisect.bisect_left(caps, key), *head, *r3))
     return out
 
 

@@ -189,6 +189,13 @@ def test_count_past_the_element_estimate_runs_on_shells(capsys):
     assert payload["table"]["rows"][-1][1] == 4_294_388
 
 
+def test_sl3_count_at_tmax_5_is_admitted(capsys):
+    # the estimate counts the points of Z^8 in the radius-5 ball, 1,733,537,
+    # where the ball bound gave 11,628,819, over the default budget
+    payload = _json_run(capsys, "count", "--group", "sl3z", "--tmax", "5")
+    assert payload["table"]["rows"][-1][1] == 270_456
+
+
 OVERFLOWING_VOLUME = (
     "volume --gauge hyperbolic --tmax 1e6",
     "admissibility --tmax 1e6 --steps 2",

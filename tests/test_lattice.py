@@ -29,6 +29,7 @@ from latcount.lattice import (
     enumerate_ball,
     _level_count,
     _shell_counts,
+    _z8_ball_points,
     estimate_count,
     orbit_forms_count,
     sl_residue_order,
@@ -320,6 +321,26 @@ def test_height_estimate_counts_every_level():
     assert _level_count(3, 2 * 3**10) == 6
     assert _level_count(3, 2 * 3**10 - 1) == 5
     assert estimate_count("sl2z1p", gauge, T) == 9_920_232  # 6 * int(14 T^2)
+
+
+@pytest.mark.parametrize("T,count", [(5.0, 270_456), (6.0, 756_312)])
+def test_sl3z_estimate_bounds_the_count_past_the_benchmark_ball(T, count):
+    # the points of Z^8 with |x|^2 <= T^2: 1,733,537 at T = 5, where the ball
+    # bound pi^4/24 (T + sqrt 2)^8 gave 11,628,819
+    assert count_series("sl3z", G2, [T], with_volume=False).counts() == [count]
+    assert count <= estimate_count("sl3z", G2, T) < DEFAULT_BUDGET
+    assert estimate_count("sl3z", G2, 5.0) == 1_733_537
+
+
+def test_z8_ball_points_match_a_scan():
+    box = range(-1, 2)  # |x|^2 <= 3 keeps every |x_i| <= 1
+    norms = [sum(x * x for x in p) for p in itertools.product(box, repeat=8)]
+    assert [_z8_ball_points(n) for n in range(4)] == \
+        [sum(1 for v in norms if v <= n) for n in range(4)] == [1, 17, 129, 577]
+    # T^2 is read exactly: sqrt(11.0)^2 rounds to 11.0 in floats but lies below 11
+    T = math.sqrt(11.0)
+    assert T * T == 11.0 and gauge_cap(G2, T) == 10
+    assert estimate_count("sl3z", G2, T) == _z8_ball_points(10) < _z8_ball_points(11)
 
 
 def test_sl3z_estimate_admits_the_benchmark_ball():

@@ -1,24 +1,34 @@
 """The ball kernels against the enumeration oracle, bit for bit.
 
 progression_buckets counts SL(2)-type balls along Bezout progressions, SL(3)
-balls by their third rows and form balls by an integer form key, all without
-building elements; enumerate_ball + bucket_index is the independent route it
-must reproduce exactly: per-bucket counts, residue histograms, torus rows and
-orbit counts.  The "sq" balls are walked in numpy columns (ball_columns); the
-per-element Python walk in _brute is their record-for-record oracle.
+balls by the third rows of first-row orbit representatives and form balls by
+an integer form key, all without building elements; enumerate_ball +
+bucket_index is the independent route it must reproduce exactly: per-bucket
+counts, residue histograms, torus rows and orbit counts.  The "sq" balls are
+walked in numpy columns (ball_columns); the per-element Python walk in _brute
+is their record-for-record oracle, as the flat SL(3) sweep of _brute is for
+the orbit route.
 """
 
 import inspect
 import math
 import random
+import time
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 
 import pytest
 
-from _brute import brute_orbit_count, record_phase, residue_keys, sq_ball_records
+from _brute import (
+    brute_orbit_count,
+    record_phase,
+    residue_keys,
+    sl3_ball_records,
+    sq_ball_records,
+)
 from latcount.errors import BudgetError, SpecError
 from latcount.gauges import (
     BinaryForm,
@@ -34,7 +44,7 @@ from latcount.gauges import (
     rep_form_gauge,
     rnorm_gauge,
 )
-from latcount.groups import GroupElement, reduce_mod
+from latcount.groups import GroupElement, int_det, reduce_mod
 from latcount.lattice import (
     ball_buckets,
     bucket_index,
@@ -247,6 +257,7 @@ def kernel_never_runs(monkeypatch):
     monkeypatch.setattr(lattice, "_progression_ball", boom)
     monkeypatch.setattr(lattice, "_sq_columns", boom)
     monkeypatch.setattr(lattice, "_shell_counts", boom)
+    monkeypatch.setattr(lattice, "_sl3_orbits", boom)
 
 
 @pytest.mark.usefixtures("kernel_never_runs")
@@ -259,6 +270,15 @@ def test_budget_gate_fires_before_the_kernel():
         deviation_series("sl2z", rnorm_gauge(2), [30.0], CosetObservable(2), budget=10)
     with pytest.raises(BudgetError):
         deviation_series("sl2z", hyperbolic_gauge(), [3.0], TorusCharacter((1, 0)), X0, budget=10)
+    with pytest.raises(BudgetError):
+        count_series("sl3z", rnorm_gauge(2), [2.0, 30.0], budget=10)
+    with pytest.raises(BudgetError):
+        count_series("sl3z", rnorm_gauge(INF), [5.0])
+    with pytest.raises(BudgetError):
+        deviation_series("sl3z", rnorm_gauge(1), [30.0], CosetObservable(2), budget=10)
+    with pytest.raises(BudgetError):
+        deviation_series("sl3z", rnorm_gauge(2), [30.0], TorusCharacter((1, 0, 0)), X3,
+                         budget=10)
 
 
 @pytest.mark.usefixtures("kernel_never_runs")
@@ -320,6 +340,18 @@ def test_spec_errors_fire_before_the_kernel():
         deviation_series("sl2z", rnorm_gauge(2), [30.0], TorusCharacter((1, 0, 0)), X0, budget=10)
     with pytest.raises(SpecError):
         deviation_series("sl2z", rnorm_gauge(2), [30.0], 2, budget=10)  # a bare modulus
+    with pytest.raises(SpecError):
+        count_series("sl3z", rnorm_gauge(2), [-1.0, 0.0])
+    with pytest.raises(SpecError):
+        count_series("sl3z", rnorm_gauge(2), [3.0, 2.0])
+    with pytest.raises(SpecError):
+        count_series("sl3z", height_gauge(2), [3.0])
+    with pytest.raises(SpecError):
+        deviation_series("sl3z", rnorm_gauge(2), [2.0, 2.0], CosetObservable(2))
+    with pytest.raises(SpecError):
+        deviation_series("sl3z", rnorm_gauge(INF), [0.0], CosetObservable(3))
+    with pytest.raises(SpecError):
+        deviation_series("sl3z", hyperbolic_gauge(), [2.0], CosetObservable(2), budget=10)
 
 
 # ---------------------------------------------------------------------------
@@ -367,6 +399,123 @@ def test_sl3_records_match_enumeration(gauge, thr):
     assert kernel == set(oracle)
     series = count_series("sl3z", gauge, thr, with_volume=False)
     assert series.counts() == [sum(1 for i, _ in oracle if i <= j) for j in range(len(thr))]
+
+
+@lru_cache(maxsize=None)
+def flat_sl3_records(norm, caps):
+    return tuple(sl3_ball_records(norm, caps))
+
+
+def check_orbit_records(gauge, thr):
+    """Oracle check: the orbit route's records (progression_buckets, flattened
+    from _sl3_columns) equal the flat sweep's as multisets, each element once."""
+    caps = tuple(gauge_cap(gauge, t) for t in thr)
+    records = Counter(progression_buckets("sl3z", gauge, thr))
+    oracle = Counter(flat_sl3_records(key_norm(gauge), caps))
+    missing, extra = oracle - records, records - oracle
+    assert not missing and not extra, f"{len(missing)} records missing, {len(extra)} extra"
+    assert max(records.values()) == 1, "a record came twice"
+
+
+def check_orbit_counts(gauge, thr):
+    """Oracle check: the orbit route's counts (count_series, from _sl3_counts)
+    equal the cumulative bucket sizes of the flat sweep."""
+    caps = tuple(gauge_cap(gauge, t) for t in thr)
+    buckets = Counter(rec[0] for rec in flat_sl3_records(key_norm(gauge), caps))
+    assert count_series("sl3z", gauge, thr, with_volume=False).counts() == \
+        list(accumulate(buckets[i] for i in range(len(thr))))
+
+
+@pytest.mark.parametrize("gauge,thr", SL3_CASES, ids=SL3_IDS)
+def test_sl3_orbit_route_matches_the_flat_sweep(gauge, thr):
+    check_orbit_records(gauge, thr)
+    check_orbit_counts(gauge, thr)
+
+
+# T^2 = cap + 1/2 puts every integer cap 1..20 on the grid; sqrt(cap) can round below it
+SQ_CAP_GRID = tuple(math.sqrt(cap + 0.5) for cap in range(1, 21))
+
+
+def test_sl3_orbit_counts_match_the_flat_sweep_at_every_cap():
+    assert [gauge_cap(rnorm_gauge(2), t) for t in SQ_CAP_GRID] == list(range(1, 21))
+    check_orbit_counts(rnorm_gauge(2), SQ_CAP_GRID)
+
+
+def test_sl3_count_at_every_integer_cap_to_56():
+    # the flat sweep gave the same two counts in 9.4 s (Python 3.11.7)
+    thr = [math.sqrt(cap + 0.5) for cap in range(1, 57)]
+    start = time.process_time()
+    counts = count_series("sl3z", rnorm_gauge(2), thr, with_volume=False, budget=10**8).counts()
+    elapsed = time.process_time() - start
+    assert counts[-2:] == [2_777_496, 2_900_760] and elapsed < 5.0, \
+        f"caps 55, 56: {counts[-2:]} in {elapsed:.2f} s of CPU"
+
+
+def test_sl3_counts_take_no_numpy(monkeypatch):
+    monkeypatch.setattr(lattice, "np", NoNumpy())
+    for gauge, thr in SL3_CASES[:2]:
+        check_orbit_counts(gauge, thr)
+
+
+# cap 7 holds first rows of orbit 24, such as (0, 1, 2) in (0, 1, 2; -1, 0, 0; 0, 0, 1)
+DEFECT_CASE = (rnorm_gauge(2), (1.5, 2.0, math.sqrt(7.5)))
+
+
+def _drop_first_image(transversal):
+    return transversal[1:]
+
+
+def _weight_24(transversal):
+    return list(lattice._ROTATIONS)
+
+
+@pytest.mark.parametrize("defect", [_drop_first_image, _weight_24],
+                         ids=["first-image-dropped", "weight-24"])
+def test_planted_transversal_defects_fail_the_oracle_checks(monkeypatch, defect):
+    gauge, thr = DEFECT_CASE
+    transversal = lattice._orbit_transversal
+    monkeypatch.setattr(lattice, "_orbit_transversal",
+                        lambda r1: None if transversal(r1) is None else defect(transversal(r1)))
+    for check in (check_orbit_records, check_orbit_counts):
+        with pytest.raises(AssertionError):
+            check(gauge, thr)
+
+
+def test_a_rotation_missing_fails_the_oracle_checks(monkeypatch):
+    gauge, thr = DEFECT_CASE
+    full = list(lattice._ROTATIONS)
+    for i in range(len(full)):
+        monkeypatch.setattr(lattice, "_ROTATIONS", full[:i] + full[i + 1:])
+        for check in (check_orbit_records, check_orbit_counts):
+            with pytest.raises(AssertionError):
+                check(gauge, thr)
+    monkeypatch.undo()
+    check_orbit_records(gauge, thr)
+    check_orbit_counts(gauge, thr)
+
+
+def test_rotations_are_the_cube_group():
+    mats = set()
+    for perm, signs in lattice._ROTATIONS:
+        rows = tuple(tuple(signs[j] if perm[j] == i else 0 for j in range(3)) for i in range(3))
+        assert int_det(rows) == 1
+        mats.add(rows)
+    assert len(mats) == 24
+    assert lattice._ROTATIONS[0] == ((0, 1, 2), (1, 1, 1))
+
+    def image(rot, r):
+        perm, signs = rot
+        return tuple(s * r[i] for i, s in zip(perm, signs))
+
+    # orbit sizes: 24 for a generic row, fewer for rows with a stabilizer
+    for r, size in (((0, 1, 2), 24), ((0, 0, 1), 6), ((1, 1, 1), 8), ((0, 1, 1), 12)):
+        orbit = {image(rot, r) for rot in lattice._ROTATIONS}
+        rep = min(orbit)
+        transversal = lattice._orbit_transversal(rep)
+        assert len(orbit) == len(transversal) == size
+        assert {image(rot, rep) for rot in transversal} == orbit
+        assert transversal[0] == lattice._ROTATIONS[0]
+        assert all(lattice._orbit_transversal(other) is None for other in orbit - {rep})
 
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -700,7 +849,10 @@ def test_ball_columns_cover_every_ball(monkeypatch, group, gauge, thr):
     monkeypatch.setattr(lattice, "_CHUNK_RECORDS", 100)  # many chunks
     chunks = list(lattice.ball_columns(group, gauge, thr))
     assert all(col.dtype.name == "int64" for cols in chunks for col in cols)
-    assert all(len(cols[0]) == 100 for cols in chunks[:-1]) and len(chunks[-1][0])
+    if group == "sl3z":  # _sl3_columns: one chunk per representative and rotation
+        assert all(len(cols[0]) and set(cols[1].tolist()) == {1} for cols in chunks)
+    else:
+        assert all(len(cols[0]) == 100 for cols in chunks[:-1]) and len(chunks[-1][0])
     assert Counter(column_records(group, gauge, thr)) == Counter(ball_buckets(group, gauge, thr))
 
 
