@@ -317,28 +317,9 @@ def _sl3_a1_max(T: float) -> float:
     return lo
 
 
-def _sl3_inner(a1: float, T: float, nodes: int) -> float:
-    """Integral over a2 of the positive-root sinh product at fixed a1."""
-    R = T * T - math.exp(2.0 * a1)
-    if R <= 0:
-        return 0.0
-    c = math.exp(-2.0 * a1)
-    disc = R * R - 4.0 * c
-    if disc < 0:
-        return 0.0
-    x_hi = 0.5 * (R + math.sqrt(disc))
-    # x_lo x_hi = c; R - sqrt(disc) would cancel to 0 once c << R^2 (T ~ 670)
-    x_lo = 2.0 * c / (R + math.sqrt(disc))
-    a2_lo = max(-0.5 * a1, 0.5 * math.log(x_lo))
-    a2_hi = min(a1, 0.5 * math.log(x_hi))
-    if a2_hi <= a2_lo:
-        return 0.0
-
-    def integrand(a2: np.ndarray) -> np.ndarray:
-        return (np.sinh(a1 - a2) * np.sinh(a1 + 2.0 * a2)
-                * np.sinh(2.0 * a1 + a2))
-
-    return gl_integrate(integrand, a2_lo, a2_hi, panels=2, nodes=nodes)
+def _row_dots(w: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """w.dot(row), i.e. np.dot(w, row), per row of f: gl_integrate's sums (f @ w is an ulp off)."""
+    return np.array([w.dot(row) for row in f.reshape(-1, len(w))]).reshape(f.shape[:-1])
 
 
 def _sl3_raw(T: float, *, panels: int = 6, nodes: int = 24) -> float:
@@ -347,25 +328,44 @@ def _sl3_raw(T: float, *, panels: int = 6, nodes: int = 24) -> float:
     Bi-K-invariance of the Frobenius norm reduces the five KAK coordinates to
     the two-dimensional positive chamber (a1 >= a2 >= a3, a1+a2+a3 = 0); the
     K-factors contribute only a constant, so values are raw-normalized and
-    meaningful up to scale (growth exponents only).
+    meaningful up to scale (growth exponents only).  The a2 integrals at an a1
+    panel's nodes run as one numpy block, each with its own gl_integrate's bits.
     """
-    a1_max = _sl3_a1_max(T)
-    if a1_max <= 0:
-        return 0.0
+    x, w = _gl_nodes(nodes)
 
     def outer(a1s: np.ndarray) -> np.ndarray:
-        return np.array([_sl3_inner(float(a1), T, nodes) for a1 in a1s])
+        lo, hi, out = np.zeros((3, len(a1s)))  # a node left at lo = hi adds 0.0
+        # scalar math: np.exp and np.sinh give other bits on some arguments
+        for k, a1 in enumerate(a1s.tolist()):
+            R, c = T * T - math.exp(2.0 * a1), math.exp(-2.0 * a1)
+            disc = R * R - 4.0 * c
+            if disc == math.inf:
+                raise OverflowError(f"SL3 chamber bound R^2 overflows a float at T={T:g}")
+            if R <= 0 or disc < 0:
+                continue
+            # x_lo x_hi = c; R - sqrt(disc) would cancel to 0 once c << R^2 (T ~ 670)
+            root = R + math.sqrt(disc)
+            lo[k] = max(-0.5 * a1, 0.5 * math.log(2.0 * c / root))
+            hi[k] = min(a1, 0.5 * math.log(0.5 * root))
+        live = lo < hi
+        edges = _spaced(lo[live], hi[live], 3)
+        half = 0.5 * (edges[:, 1:] - edges[:, :-1])
+        a2 = (0.5 * (edges[:, 1:] + edges[:, :-1]))[:, :, None] + half[:, :, None] * x
+        a1 = a1s[live][:, None, None]
+        panel = half * _row_dots(w, np.sinh(a1 - a2) * np.sinh(a1 + 2.0 * a2)
+                                 * np.sinh(2.0 * a1 + a2))
+        out[live] = 0.0 + panel[:, 0] + panel[:, 1]
+        return out
 
-    return gl_integrate(outer, 0.0, a1_max, panels=panels, nodes=nodes)
+    return gl_integrate(outer, 0.0, _sl3_a1_max(T), panels=panels, nodes=nodes)
 
 
 def _sl3_volume(T: float) -> float:
     coarse = _sl3_raw(T, panels=6, nodes=24)
     fine = _sl3_raw(T, panels=12, nodes=32)
     if fine > 0 and abs(fine - coarse) > 1e-3 * fine:
-        raise NumericalError(
-            f"SL3 chamber quadrature not converged at T={T:g}: {coarse!r} vs {fine!r}"
-        )
+        raise NumericalError(f"SL3 chamber quadrature not converged at T={T:g}: "
+                             f"{float(coarse)!r} vs {float(fine)!r}")
     return fine
 
 
@@ -399,8 +399,8 @@ def _volume_rule(
 
     SL2 rules use the geometric normalization (covolume pi/3); the SL3 chamber
     quadrature is raw, meaningful up to scale, so its covolume is 1.  The closed
-    forms and the SL3 rule yield lazily, one threshold at a time; the KAK rule
-    integrates the whole grid in one pass before it yields.
+    forms and the SL3 rule (numpy blocks within a threshold) yield lazily, one
+    threshold at a time; the KAK rule integrates the whole grid before it yields.
     """
     desc = resolve_group(group)
     sl2 = desc.n == 2 and not desc.s_arithmetic

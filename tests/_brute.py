@@ -1,8 +1,9 @@
 """Slow oracles the fast routes are checked against: exhaustive small-ball
 scans, the per-element Python walk of the "sq" balls, the flat SL(3) sweep
 over every first row, per-record torus phases and coset residues,
-residue-group and orbit counts by enumeration, and the per-node-pair KAK
-quadrature."""
+residue-group and orbit counts by enumeration, the per-node-pair KAK
+quadrature, the per-node SL(3) chamber quadrature, and the SL(3) chamber
+integral with its a2 integral in closed form."""
 
 from __future__ import annotations
 
@@ -24,6 +25,7 @@ from latcount.gauges import (
     rep_form_gauge,
 )
 from latcount.groups import GroupElement, adjugate, ext_gcd, int_det
+from latcount.haar import _sl3_a1_max, gl_integrate
 from latcount.lattice import _cross, _level_count, _third_row_candidates
 from latcount.torus import _act, _phase, _turn
 
@@ -348,4 +350,88 @@ def kak_raw_reference(gauge: Gauge, T: float, *, panels: int = 4, nodes: int = 1
                 continue
             s_a, s_b = interval
             total += w1 * w2 * 0.5 * (math.cosh(2.0 * s_b) - math.cosh(2.0 * s_a))
+    return total
+
+
+# ---------------------------------------------------------------------------
+# SL(3) chamber integral: one gl_integrate call per a1 node, and a closed form
+# ---------------------------------------------------------------------------
+
+def _sl3_inner(a1: float, T: float, nodes: int) -> float:
+    """Integral over a2 of the positive-root sinh product at fixed a1."""
+    R = T * T - math.exp(2.0 * a1)
+    if R <= 0:
+        return 0.0
+    c = math.exp(-2.0 * a1)
+    disc = R * R - 4.0 * c
+    if disc < 0:
+        return 0.0
+    x_hi = 0.5 * (R + math.sqrt(disc))
+    # x_lo x_hi = c; R - sqrt(disc) would cancel to 0 once c << R^2 (T ~ 670)
+    x_lo = 2.0 * c / (R + math.sqrt(disc))
+    a2_lo = max(-0.5 * a1, 0.5 * math.log(x_lo))
+    a2_hi = min(a1, 0.5 * math.log(x_hi))
+    if a2_hi <= a2_lo:
+        return 0.0
+
+    def integrand(a2: np.ndarray) -> np.ndarray:
+        return (np.sinh(a1 - a2) * np.sinh(a1 + 2.0 * a2)
+                * np.sinh(2.0 * a1 + a2))
+
+    return gl_integrate(integrand, a2_lo, a2_hi, panels=2, nodes=nodes)
+
+
+def sl3_raw_reference(T: float, *, panels: int = 6, nodes: int = 24) -> float:
+    """haar._sl3_raw with one gl_integrate call (and its numpy calls) per a1 node.
+
+    Same nodes, bounds and summation order as the blocked route, so the two
+    must agree exactly, not just to a tolerance.
+    """
+    a1_max = _sl3_a1_max(T)
+    if a1_max <= 0:
+        return 0.0
+
+    def outer(a1s: np.ndarray) -> np.ndarray:
+        return np.array([_sl3_inner(float(a1), T, nodes) for a1 in a1s])
+
+    return gl_integrate(outer, 0.0, a1_max, panels=panels, nodes=nodes)
+
+
+# sinh(a1 - a2) sinh(a1 + 2 a2) sinh(2 a1 + a2) = sum of s e^(g a1 + b a2) / 8
+# over the sign triples e; (s, g, b) = (e1 e2 e3, e1 + e2 + 2 e3, -e1 + 2 e2 + e3).
+# The two triples with b = 0, (1, 1, -1) and (-1, -1, 1), have g = 0 and
+# opposite s, so they cancel and every term left integrates in closed form.
+_SL3_TERMS = [(e1 * e2 * e3, e1 + e2 + 2 * e3, -e1 + 2 * e2 + e3)
+              for e1, e2, e3 in product((1, -1), repeat=3)
+              if -e1 + 2 * e2 + e3 != 0]
+
+
+def sl3_raw_closed_form(T: float, *, panels: int = 48, nodes: int = 48) -> float:
+    """The chamber integral of haar._sl3_raw with the a2 integral in closed form.
+
+    Shares no code with the a2 quadrature.  Here the chamber wall a2 = -a1/2
+    is the lower bound: e^(2 a1) + e^(2 a2) + e^(-2 a1 - 2 a2) <= T^2 reads
+    cosh(2 a2 + a1) <= (T^2 - e^(2 a1)) e^(a1) / 2, which is symmetric about
+    it.  The a1 range ends at the largest root u = e^(a1) of u^3 - T^2 u + 2,
+    taken in trigonometric form.  Only the a1 integral is numeric, on its own
+    composite Gauss-Legendre grid.
+    """
+    if T * T <= 3.0:
+        return 0.0
+    u = 2.0 * T / math.sqrt(3.0) * math.cos(math.acos(-3.0 * math.sqrt(3.0) / T ** 3) / 3.0)
+    a1_max = math.log(u)
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    total = 0.0
+    for k in range(panels):
+        lo, hi = a1_max * k / panels, a1_max * (k + 1) / panels
+        for a1, wk in zip(0.5 * (lo + hi) + 0.5 * (hi - lo) * x, 0.5 * (hi - lo) * w):
+            top = (T * T - math.exp(2.0 * a1)) * math.exp(a1) / 2.0
+            if top <= 1.0:
+                continue
+            b_lo, b_hi = -0.5 * a1, min(a1, 0.5 * (math.acosh(top) - a1))
+            if b_hi <= b_lo:
+                continue
+            inner = sum(s * math.exp(g * a1) * (math.exp(b * b_hi) - math.exp(b * b_lo)) / b
+                        for s, g, b in _SL3_TERMS) / 8.0
+            total += wk * inner
     return total

@@ -213,6 +213,18 @@ def test_overflowing_volume_is_a_numerical_failure(capsys, command):
     assert out == ""
 
 
+@pytest.mark.parametrize("tmax,message", [
+    # past T ~ 1.158e77 the chamber bound's R^2 overflows (it was a log(0) crash)
+    ("1e80", "ball volume of rnorm:2 on sl3z at 1e+78 overflows a float"),
+    # coarse and fine passes printed as plain floats, not np.float64(...)
+    ("1e10", "SL3 chamber quadrature not converged at T=1.77828e+09: "
+             "8.242858884137144e+52 vs 8.234192504881295e+52"),
+])
+def test_large_sl3_volumes_are_numerical_failures(capsys, tmax, message):
+    code, out, err = _cli(capsys, "volume", "--group", "sl3z", "--tmax", tmax)
+    assert (code, out, err) == (4, "", f"latcount: numerical failure: {message}\n")
+
+
 def test_largest_hyperbolic_volume_still_runs(capsys):
     payload = _json_run(capsys, "volume", "--gauge", "hyperbolic", "--tmax", "700")
     assert payload["table"]["columns"][2] == "volume"

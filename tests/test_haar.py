@@ -2,11 +2,12 @@
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
 
-from _brute import kak_raw_reference
+from _brute import kak_raw_reference, sl3_raw_closed_form, sl3_raw_reference
 from latcount.errors import NumericalError, SpecError
 from latcount.gauges import hyperbolic_gauge, rnorm_gauge
 from latcount.haar import (
@@ -167,6 +168,66 @@ def test_sl3_volume_stability_and_exponent():
     fit = fit_growth([(T, _sl3_volume(T)) for T in Ts], "power",
                      window=(float(Ts[0]), float(Ts[-1])))
     assert abs(fit.a - 6.0) < 0.2
+
+
+SL3_PASSES = ((6, 24), (12, 32))  # _sl3_volume's coarse and fine rules
+
+
+@lru_cache(maxsize=None)
+def _sl3_reference(T, panels, nodes):
+    return sl3_raw_reference(T, panels=panels, nodes=nodes)
+
+
+def _sl3_grids():
+    """The SL(3) volume grids the CLI, the benchmark and the acceptance run."""
+    from latcount.cli import _grid
+
+    gauge = rnorm_gauge(2)
+    return {
+        "benchmark count": _grid("count", gauge, 4.5, 6),
+        "volume --tmax 60": _grid("volume", gauge, 60.0, 9),
+        "criterion 6": [float(T) for T in np.geomspace(2.0, 150.0, 9)],
+        "spectral": list(np.geomspace(20.0, 150.0, 9)),  # np.float64, as spectral passes them
+        "wide": [float(T) for T in np.geomspace(1.5, 1000.0, 60)],
+    }
+
+
+def _sl3_mismatches(grids, passes=SL3_PASSES):
+    """(grid, T, panels, nodes) wherever _sl3_raw differs from the per-node reference."""
+    from latcount.haar import _sl3_raw
+
+    return [(name, T, panels, nodes) for name, grid in grids.items() for T in grid
+            for panels, nodes in passes
+            if _sl3_raw(T, panels=panels, nodes=nodes) != _sl3_reference(T, panels, nodes)]
+
+
+def test_sl3_blocked_quadrature_equals_per_node_reference():
+    # one numpy block per a1 panel, against one gl_integrate call per a1 node;
+    # the coarse pass only feeds the convergence check, so the wide grid takes
+    # the fine pass alone
+    grids = _sl3_grids()
+    wide = {"wide": grids.pop("wide")}
+    assert _sl3_mismatches(grids) + _sl3_mismatches(wide, passes=SL3_PASSES[1:]) == []
+
+
+def test_sl3_row_sums_as_matrix_vector_product_fail_the_reference(monkeypatch):
+    # planted defect: f @ w sums each row in gemv's order, an ulp off np.dot's
+    import latcount.haar as haar
+
+    monkeypatch.setattr(haar, "_row_dots", lambda w, f: f @ w)
+    wide = {"wide": _sl3_grids()["wide"]}
+    assert _sl3_mismatches(wide, passes=SL3_PASSES[1:])
+
+
+@pytest.mark.parametrize("T", [2.0, 3.0, 5.0, 12.0, 60.0, 150.0, 1000.0])
+def test_sl3_volume_matches_the_closed_form_a2_route(T):
+    # a second route: the a2 integral in closed form, the a1 integral on its own
+    # 48 x 48 Gauss-Legendre grid; this bounds the fine pass's error, where the
+    # 1e-3 coarse/fine check inside _sl3_volume only bounds their disagreement
+    from latcount.haar import _sl3_volume
+
+    v = _sl3_volume(T)
+    assert abs(sl3_raw_closed_form(T) - v) <= 1e-5 * v
 
 
 def test_volume_of_ball_unsupported():
