@@ -136,12 +136,20 @@ def form_norm_sq(f: BinaryForm) -> Fraction:
 
 @lru_cache(maxsize=None)
 def unit_circle_min(f: BinaryForm) -> float:
-    """min |f(cos t, sin t)| over the unit circle, by dense sampling + golden refinement."""
+    """min |f(cos t, sin t)| over the unit circle, by dense sampling + golden refinement.
+
+    Samples within 1e-12 sum |c_i| of the least of a numpy scan (numpy's cos and
+    sin may be an ulp off) are evaluated again in scalar math: a scalar scan's bits.
+    """
+    import numpy as np  # here, not at import: numpy's threads would start earlier in each launch
     # |f| on the circle has period pi (antipodal points differ only in sign)
     def g(theta: float) -> float:
         return abs(f.evaluate(math.cos(theta), math.sin(theta)))
     step = math.pi / 10_000
-    best_i = min(range(10_000), key=lambda i: g(i * step))
+    t = np.arange(10_000) * step
+    dense = np.abs(f.evaluate(np.cos(t), np.sin(t)))
+    near = np.flatnonzero(dense <= dense.min() + 1e-12 * sum(map(abs, f.coeffs)))
+    best_i = min(near.tolist(), key=lambda i: g(i * step))
     lo, hi = (best_i - 1) * step, (best_i + 1) * step
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi

@@ -357,12 +357,15 @@ def _sl3_raw(T: float, *, panels: int = 6, nodes: int = 24) -> float:
         out[live] = 0.0 + panel[:, 0] + panel[:, 1]
         return out
 
-    return gl_integrate(outer, 0.0, _sl3_a1_max(T), panels=panels, nodes=nodes)
+    with np.errstate(over="ignore"):  # past T ~ 5e51: an inf that _sl3_volume refuses
+        return gl_integrate(outer, 0.0, _sl3_a1_max(T), panels=panels, nodes=nodes)
 
 
 def _sl3_volume(T: float) -> float:
     coarse = _sl3_raw(T, panels=6, nodes=24)
     fine = _sl3_raw(T, panels=12, nodes=32)
+    if not (math.isfinite(coarse) and math.isfinite(fine)):
+        raise OverflowError(f"SL3 chamber integral overflows a float at T={T:g}")
     if fine > 0 and abs(fine - coarse) > 1e-3 * fine:
         raise NumericalError(f"SL3 chamber quadrature not converged at T={T:g}: "
                              f"{float(coarse)!r} vs {float(fine)!r}")

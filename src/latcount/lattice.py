@@ -17,9 +17,9 @@ from .errors import BudgetError, SpecError
 from .gauges import (
     BinaryForm,
     Gauge,
+    _form_weights,
     entry_bound,
     form_norm_sq,
-    form_key,
     gauge_cap,
     gauge_eval,
     gauge_key,
@@ -437,8 +437,9 @@ _KERNEL_NORMS = {
 }
 
 
-def _progression_ball(gauge: Gauge, caps: Sequence[int], box: int) -> Iterator[tuple[int, ...]]:
-    """(bisect_left(caps, key), 1, a, b, c, d) for every element of sl2z with key <= caps[-1].
+def _progression_ball(gauge: Gauge, caps: Sequence[int], box: int) -> Iterator[tuple]:
+    """(bisect_left(caps, key), a, b, c, d, coeffs) for every element g = (a, b; c, d)
+    of sl2z with key <= caps[-1] and a > 0 or a = 0 < b: one of each pair +-g.
 
     The Bezout walk for the "abs", "max" and "form" keys (the "sq" balls take
     _sq_columns).  An element (a, b; c, d) is fixed by its top row (a, b) and
@@ -446,21 +447,24 @@ def _progression_ball(gauge: Gauge, caps: Sequence[int], box: int) -> Iterator[t
     a d0 - b c0 = 1 from ext_gcd.  The key (gauge_key; key_norm names it) is
     convex in k, so the k inside the ball form an interval: _window_1d bounds
     |c| and |d| (by caps[-1] minus the top row for "abs", caps[-1] for "max",
-    the entry bound box for "form") and the key test trims the rest.  Order
-    is unspecified.
+    the entry bound box for "form") and the key test trims the rest.  -g has
+    g's key (entrywise; f . (-g) = f . g for rep_form's definite, so even,
+    forms).  coeffs is f . g from the "form" key, else None.  Order is unspecified.
     """
     top = caps[-1]
     norm = key_norm(gauge)
+    assert norm != "form" or gauge.form.degree % 2 == 0, "f . (-g) = f . g needs even degree"
+    weights, coeffs = _form_weights(gauge.form.degree) if norm == "form" else (), None
     # top rows that leave room for a nonzero bottom row
     amax = {"abs": top - 1, "max": top, "form": box}[norm]
-    for a in range(-amax, amax + 1):
-        bmax = amax - abs(a) if norm == "abs" else amax
-        for b in range(-bmax, bmax + 1):
+    for a in range(amax + 1):
+        bmax = amax - a if norm == "abs" else amax
+        for b in range(-bmax, bmax + 1) if a else (1,):  # gcd(0, b) = |b|
             if math.gcd(a, b) != 1:
                 continue
             _, x, y = ext_gcd(a, b)
             c, d = -y, x  # a*d - b*c = 1
-            ab = abs(a) + abs(b) if norm == "abs" else max(abs(a), abs(b))
+            ab = a + abs(b) if norm == "abs" else max(a, abs(b))
             bound = top - ab if norm == "abs" else amax
             window = _intersect(_window_1d(c, a, bound), _window_1d(d, b, bound))
             if window is None:
@@ -474,9 +478,10 @@ def _progression_ball(gauge: Gauge, caps: Sequence[int], box: int) -> Iterator[t
                 elif norm == "max":
                     key = max(ab, abs(c), abs(d))
                 else:
-                    key = form_key(gauge.form, a, b, c, d)
+                    coeffs = substitute_coeffs(gauge.form.coeffs, a, b, c, d)
+                    key = sum(w * e * e for w, e in zip(weights, coeffs))
                 if key <= top:
-                    yield bisect.bisect_left(caps, key), 1, a, b, c, d
+                    yield bisect.bisect_left(caps, key), a, b, c, d, coeffs
                 c += a
                 d += b
 
@@ -823,11 +828,11 @@ def progression_buckets(
     _KERNEL_NORMS says which balls it covers: the "sq" balls of sl2z (rnorm:2,
     hyperbolic) and sl2z1p (height) flatten the column chunks of _sq_columns,
     and sl3z with rnorm:1, rnorm:2 and rnorm:inf those of _sl3_columns; a
-    Python Bezout walk (_progression_ball) serves sl2z with rnorm:1, rnorm:inf
-    and form gauges.  Returns None for every other ball, which then needs
-    enumerate_ball.  The grid check (finite, strictly increasing, nonempty),
-    the checks and the budget gate of enumerate_ball run first, at the call,
-    for every ball.
+    Python Bezout walk over one of each pair +-g (_progression_ball) serves sl2z
+    with rnorm:1, rnorm:inf and forms.  Returns None for every other ball,
+    which then needs enumerate_ball.  The grid check (finite, strictly
+    increasing, nonempty), the checks and the budget gate of enumerate_ball
+    run first, at the call, for every ball.
     """
     walk = _column_walk(group, gauge, thresholds, budget)
     if walk is not None:
@@ -835,7 +840,9 @@ def progression_buckets(
     caps = _checked_caps(group, gauge, thresholds, budget)
     if key_norm(gauge) not in _KERNEL_NORMS[group]:
         return None
-    return _progression_ball(gauge, caps, entry_bound(gauge, thresholds[-1]))
+    half = _progression_ball(gauge, caps, entry_bound(gauge, thresholds[-1]))
+    return (rec for i, a, b, c, d, _ in half
+            for rec in ((i, 1, a, b, c, d), (i, 1, -a, -b, -c, -d)))
 
 
 @dataclass(frozen=True)
@@ -1065,8 +1072,9 @@ def orbit_forms_series(
 
     A form's norm fixes its bucket, so the distinct forms up to a threshold are
     the distinct forms of its bucket and the buckets below; each is hit by
-    exactly stabilizer_order elements, which every row checks.  Thresholds
-    below ||f0|| (1 - 1e-12) give (0, 0, 0) and take no ball.
+    exactly stabilizer_order elements, which every row checks.  It reads the half
+    walk _progression_ball after ball_buckets' checks: g counts for g and -g, one
+    form (f0 has even degree).  Thresholds below ||f0|| (1 - 1e-12) give (0, 0, 0).
     """
     if f0.degree < 3:
         raise SpecError("orbit counting needs degree >= 3 (finite stabilizer)")
@@ -1077,15 +1085,15 @@ def orbit_forms_series(
     if grid:
         gammas = [0] * len(grid)
         forms: list[set[tuple[int, ...]]] = [set() for _ in grid]
-        for i, _, a, b, c, d in ball_buckets("sl2z", gauge, grid, budget=budget):
-            gammas[i] += 1
-            forms[i].add(substitute_coeffs(f0.coeffs, a, b, c, d))
-        stab = 0
+        caps = _checked_caps("sl2z", gauge, grid, budget)
+        for i, *_, coeffs in _progression_ball(gauge, caps, entry_bound(gauge, grid[-1])):
+            gammas[i] += 2
+            forms[i].add(coeffs)
         # any threshold between ||f0|| and the next orbit value isolates the stabilizer
-        for _, _, a, b, c, d in ball_buckets("sl2z", gauge, [base_norm * (1.0 + 1e-9)],
-                                             budget=budget):
-            if substitute_coeffs(f0.coeffs, a, b, c, d) == f0.coeffs:
-                stab += 1
+        near = base_norm * (1.0 + 1e-9)
+        caps = _checked_caps("sl2z", gauge, [near], budget)
+        stab = 2 * sum(coeffs == f0.coeffs
+                       for *_, coeffs in _progression_ball(gauge, caps, entry_bound(gauge, near)))
         gamma_count = orbit_count = 0
         for t, n_gamma, seen in zip(grid, gammas, forms):
             gamma_count += n_gamma

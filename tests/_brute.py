@@ -1,9 +1,10 @@
 """Slow oracles the fast routes are checked against: exhaustive small-ball
 scans, the per-element Python walk of the "sq" balls, the flat SL(3) sweep
 over every first row, per-record torus phases and coset residues,
-residue-group and orbit counts by enumeration, the per-node-pair KAK
-quadrature, the per-node SL(3) chamber quadrature, and the SL(3) chamber
-integral with its a2 integral in closed form."""
+residue-group and orbit counts by enumeration, the scalar circle scan of
+unit_circle_min, the KAK quadrature one theta1 node at a time, the per-node
+SL(3) chamber quadrature, and the SL(3) chamber integral with its a2
+integral in closed form."""
 
 from __future__ import annotations
 
@@ -254,75 +255,103 @@ def brute_orbit_count(f0: BinaryForm, threshold: float) -> tuple[int, int, int]:
     return (len({f.coeffs for f in forms}), stab, len(forms))
 
 
+def unit_circle_min_scalar(f: BinaryForm) -> float:
+    """gauges.unit_circle_min with the 10,000 dense samples taken in scalar math too."""
+    def g(theta: float) -> float:
+        return abs(f.evaluate(math.cos(theta), math.sin(theta)))
+    step = math.pi / 10_000
+    best_i = min(range(10_000), key=lambda i: g(i * step))
+    lo, hi = (best_i - 1) * step, (best_i + 1) * step
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c, d = b - inv_phi * (b - a), a + inv_phi * (b - a)
+    gc, gd = g(c), g(d)
+    for _ in range(120):
+        if gc < gd:
+            b, d, gd = d, c, gc
+            c = b - inv_phi * (b - a)
+            gc = g(c)
+        else:
+            a, c, gc = c, d, gd
+            d = a + inv_phi * (b - a)
+            gd = g(d)
+    return g((a + b) / 2.0)
+
+
 # ---------------------------------------------------------------------------
-# KAK quadrature, one (theta1, theta2) node pair at a time
+# KAK quadrature, one theta1 node at a time
 # ---------------------------------------------------------------------------
 
-def _kak_entry_coeffs(theta1: float, theta2: float) -> tuple[np.ndarray, np.ndarray]:
-    """u, v with entries(k1 a_s k2) = u e^s + v e^{-s}."""
+def _kak_entry_coeffs(theta1: float, theta2s) -> tuple[np.ndarray, np.ndarray]:
+    """u, v of shape (2, 2, m) with entries(k1 a_s k2) = u e^s + v e^{-s}, column i at theta2s[i]."""
     c1, s1 = math.cos(theta1), math.sin(theta1)
-    c2, s2 = math.cos(theta2), math.sin(theta2)
+    c2 = np.array([math.cos(t) for t in theta2s])
+    s2 = np.array([math.sin(t) for t in theta2s])
     u = np.array([[c1 * c2, -c1 * s2], [s1 * c2, -s1 * s2]])
     v = np.array([[-s1 * s2, -s1 * c2], [c1 * s2, c1 * c2]])
     return u, v
 
 
 def _rnorm_of_s(u: np.ndarray, v: np.ndarray, r: float, s: np.ndarray) -> np.ndarray:
+    """rnorm(u e^s + v e^{-s}) of column i of u, v at the points s[i], shape (m, k)."""
     E = np.exp(s)
-    entries = np.abs(u[:, :, None] * E[None, None, :] + v[:, :, None] / E[None, None, :])
+    entries = np.abs(u[:, :, :, None] * E + v[:, :, :, None] / E)
     if math.isinf(r):
         return entries.max(axis=(0, 1))
     return (entries ** r).sum(axis=(0, 1)) ** (1.0 / r)
 
 
 def _refine_crossing(u: np.ndarray, v: np.ndarray, r: float, T: float,
-                     lo: float, hi: float, want_leq_left: bool) -> float:
-    """Locate the crossing of the (convex) s-profile through T inside [lo, hi]."""
+                     lo: np.ndarray, hi: np.ndarray, want_leq_left: bool) -> np.ndarray:
+    """Locate, per column, the crossing of the (convex) s-profile through T inside [lo, hi]."""
+    cols = np.arange(len(lo))
     for _ in range(5):
-        s = np.linspace(lo, hi, 33)
-        vals = _rnorm_of_s(u, v, r, s)
-        inside = vals <= T
+        s = np.linspace(lo, hi, 33, axis=1)
+        inside = _rnorm_of_s(u, v, r, s) <= T
         if want_leq_left:
-            idx = int(np.argmin(inside)) if not inside.all() else 32
+            idx = np.where(inside.all(axis=1), 32, inside.argmin(axis=1))
         else:
-            idx = int(np.argmax(inside)) if inside.any() else 32
-        idx = max(1, min(idx, 32))
-        lo, hi = s[idx - 1], s[idx]
+            idx = np.where(inside.any(axis=1), inside.argmax(axis=1), 32)
+        idx = np.clip(idx, 1, 32)
+        lo, hi = s[cols, idx - 1], s[cols, idx]
     return 0.5 * (lo + hi)
 
 
 def _sublevel_interval(u: np.ndarray, v: np.ndarray, r: float, T: float,
-                       s_cap: float) -> tuple[float, float] | None:
-    """The interval {s in [0, s_cap] : rnorm(k1 a_s k2) <= T} (convex profile)."""
+                       s_cap: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per column, the interval {s in [0, s_cap] : rnorm(k1 a_s k2) <= T} (convex
+    profile): (nonempty, s_a, s_b), the ends meaningless where it is empty."""
+    m = u.shape[2]
+    cols = np.arange(m)
     grid = np.linspace(0.0, s_cap, 65)
-    vals = _rnorm_of_s(u, v, r, grid)
+    vals = _rnorm_of_s(u, v, r, np.broadcast_to(grid, (m, 65)))
     # locate the profile minimum (three refinement rounds)
-    i = int(vals.argmin())
-    lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, 64)]
+    i = vals.argmin(axis=1)
+    lo, hi = grid[np.maximum(i - 1, 0)], grid[np.minimum(i + 1, 64)]
     for _ in range(3):
-        s = np.linspace(lo, hi, 33)
-        vv = _rnorm_of_s(u, v, r, s)
-        j = int(vv.argmin())
-        lo, hi = s[max(j - 1, 0)], s[min(j + 1, 32)]
+        s = np.linspace(lo, hi, 33, axis=1)
+        j = _rnorm_of_s(u, v, r, s).argmin(axis=1)
+        lo, hi = s[cols, np.maximum(j - 1, 0)], s[cols, np.minimum(j + 1, 32)]
     s_min = 0.5 * (lo + hi)
-    if float(_rnorm_of_s(u, v, r, np.array([s_min]))[0]) > T:
-        return None
-    if float(vals[0]) <= T:
-        s_a = 0.0
-    else:
-        s_a = _refine_crossing(u, v, r, T, 0.0, s_min, want_leq_left=False)
-    if float(vals[-1]) <= T:
-        s_b = s_cap
-    else:
-        s_b = _refine_crossing(u, v, r, T, s_min, s_cap, want_leq_left=True)
-    return s_a, s_b
+    nonempty = ~(_rnorm_of_s(u, v, r, s_min[:, None])[:, 0] > T)
+    s_a, s_b = np.zeros(m), np.full(m, s_cap)
+    left, right = nonempty & (vals[:, 0] > T), nonempty & (vals[:, -1] > T)
+    if left.any():
+        s_a[left] = _refine_crossing(u[:, :, left], v[:, :, left], r, T, s_a[left],
+                                     s_min[left], want_leq_left=False)
+    if right.any():
+        s_b[right] = _refine_crossing(u[:, :, right], v[:, :, right], r, T, s_min[right],
+                                      s_b[right], want_leq_left=True)
+    return nonempty, s_a, s_b
 
 
 def kak_raw_reference(gauge: Gauge, T: float, *, panels: int = 4, nodes: int = 16) -> float:
-    """haar._sl2_kak_raw computed one (theta1, theta2) node pair at a time.
+    """haar._sl2_kak_raw at one threshold, one theta1 node at a time.
 
-    Same nodes, grids and refinement rounds as the batched route, so the two
-    must agree exactly, not just to a tolerance.
+    At each theta1 node the sublevel search runs on every theta2 node at once,
+    with the nodes, grids and refinement rounds of the batched route, and the
+    sum takes the node pairs in the same order; so the two must agree
+    exactly, not just to a tolerance.
     """
     if gauge.kind != "rnorm":
         raise SpecError(f"KAK quadrature handles rnorm gauges, not {gauge.kind!r}")
@@ -343,13 +372,12 @@ def kak_raw_reference(gauge: Gauge, T: float, *, panels: int = 4, nodes: int = 1
         theta_weights.extend(half * w)
     total = 0.0
     for th1, w1 in zip(theta_nodes, theta_weights):
-        for th2, w2 in zip(theta_nodes, theta_weights):
-            u, v = _kak_entry_coeffs(th1, th2)
-            interval = _sublevel_interval(u, v, gauge.r, T, s_cap)
-            if interval is None:
-                continue
-            s_a, s_b = interval
-            total += w1 * w2 * 0.5 * (math.cosh(2.0 * s_b) - math.cosh(2.0 * s_a))
+        u, v = _kak_entry_coeffs(th1, theta_nodes)
+        nonempty, s_a, s_b = _sublevel_interval(u, v, gauge.r, T, s_cap)
+        for w2, inside, a, b in zip(theta_weights, nonempty.tolist(), s_a.tolist(),
+                                    s_b.tolist()):
+            if inside:
+                total += w1 * w2 * 0.5 * (math.cosh(2.0 * b) - math.cosh(2.0 * a))
     return total
 
 

@@ -216,6 +216,9 @@ def test_overflowing_volume_is_a_numerical_failure(capsys, command):
 @pytest.mark.parametrize("tmax,message", [
     # past T ~ 1.158e77 the chamber bound's R^2 overflows (it was a log(0) crash)
     ("1e80", "ball volume of rnorm:2 on sl3z at 1e+78 overflows a float"),
+    # past T ~ 5e51 the sinh product overflows: no RuntimeWarning (an error here)
+    # and no inf - inf in the convergence test, the same exit 4
+    ("1e60", "ball volume of rnorm:2 on sl3z at 1e+58 overflows a float"),
     # coarse and fine passes printed as plain floats, not np.float64(...)
     ("1e10", "SL3 chamber quadrature not converged at T=1.77828e+09: "
              "8.242858884137144e+52 vs 8.234192504881295e+52"),

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _brute import unit_circle_min_scalar
 from latcount.errors import SpecError
 from latcount.gauges import (
     BinaryForm,
@@ -93,6 +94,23 @@ def test_unit_circle_min_quartic():
     f = BinaryForm(4, (1, 0, 0, 0, 1))
     # min of cos^4 + sin^4 on the circle is 1/2 at pi/4
     assert unit_circle_min(f) == pytest.approx(0.5, abs=1e-9)
+
+
+@pytest.mark.parametrize("coeffs", [
+    (1, 0, 0, 0, 1),           # x^4 + y^4
+    (2, 1, 3, 0, 5),
+    (1, 0, 0, 1, 0, 0, 2),     # x^6 + x^3 y^3 + 2 y^6
+    (1, 0, 1, 0, 1),           # x^4 + x^2 y^2 + y^4
+], ids=["x4+y4", "2,1,3,0,5", "sextic", "x4+x2y2+y4"])
+def test_unit_circle_min_equals_the_scalar_scan(coeffs):
+    f = BinaryForm(len(coeffs) - 1, coeffs)
+    assert f.is_definite()
+    if coeffs == (1, 0, 0, 0, 1):
+        # the dense samples tie exactly at pi/4 and 3 pi/4: the first must win
+        step = math.pi / 10_000
+        at = [abs(f.evaluate(math.cos(i * step), math.sin(i * step))) for i in (2500, 7500)]
+        assert at[0] == at[1]
+    assert unit_circle_min(f) == unit_circle_min_scalar(f)
 
 
 def test_height_gauge_values():

@@ -32,6 +32,7 @@ from _brute import (
 from latcount.errors import BudgetError, SpecError
 from latcount.gauges import (
     BinaryForm,
+    Gauge,
     form_norm_sq,
     forms_substitute,
     gauge_cap,
@@ -43,6 +44,7 @@ from latcount.gauges import (
     parse_gauge,
     rep_form_gauge,
     rnorm_gauge,
+    substitute_coeffs,
 )
 from latcount.groups import GroupElement, int_det, reduce_mod
 from latcount.lattice import (
@@ -64,6 +66,7 @@ from latcount.torus import (
     _column_turns,
     deviation_series,
 )
+import latcount.gauges as gauges
 import latcount.lattice as lattice
 import latcount.torus as torus
 
@@ -542,21 +545,117 @@ def test_sl3_torus_rows_are_bit_identical(gauge, thr):
 
 QUARTIC = BinaryForm(4, (1, 0, 0, 0, 1))  # ||f0||^2 = 2
 MIXED = BinaryForm(4, (1, 0, 1, 0, 1))    # ||f0||^2 = 13/6
-FORMS = [QUARTIC, MIXED]
-FORM_IDS = ["x4+y4", "x4+x2y2+y4"]
-
-
-@pytest.mark.parametrize("f0,thr", [
+SKEW = BinaryForm(4, (2, 1, 3, 0, 5))     # stabilizer {I, -I} alone
+SEXTIC = BinaryForm(6, (1, 0, 0, 1, 0, 0, 2))  # x^6 + x^3 y^3 + 2 y^6
+FORMS = [QUARTIC, MIXED, SKEW, SEXTIC]
+FORM_IDS = ["x4+y4", "x4+x2y2+y4", "2,1,3,0,5", "sextic"]
+FORM_RECORD_CASES = [
     (QUARTIC, (math.sqrt(2.0),)),
     (QUARTIC, (math.sqrt(2.0), math.sqrt(19.0), 10.0, 60.0, 250.0, 1000.0)),
     (MIXED, (1.0, math.sqrt(13 / 6), 5.0, 40.0, 300.0, 1000.0)),
-], ids=["x4+y4-base", "x4+y4-grid", "x4+x2y2+y4-grid"])
-def test_form_records_match_enumeration(f0, thr):
-    gauge = rep_form_gauge(f0)
+    (SKEW, (math.sqrt(form_norm_sq(SKEW)), 10.0, 60.0, 250.0, 1000.0, 3000.0)),
+    (SEXTIC, (math.sqrt(form_norm_sq(SEXTIC)), 10.0, 100.0, 1000.0, 5000.0)),
+]
+FORM_RECORD_IDS = ["x4+y4-base", "x4+y4-grid", "x4+x2y2+y4-grid", "2,1,3,0,5-grid", "sextic-grid"]
+
+
+def assert_records_match_enumeration(gauge, thr):
     kernel = Counter(progression_buckets("sl2z", gauge, thr))
     oracle = Counter((i, 1, *el.entries_flat()) for i, el in oracle_buckets("sl2z", gauge, thr))
     assert kernel == oracle
     assert set(kernel.values()) == {1}
+
+
+@pytest.mark.parametrize("f0,thr", FORM_RECORD_CASES, ids=FORM_RECORD_IDS)
+def test_form_records_match_enumeration(f0, thr):
+    assert_records_match_enumeration(rep_form_gauge(f0), thr)
+
+
+# integer thresholds: every one is a tie of the "abs" or "max" key
+ENTRYWISE_TIES = [
+    (rnorm_gauge(1), (1.0, 2.0, 3.0, 4.0, 5.0, 8.0, 13.0)),
+    (rnorm_gauge(INF), (1.0, 2.0, 3.0, 4.0, 7.0, 9.0)),
+]
+
+
+@pytest.mark.parametrize("gauge,thr", ENTRYWISE_TIES, ids=["rnorm:1", "rnorm:inf"])
+def test_entrywise_records_match_enumeration_at_integer_ties(gauge, thr):
+    assert_records_match_enumeration(gauge, thr)
+
+
+def test_orbit_series_substitutes_each_half_walk_candidate_once(monkeypatch):
+    # the forms default: x^4 + y^4, 9 thresholds to 1e5; the route that walked
+    # the whole ball and substituted each kept element again made 9,040 calls
+    calls = Counter()
+
+    def counted(*args):
+        calls["substitute"] += 1
+        return substitute_coeffs(*args)
+
+    monkeypatch.setattr(lattice, "substitute_coeffs", counted)
+    monkeypatch.setattr(gauges, "substitute_coeffs", counted)  # form_key's
+    grid = [1000.0 * 100.0 ** (i / 8) for i in range(9)]  # the CLI's T-scale grid
+    series = orbit_forms_series(QUARTIC, grid)
+    assert (series[-1].gamma_count, series[-1].stabilizer_order) == (2212, 4)
+    assert calls["substitute"] <= 3412
+
+
+def test_half_walk_refuses_an_odd_form():
+    # rep_form_gauge admits no odd degree; a gauge built around it must not
+    # reach the walk, where f . (-g) = -(f . g) would double the wrong form
+    cubic = Gauge(kind="rep_form", form=BinaryForm(3, (1, 0, 0, 1)))
+    with pytest.raises(AssertionError, match="even degree"):
+        next(lattice._progression_ball(cubic, [100], 3))
+
+
+def _without_zero_rows(half):
+    return lambda *args: (rec for rec in half(*args) if rec[1] != 0)
+
+
+def _mutated(func, old, new):
+    """func recompiled from its source with the one occurrence of old made new."""
+    source = inspect.getsource(func)
+    assert source.count(old) == 1
+    namespace = {}
+    exec(compile(source.replace(old, new), inspect.getsourcefile(func), "exec"),
+         vars(inspect.getmodule(func)), namespace)
+    return namespace[func.__name__]
+
+
+# planted defects of the half walk and of the orbit pass that reads it
+HALF_WALK_DEFECTS = {
+    "zero-rows-dropped": lambda: ("_progression_ball",
+                                  _without_zero_rows(lattice._progression_ball)),
+    "minus-g-not-emitted": lambda: ("progression_buckets", _mutated(
+        lattice.progression_buckets, " (i, 1, -a, -b, -c, -d))", ")")),
+    "gamma-not-doubled": lambda: ("orbit_forms_series", _mutated(
+        lattice.orbit_forms_series, "gammas[i] += 2", "gammas[i] += 1")),
+    "stabilizer-not-doubled": lambda: ("orbit_forms_series", _mutated(
+        lattice.orbit_forms_series, "stab = 2 * sum(", "stab = sum(")),
+}
+
+
+@pytest.mark.parametrize("defect,failing", [
+    ("zero-rows-dropped", ["records", "entrywise", "orbits"]),
+    ("minus-g-not-emitted", ["records", "entrywise"]),
+    ("gamma-not-doubled", ["orbits"]),
+    ("stabilizer-not-doubled", ["orbits"]),
+])
+def test_half_walk_defects_fail_the_oracle_tests(monkeypatch, defect, failing):
+    oracle_tests = {
+        "records": lambda: [test_form_records_match_enumeration(*case)
+                            for case in FORM_RECORD_CASES],
+        "entrywise": lambda: [test_entrywise_records_match_enumeration_at_integer_ties(*case)
+                              for case in ENTRYWISE_TIES],
+        "orbits": lambda: [test_orbit_series_matches_brute_counts(f0) for f0 in FORMS],
+    }
+    name, planted = HALF_WALK_DEFECTS[defect]()
+    monkeypatch.setattr(lattice, name, planted)
+    if name in globals():  # the oracle tests call it by the name imported here
+        monkeypatch.setitem(globals(), name, planted)
+    for oracle in failing:
+        with pytest.raises((AssertionError, SpecError)):
+            oracle_tests[oracle]()
 
 
 @pytest.mark.parametrize("f0", FORMS, ids=FORM_IDS)
@@ -564,8 +663,10 @@ def test_form_key_is_exact_at_orbit_norm_ties(f0):
     gauge = rep_form_gauge(f0)
     ball = list(enumerate_ball("sl2z", gauge, 250.0))
     norms = [form_norm_sq(forms_substitute(f0, el)) for el in ball]
+    # lcm_i binom(n, i): 12 for the quartics, 60 for the sextic
+    lcm = math.lcm(*(math.comb(f0.degree, i) for i in range(f0.degree + 1)))
     for el, norm in zip(ball, norms):
-        assert gauge_key(gauge, el) == 12 * norm  # lcm(1, 4, 6, 4, 1) = 12
+        assert gauge_key(gauge, el) == lcm * norm
     ties = [math.sqrt(n) for n in sorted(set(norms))]
     for tie in ties:
         for t in (math.nextafter(tie, 0.0), tie, math.nextafter(tie, math.inf)):
