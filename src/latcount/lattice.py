@@ -429,14 +429,6 @@ def enumerate_ball(
         yield from _enumerate_sl2(gauge, threshold)
 
 
-# the key norms each group's kernel walks; every other ball is enumerated
-_KERNEL_NORMS = {
-    "sl2z": {"sq", "abs", "max", "form"},
-    "sl3z": {"sq", "abs", "max"},
-    "sl2z1p": {"sq"},
-}
-
-
 def _progression_ball(gauge: Gauge, caps: Sequence[int], box: int) -> Iterator[tuple]:
     """(bisect_left(caps, key), a, b, c, d, coeffs) for every element g = (a, b; c, d)
     of sl2z with key <= caps[-1] and a > 0 or a = 0 < b: one of each pair +-g.
@@ -728,7 +720,7 @@ def _is_sq_ball(group: str, gauge: Gauge) -> bool:
 
 
 def _is_sl3_ball(group: str, gauge: Gauge) -> bool:
-    return group == "sl3z" and key_norm(gauge) in _KERNEL_NORMS["sl3z"]
+    return group == "sl3z" and key_norm(gauge) in ("sq", "abs", "max")
 
 
 def _checked_caps(group: str, gauge: Gauge, thresholds: Sequence[float],
@@ -738,19 +730,6 @@ def _checked_caps(group: str, gauge: Gauge, thresholds: Sequence[float],
     _check_grid(thresholds)
     _check_ball(group, gauge, thresholds[-1], budget)
     return [gauge_cap(gauge, t) for t in thresholds]
-
-
-def _column_walk(group: str, gauge: Gauge, thresholds: Sequence[float],
-                 budget: int | None) -> Iterator[tuple[np.ndarray, ...]] | None:
-    """The column chunks of a ball walked in numpy: _sq_columns for the "sq"
-    balls of sl2z and sl2z1p, _sl3_columns for sl3z with rnorm:1, rnorm:2 and
-    rnorm:inf.  The checks of _checked_caps run first, at the call; None, with
-    nothing checked, for every other ball."""
-    if _is_sq_ball(group, gauge):
-        return _sq_columns(gauge, _checked_caps(group, gauge, thresholds, budget))
-    if _is_sl3_ball(group, gauge):
-        return _sl3_columns(key_norm(gauge), _checked_caps(group, gauge, thresholds, budget))
-    return None
 
 
 def _shell_caps(group: str, gauge: Gauge, thresholds: Sequence[float],
@@ -778,13 +757,14 @@ def _shell_caps(group: str, gauge: Gauge, thresholds: Sequence[float],
     return [gauge_cap(gauge, t) for t in thresholds]
 
 
-# records per chunk of ball_columns off the "sq" walk
+# records per chunk of ball_columns off the numpy walks
 _CHUNK_RECORDS = 4096
 
 
 def _record_chunks(records: Iterable[tuple[int, ...]]) -> Iterator[tuple[np.ndarray, ...]]:
-    """ball_buckets records packed into int64 column chunks of _CHUNK_RECORDS
-    records, one denominator per chunk (the last chunk of each shorter)."""
+    """Records (bucket, denom, *entries) packed into int64 column chunks of
+    _CHUNK_RECORDS records, one denominator per chunk (the last chunk of each
+    shorter)."""
     pending: dict[int, list[tuple[int, ...]]] = {}
     for rec in records:
         chunk = pending.setdefault(rec[1], [])
@@ -801,48 +781,39 @@ def ball_columns(
 ) -> Iterator[tuple[np.ndarray, ...]]:
     """The ball at thresholds[-1] as chunks of int64 columns (bucket, denom, *entries).
 
-    Row j of a chunk is the ball_buckets record of one element; every element
-    comes once, and every chunk is nonempty with one denominator.  The "sq"
-    balls of sl2z (rnorm:2, hyperbolic) and sl2z1p (height) come from one
-    numpy walk (_sq_columns), and sl3z with rnorm:1, rnorm:2 and rnorm:inf
-    from the first-row orbit sweep (_sl3_columns); every other ball, and
-    given elements, pack the records of ball_buckets, _CHUNK_RECORDS at a
-    time.  Entries must fit int64, as they do in every ball its budget
-    admits.  The grid check, and without elements the checks and the budget
-    gate of enumerate_ball, run first, at the call.
+    Row j of a chunk is one element, entries / denom (entries row-major,
+    denom = p^l at level l, 1 on sl2z and sl3z); bucket < len(thresholds) is
+    the index of the first threshold whose ball holds it, as bucket_index
+    gives it.
+    Every element comes once, every chunk is nonempty with one denominator,
+    and order is unspecified.  This is the one place that picks the walk: the
+    "sq" balls of sl2z (rnorm:2, hyperbolic) and sl2z1p (height) come from
+    one numpy walk (_sq_columns), sl3z with rnorm:1, rnorm:2 and rnorm:inf
+    from the first-row orbit sweep (_sl3_columns), and sl2z with rnorm:1,
+    rnorm:inf and forms from the Bezout walk over one of each pair +-g
+    (_progression_ball); every other ball is enumerated (enumerate_ball).
+    Given elements are bucketed as they are, those above thresholds[-1]
+    dropped.  Records off the numpy walks are packed _CHUNK_RECORDS at a
+    time (_record_chunks).  Entries must fit int64, as they do in every ball
+    its budget admits.  The grid check (finite, strictly increasing,
+    nonempty), and without elements the checks and the budget gate of
+    enumerate_ball, run first, at the call.
     """
-    walk = None if elements is not None else _column_walk(group, gauge, thresholds, budget)
-    if walk is not None:
-        return walk
-    return _record_chunks(ball_buckets(group, gauge, thresholds, elements=elements, budget=budget))
-
-
-def progression_buckets(
-    group: str, gauge: Gauge, thresholds: Sequence[float], budget: int | None = None
-) -> Iterator[tuple[int, ...]] | None:
-    """The ball at thresholds[-1] as ball_buckets records, without building elements.
-
-    Each record is (bucket, p^l, *entries) for the element p^(-l) (entries
-    row-major; p^l = 1 on sl2z and sl3z); bucket is the index of the first
-    threshold whose ball holds the element, as bucket_index gives it.
-    _KERNEL_NORMS says which balls it covers: the "sq" balls of sl2z (rnorm:2,
-    hyperbolic) and sl2z1p (height) flatten the column chunks of _sq_columns,
-    and sl3z with rnorm:1, rnorm:2 and rnorm:inf those of _sl3_columns; a
-    Python Bezout walk over one of each pair +-g (_progression_ball) serves sl2z
-    with rnorm:1, rnorm:inf and forms.  Returns None for every other ball,
-    which then needs enumerate_ball.  The grid check (finite, strictly
-    increasing, nonempty), the checks and the budget gate of enumerate_ball
-    run first, at the call, for every ball.
-    """
-    walk = _column_walk(group, gauge, thresholds, budget)
-    if walk is not None:
-        return (rec for cols in walk for rec in zip(*(col.tolist() for col in cols)))
-    caps = _checked_caps(group, gauge, thresholds, budget)
-    if key_norm(gauge) not in _KERNEL_NORMS[group]:
-        return None
-    half = _progression_ball(gauge, caps, entry_bound(gauge, thresholds[-1]))
-    return (rec for i, a, b, c, d, _ in half
-            for rec in ((i, 1, a, b, c, d), (i, 1, -a, -b, -c, -d)))
+    if elements is None:
+        caps = _checked_caps(group, gauge, thresholds, budget)
+        if _is_sq_ball(group, gauge):
+            return _sq_columns(gauge, caps)
+        if _is_sl3_ball(group, gauge):
+            return _sl3_columns(key_norm(gauge), caps)
+        if group == "sl2z" and key_norm(gauge) in ("abs", "max", "form"):
+            half = _progression_ball(gauge, caps, entry_bound(gauge, thresholds[-1]))
+            return _record_chunks(rec for i, a, b, c, d, _ in half
+                                  for rec in ((i, 1, a, b, c, d), (i, 1, -a, -b, -c, -d)))
+        elements = enumerate_ball(group, gauge, thresholds[-1], budget=budget)
+    bucket = threshold_bucketer(gauge, thresholds)  # the grid check, at the call
+    placed = ((bucket(el), el) for el in elements)
+    return _record_chunks((i, el.prime ** el.p_power if el.p_power else 1, *el.entries_flat())
+                          for i, el in placed if i < len(thresholds))
 
 
 @dataclass(frozen=True)
@@ -900,45 +871,6 @@ def threshold_bucketer(
     return bucket
 
 
-def ball_buckets(
-    group: str,
-    gauge: Gauge,
-    thresholds: Sequence[float],
-    *,
-    elements: Iterable[GroupElement] | None = None,
-    budget: int | None = None,
-) -> Iterator[tuple[int, ...]]:
-    """One flat record (bucket, denom, *entries) per element of the top ball.
-
-    The element is entries / denom (entries row-major, denom = p^k, 1 on
-    integral elements) and bucket < len(thresholds) is the index of the first
-    threshold whose ball holds it, as bucket_index gives it.  This is the one
-    place that picks the route for records: progression_buckets where it
-    covers the ball (for the "sq" balls of sl2z and sl2z1p and the sl3z balls
-    of _KERNEL_NORMS, the column chunks of _sq_columns and _sl3_columns
-    flattened into records), else enumerate_ball; given
-    elements are bucketed as they are and those above thresholds[-1] are
-    dropped.  The grid must be finite, strictly increasing and nonempty
-    (SpecError otherwise); without elements, the ball's checks and budget gate
-    run at the call too.  Order is unspecified.
-    """
-    if elements is None:
-        kernel = progression_buckets(group, gauge, thresholds, budget)
-        if kernel is not None:
-            return kernel
-        elements = enumerate_ball(group, gauge, thresholds[-1], budget=budget)
-    return _element_records(elements, threshold_bucketer(gauge, thresholds), len(thresholds))
-
-
-def _element_records(
-    elements: Iterable[GroupElement], bucket: Callable[[GroupElement], int], k: int
-) -> Iterator[tuple[int, ...]]:
-    for el in elements:
-        i = bucket(el)
-        if i < k:
-            yield (i, el.prime ** el.p_power if el.p_power else 1, *el.entries_flat())
-
-
 def count_series(
     group: str,
     gauge: Gauge,
@@ -957,7 +889,7 @@ def count_series(
     rnorm:inf is counted from the first-row orbit sweep (_sl3_counts), after
     the checks and the budget gate of enumerate_ball, on Python integers
     alone.  Every other ball, and given elements, take one pass over the
-    ball at the largest threshold (ball_buckets) that feeds every bucket.
+    ball at the largest threshold (ball_columns) that feeds every bucket.
     Volumes (when the gauge has a computable Haar volume) are normalized so
     that the ratio column tends to 1.
     """
@@ -967,10 +899,10 @@ def count_series(
     elif elements is None and _is_sl3_ball(group, gauge):
         counts = _sl3_counts(key_norm(gauge), _checked_caps(group, gauge, thr, budget))
     else:
-        buckets = [0] * len(thr)
-        for rec in ball_buckets(group, gauge, thr, elements=elements, budget=budget):
-            buckets[rec[0]] += 1
-        counts = list(accumulate(buckets))
+        buckets = np.zeros(len(thr), np.int64)
+        for cols in ball_columns(group, gauge, thr, budget, elements=elements):
+            buckets += np.bincount(cols[0], minlength=len(thr))
+        counts = list(accumulate(buckets.tolist()))
     volumes: list[float | None] = [None] * len(thr)
     if with_volume:
         from .haar import lattice_normalized_volumes
@@ -1073,7 +1005,7 @@ def orbit_forms_series(
     A form's norm fixes its bucket, so the distinct forms up to a threshold are
     the distinct forms of its bucket and the buckets below; each is hit by
     exactly stabilizer_order elements, which every row checks.  It reads the half
-    walk _progression_ball after ball_buckets' checks: g counts for g and -g, one
+    walk _progression_ball after ball_columns' checks: g counts for g and -g, one
     form (f0 has even degree).  Thresholds below ||f0|| (1 - 1e-12) give (0, 0, 0).
     """
     if f0.degree < 3:

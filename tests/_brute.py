@@ -1,10 +1,11 @@
 """Slow oracles the fast routes are checked against: exhaustive small-ball
-scans, the per-element Python walk of the "sq" balls, the flat SL(3) sweep
-over every first row, per-record torus phases and coset residues,
-residue-group and orbit counts by enumeration, the scalar circle scan of
-unit_circle_min, the KAK quadrature one theta1 node at a time, the per-node
-SL(3) chamber quadrature, and the SL(3) chamber integral with its a2
-integral in closed form."""
+scans, per-element ball records placed by bucket_index, the per-element
+Python walk of the "sq" balls, the flat SL(3) sweep over every first row,
+per-record torus phases and coset residues, residue-group and orbit counts
+by enumeration, the scalar circle scan of unit_circle_min, the KAK
+quadrature one theta1 node at a time, the per-node SL(3) chamber
+quadrature, and the SL(3) chamber integral with its a2 integral in closed
+form."""
 
 from __future__ import annotations
 
@@ -12,6 +13,7 @@ import bisect
 import math
 from fractions import Fraction
 from itertools import product
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -27,26 +29,52 @@ from latcount.gauges import (
 )
 from latcount.groups import GroupElement, adjugate, ext_gcd, int_det
 from latcount.haar import _sl3_a1_max, gl_integrate
-from latcount.lattice import _cross, _level_count, _third_row_candidates
+from latcount.lattice import (
+    _cross,
+    _level_count,
+    _third_row_candidates,
+    bucket_index,
+    enumerate_ball,
+)
 from latcount.torus import _act, _phase, _turn
+import latcount.lattice as lattice
+
+
+def _brute_ball(gauge: Gauge, threshold: float) -> tuple[int, Callable[[GroupElement], bool]]:
+    """(B, inside): every element of the ball has |entries| <= B, and inside
+    decides membership.
+
+    r-norms with integer or infinite r are written from the definition and
+    share no decision with enumerate_ball: |e| <= ||g||_r <= T gives B =
+    floor(T), and inside tests sum |e|^r <= T^r (max |e| <= T for r = inf)
+    in Fractions.  Every other gauge takes entry_bound and gauge_leq.
+    """
+    r = gauge.r
+    if gauge.kind == "rnorm" and (math.isinf(r) or r == int(r)):
+        T = Fraction(threshold)
+        if math.isinf(r):
+            return math.floor(T), lambda el: max(abs(e) for e in el.entries_flat()) <= T
+        n, cap = int(r), T ** int(r)
+        return math.floor(T), lambda el: sum(abs(e) ** n for e in el.entries_flat()) <= cap
+    return entry_bound(gauge, threshold), lambda el: gauge_leq(gauge, el, threshold)
 
 
 def brute_sl2z(gauge: Gauge, threshold: float) -> set[GroupElement]:
-    """Full scan over entry tuples up to the sound entry bound."""
-    bound = entry_bound(gauge, threshold)
+    """Full scan over entry tuples up to the sound entry bound (_brute_ball)."""
+    bound, inside = _brute_ball(gauge, threshold)
     rng = range(-bound, bound + 1)
     out = set()
     for a, b, c, d in product(rng, rng, rng, rng):
         if a * d - b * c != 1:
             continue
         el = GroupElement.from_rows(((a, b), (c, d)))
-        if gauge_leq(gauge, el, threshold):
+        if inside(el):
             out.add(el)
     return out
 
 
 def brute_sl3z(gauge: Gauge, threshold: float) -> set[GroupElement]:
-    bound = entry_bound(gauge, threshold)
+    bound, inside = _brute_ball(gauge, threshold)
     rng = range(-bound, bound + 1)
     out = set()
     for row1 in product(rng, repeat=3):
@@ -56,7 +84,7 @@ def brute_sl3z(gauge: Gauge, threshold: float) -> set[GroupElement]:
                 if int_det(rows) != 1:
                     continue
                 el = GroupElement.from_rows(rows)
-                if gauge_leq(gauge, el, threshold):
+                if inside(el):
                     out.add(el)
     return out
 
@@ -193,7 +221,7 @@ def sl3_ball_records(norm: str, caps) -> list[tuple[int, ...]]:
 
 
 def record_phase(m, point, n: int):
-    """ball_buckets record -> exp(2 pi i <m, gamma^{-1} x>) for n x n elements,
+    """Record (bucket, denom, *entries) -> exp(2 pi i <m, gamma^{-1} x>) for n x n elements,
     one record at a time: the per-record pass the torus columns replace.
 
     gamma^{-1} is the adjugate of an integral gamma; a record with a
@@ -222,8 +250,36 @@ def record_phase(m, point, n: int):
     return phase
 
 
+def element_records(group: str, gauge: Gauge, thresholds,
+                    elements: Iterable[GroupElement] | None = None) -> list[tuple[int, ...]]:
+    """(bucket_index, denom, *entries) of every element of the ball at
+    thresholds[-1] (enumerate_ball), or of every given element inside it.
+
+    The per-element route that lattice.ball_columns must reproduce: it picks
+    no walk, and places each element by bucket_index.  denom = p^k for an
+    element p^(-k) A, 1 on integral elements.
+    """
+    if elements is None:
+        elements = enumerate_ball(group, gauge, thresholds[-1])
+    out = []
+    for el in elements:
+        i = bucket_index(gauge, el, thresholds)
+        if i < len(thresholds):
+            out.append((i, el.prime ** el.p_power if el.p_power else 1, *el.entries_flat()))
+    return out
+
+
+def column_records(group: str, gauge: Gauge, thresholds, **kwargs) -> list[tuple[int, ...]]:
+    """Every row of every lattice.ball_columns chunk, as a tuple (bucket, denom, *entries).
+
+    It reads lattice.ball_columns at the call, so a planted defect there reaches it.
+    """
+    chunks = lattice.ball_columns(group, gauge, thresholds, **kwargs)
+    return [rec for cols in chunks for rec in zip(*(col.tolist() for col in cols))]
+
+
 def residue_keys(records, q: int) -> list[tuple[int, ...]]:
-    """(bucket, denom, entries mod q) of each ball_buckets record, one at a time."""
+    """(bucket, denom, entries mod q) of each record (bucket, denom, *entries), one at a time."""
     return [(rec[0], rec[1], *[e % q for e in rec[2:]]) for rec in records]
 
 

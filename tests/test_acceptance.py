@@ -46,6 +46,7 @@ from latcount.spectral import (
     xi_eval,
 )
 from latcount.torus import CosetObservable, TorusCharacter, decay_fit, deviation_series
+import latcount.gauges as gauges
 
 X0 = (math.sqrt(2.0) - 1.0, math.sqrt(3.0) - 1.0)
 
@@ -67,34 +68,56 @@ def _loglog_slope(xs, ys):
     return float(slope), r2
 
 
-def test_criterion_1_enumeration_matches_brute_force():
-    start = time.perf_counter()
-    cases = [
-        ("sl2z", rnorm_gauge(2), 4.0, brute_sl2z),
-        ("sl2z", rnorm_gauge(1), 5.0, brute_sl2z),
-        ("sl2z", rnorm_gauge(math.inf), 2.0, brute_sl2z),
-        ("sl2z", hyperbolic_gauge(), 2.2, brute_sl2z),
-        ("sl2z", rep_form_gauge(BinaryForm(4, (1, 0, 0, 0, 1))), 40.0,
-         brute_sl2z),
-        ("sl3z", rnorm_gauge(2), 2.5, brute_sl3z),
-        ("sl2z1p", height_gauge(2), 4.0, brute_sl2z1p),
-        ("sl2z1p", height_gauge(3), 4.0, brute_sl2z1p),
-    ]
-    sizes = []
-    ok = True
-    for group, gauge, threshold, brute in cases:
+CRITERION_1_CASES = [
+    ("sl2z", rnorm_gauge(2), 4.0, brute_sl2z),
+    ("sl2z", rnorm_gauge(1), 5.0, brute_sl2z),
+    ("sl2z", rnorm_gauge(math.inf), 2.0, brute_sl2z),
+    ("sl2z", hyperbolic_gauge(), 2.2, brute_sl2z),
+    ("sl2z", rep_form_gauge(BinaryForm(4, (1, 0, 0, 0, 1))), 40.0,
+     brute_sl2z),
+    ("sl3z", rnorm_gauge(2), 2.5, brute_sl3z),
+    ("sl2z1p", height_gauge(2), 4.0, brute_sl2z1p),
+    ("sl2z1p", height_gauge(3), 4.0, brute_sl2z1p),
+]
+
+
+def criterion_1_runs():
+    """(case, ball size, enumeration == brute force) for every criterion 1 case."""
+    runs = []
+    for group, gauge, threshold, brute in CRITERION_1_CASES:
         assert entry_bound(gauge, threshold) <= 6
         fast = set(enumerate_ball(group, gauge, threshold))
-        slow = brute(gauge, threshold)
-        ok = ok and fast == slow
-        sizes.append(len(fast))
+        runs.append((f"{group} {gauge.describe()} T={threshold}", len(fast),
+                     fast == brute(gauge, threshold)))
+    return runs
+
+
+def test_criterion_1_enumeration_matches_brute_force():
+    start = time.perf_counter()
+    runs = criterion_1_runs()
+    sizes = [size for _, size, _ in runs]
     elapsed = time.perf_counter() - start
-    ok = ok and elapsed < 10.0
+    ok = all(agrees for *_, agrees in runs) and elapsed < 10.0
     record_acceptance(
         1, "dual-route enumeration agrees as sets", ok,
-        f"{len(cases)} gauge cases, sizes {min(sizes)}..{max(sizes)}, "
+        f"{len(runs)} gauge cases, sizes {min(sizes)}..{max(sizes)}, "
         f"{elapsed:.1f}s < 10s")
     assert ok
+
+
+def test_an_open_max_cap_fails_criterion_1(monkeypatch):
+    # planted defect: the "max" cap made ceil(T) - 1, so T = 2 loses max |e| = 2;
+    # the brute oracle decides max |e| <= T itself and must see it
+    cap = gauges.gauge_cap
+
+    def open_max_cap(gauge, threshold, level=1):
+        if gauges.key_norm(gauge) == "max" and threshold >= 0:
+            return math.ceil(Fraction(threshold) * level) - 1
+        return cap(gauge, threshold, level)
+
+    monkeypatch.setattr(gauges, "gauge_cap", open_max_cap)
+    assert [case for case, _, agrees in criterion_1_runs() if not agrees] == \
+        ["sl2z rnorm:inf T=2.0"]
 
 
 def test_criterion_2_frobenius_count_matches_main_term(ball150):

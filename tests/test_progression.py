@@ -1,13 +1,13 @@
 """The ball kernels against the enumeration oracle, bit for bit.
 
-progression_buckets counts SL(2)-type balls along Bezout progressions, SL(3)
-balls by the third rows of first-row orbit representatives and form balls by
-an integer form key, all without building elements; enumerate_ball +
-bucket_index is the independent route it must reproduce exactly: per-bucket
-counts, residue histograms, torus rows and orbit counts.  The "sq" balls are
-walked in numpy columns (ball_columns); the per-element Python walk in _brute
-is their record-for-record oracle, as the flat SL(3) sweep of _brute is for
-the orbit route.
+ball_columns walks SL(2)-type balls along Bezout progressions, SL(3) balls
+by the third rows of first-row orbit representatives and form balls by an
+integer form key, all without building elements; enumerate_ball +
+bucket_index (_brute.element_records) is the independent route it must
+reproduce exactly: per-bucket counts, residue histograms, torus rows and
+orbit counts.  For the "sq" balls, walked in numpy columns, the per-element
+Python walk in _brute is the record-for-record oracle, as the flat SL(3)
+sweep of _brute is for the orbit route.
 """
 
 import inspect
@@ -24,6 +24,8 @@ import pytest
 
 from _brute import (
     brute_orbit_count,
+    column_records,
+    element_records,
     record_phase,
     residue_keys,
     sl3_ball_records,
@@ -48,14 +50,12 @@ from latcount.gauges import (
 )
 from latcount.groups import GroupElement, int_det, reduce_mod
 from latcount.lattice import (
-    ball_buckets,
     bucket_index,
     coset_histogram,
     count_series,
     enumerate_ball,
     orbit_forms_count,
     orbit_forms_series,
-    progression_buckets,
     sl_residue_order,
     threshold_bucketer,
 )
@@ -92,7 +92,7 @@ def oracle_buckets(group, gauge, thr):
 
 @pytest.mark.parametrize("group,gauge,thr", CASES, ids=IDS)
 def test_bucket_counts_match_enumeration(group, gauge, thr):
-    kernel = Counter(i for i, *_ in progression_buckets(group, gauge, thr))
+    kernel = Counter(i for i, *_ in column_records(group, gauge, thr))
     oracle = Counter(i for i, _ in oracle_buckets(group, gauge, thr))
     assert kernel == oracle
     assert len(thr) not in kernel
@@ -104,7 +104,7 @@ def test_bucket_counts_match_enumeration(group, gauge, thr):
 def test_kernel_elements_are_the_ball(group, gauge, thr):
     p = gauge.prime
     seen = Counter()
-    for _, den, a, b, c, d in progression_buckets(group, gauge, thr):
+    for _, den, a, b, c, d in column_records(group, gauge, thr):
         det = a * d - b * c
         level = 0 if group == "sl2z" else round(math.log(det, p)) // 2
         assert den == (p ** level if level else 1)
@@ -120,7 +120,7 @@ def test_kernel_elements_are_the_ball(group, gauge, thr):
 ], ids=["rnorm:2", "hyperbolic"])
 def test_coset_histograms_match_enumeration(q, gauge, thr):
     kernel = Counter((i, a % q, b % q, c % q, d % q)
-                     for i, _, a, b, c, d in progression_buckets("sl2z", gauge, thr))
+                     for i, _, a, b, c, d in column_records("sl2z", gauge, thr))
     oracle = Counter((i, *reduce_mod(el, q).sort_key())
                      for i, el in oracle_buckets("sl2z", gauge, thr))
     assert kernel == oracle
@@ -221,7 +221,8 @@ def test_gauge_leq_is_key_against_cap():
 def test_negative_threshold_stays_on_the_kernel():
     # a negative threshold caps at -1, below every key, so it holds nothing
     thr = (-3.0, 2.0, 4.0)
-    assert progression_buckets("sl2z", rnorm_gauge(2), thr) is not None
+    assert Counter(column_records("sl2z", rnorm_gauge(2), thr)) == \
+        Counter(element_records("sl2z", rnorm_gauge(2), thr))
     ball = list(enumerate_ball("sl2z", rnorm_gauge(2), 4.0))
     expected = Counter(bucket_index(rnorm_gauge(2), el, thr) for el in ball)
     got = count_series("sl2z", rnorm_gauge(2), thr, with_volume=False).counts()
@@ -236,9 +237,9 @@ SERIES_CALLS = {
     "count_series": lambda thr: count_series("sl2z", rnorm_gauge(2), thr),
     "torus": lambda thr: deviation_series("sl2z", rnorm_gauge(2), thr, TorusCharacter((1, 0)), X0),
     "coset": lambda thr: deviation_series("sl2z", rnorm_gauge(2), thr, CosetObservable(2)),
-    "ball_buckets-elements": lambda thr: ball_buckets(
+    "ball_buckets-elements": lambda thr: lattice.ball_columns(
         "sl2z", rnorm_gauge(2), thr, elements=list(enumerate_ball("sl2z", rnorm_gauge(2), 3.0))),
-    "progression_buckets": lambda thr: progression_buckets("sl2z", rnorm_gauge(2), thr),
+    "progression_buckets": lambda thr: lattice.ball_columns("sl2z", rnorm_gauge(2), thr),
     "bucket_index": lambda thr: bucket_index(
         rnorm_gauge(2), GroupElement.from_rows(((1, 2), (1, 3))), thr),
     "threshold_bucketer": lambda thr: threshold_bucketer(rnorm_gauge(2), thr),
@@ -261,6 +262,8 @@ def kernel_never_runs(monkeypatch):
     monkeypatch.setattr(lattice, "_sq_columns", boom)
     monkeypatch.setattr(lattice, "_shell_counts", boom)
     monkeypatch.setattr(lattice, "_sl3_orbits", boom)
+    monkeypatch.setattr(lattice, "_enumerate_sl2", boom)
+    monkeypatch.setattr(lattice, "_enumerate_sl3z", boom)
 
 
 @pytest.mark.usefixtures("kernel_never_runs")
@@ -282,6 +285,16 @@ def test_budget_gate_fires_before_the_kernel():
     with pytest.raises(BudgetError):
         deviation_series("sl3z", rnorm_gauge(2), [30.0], TorusCharacter((1, 0, 0)), X3,
                          budget=10)
+    # the half walk (rnorm:1) and enumeration (rnorm:1.5 on sl2z, rnorm:3 on sl3z)
+    for group, gauge, point in (("sl2z", rnorm_gauge(1), X0), ("sl2z", rnorm_gauge(1.5), X0),
+                                ("sl3z", rnorm_gauge(3), X3)):
+        with pytest.raises(BudgetError):
+            count_series(group, gauge, [2.0, 30.0], budget=10)
+        with pytest.raises(BudgetError):
+            deviation_series(group, gauge, [30.0], CosetObservable(2), budget=10)
+        with pytest.raises(BudgetError):
+            deviation_series(group, gauge, [30.0], TorusCharacter((1,) * len(point)), point,
+                             budget=10)
 
 
 @pytest.mark.usefixtures("kernel_never_runs")
@@ -321,7 +334,11 @@ def test_walks_keep_the_element_gate():
     with pytest.raises(BudgetError, match="estimated 11340000 elements"):
         deviation_series("sl2z", rnorm_gauge(2), [900.0], CosetObservable(2))
     with pytest.raises(BudgetError, match="estimated 11340000 elements"):
-        progression_buckets("sl2z", rnorm_gauge(2), [900.0])
+        lattice.ball_columns("sl2z", rnorm_gauge(2), [900.0])
+    # given elements are not walked, so no gate holds them
+    identity = GroupElement.from_rows(((1, 0), (0, 1)))
+    assert column_records("sl2z", rnorm_gauge(2), [900.0], elements=[identity]) == \
+        [(0, 1, 1, 0, 0, 1)]
 
 
 @pytest.mark.parametrize("threshold", [math.nan, math.inf])
@@ -390,9 +407,16 @@ def sl3_oracle(gauge, thr):
     return [(i, el) for i, el in pairs if i < len(thr)]
 
 
+def ball_records(group, gauge, thr):
+    """element_records of the ball at thr[-1], the sl3z r = 1 ball cut from the
+    r = 2 ball as in sl3_oracle."""
+    ball = sl3_ball(2, thr[-1]) if (group, gauge.r) == ("sl3z", 1) else None
+    return element_records(group, gauge, thr, elements=ball)
+
+
 @pytest.mark.parametrize("gauge,thr", SL3_CASES, ids=SL3_IDS)
 def test_sl3_records_match_enumeration(gauge, thr):
-    records = list(progression_buckets("sl3z", gauge, thr))
+    records = column_records("sl3z", gauge, thr)
     oracle = sl3_oracle(gauge, thr)
     assert Counter(i for i, *_ in records) == Counter(i for i, _ in oracle)
     kernel = {(rec[0], GroupElement.from_rows((rec[2:5], rec[5:8], rec[8:11])))
@@ -410,10 +434,10 @@ def flat_sl3_records(norm, caps):
 
 
 def check_orbit_records(gauge, thr):
-    """Oracle check: the orbit route's records (progression_buckets, flattened
-    from _sl3_columns) equal the flat sweep's as multisets, each element once."""
+    """Oracle check: the orbit route's records (ball_columns, flattened from
+    _sl3_columns) equal the flat sweep's as multisets, each element once."""
     caps = tuple(gauge_cap(gauge, t) for t in thr)
-    records = Counter(progression_buckets("sl3z", gauge, thr))
+    records = Counter(column_records("sl3z", gauge, thr))
     oracle = Counter(flat_sl3_records(key_norm(gauge), caps))
     missing, extra = oracle - records, records - oracle
     assert not missing and not extra, f"{len(missing)} records missing, {len(extra)} extra"
@@ -560,8 +584,8 @@ FORM_RECORD_IDS = ["x4+y4-base", "x4+y4-grid", "x4+x2y2+y4-grid", "2,1,3,0,5-gri
 
 
 def assert_records_match_enumeration(gauge, thr):
-    kernel = Counter(progression_buckets("sl2z", gauge, thr))
-    oracle = Counter((i, 1, *el.entries_flat()) for i, el in oracle_buckets("sl2z", gauge, thr))
+    kernel = Counter(column_records("sl2z", gauge, thr))
+    oracle = Counter(element_records("sl2z", gauge, thr))
     assert kernel == oracle
     assert set(kernel.values()) == {1}
 
@@ -626,8 +650,8 @@ def _mutated(func, old, new):
 HALF_WALK_DEFECTS = {
     "zero-rows-dropped": lambda: ("_progression_ball",
                                   _without_zero_rows(lattice._progression_ball)),
-    "minus-g-not-emitted": lambda: ("progression_buckets", _mutated(
-        lattice.progression_buckets, " (i, 1, -a, -b, -c, -d))", ")")),
+    "minus-g-not-emitted": lambda: ("ball_columns", _mutated(
+        lattice.ball_columns, " (i, 1, -a, -b, -c, -d))", ")")),
     "gamma-not-doubled": lambda: ("orbit_forms_series", _mutated(
         lattice.orbit_forms_series, "gammas[i] += 2", "gammas[i] += 1")),
     "stabilizer-not-doubled": lambda: ("orbit_forms_series", _mutated(
@@ -678,7 +702,7 @@ def test_form_key_is_exact_at_orbit_norm_ties(f0):
         assert gauge_cap(gauge, t) == -1
         assert not any(gauge_key(gauge, el) <= gauge_cap(gauge, t) for el in ball)
     # a negative threshold holds nothing on the kernel route
-    records = list(progression_buckets("sl2z", gauge, (-ties[-1], ties[-1])))
+    records = column_records("sl2z", gauge, (-ties[-1], ties[-1]))
     assert records and all(i == 1 for i, *_ in records)
 
 
@@ -715,7 +739,7 @@ SHELL_IDS = [f"{g}-{gauge.describe()}" for g, gauge, _ in SHELL_CASES]
 
 @pytest.mark.parametrize("group,gauge,thr", SHELL_CASES, ids=SHELL_IDS)
 def test_shell_counts_match_the_kernel(group, gauge, thr):
-    buckets = Counter(i for i, *_ in progression_buckets(group, gauge, thr))
+    buckets = Counter(i for i, *_ in column_records(group, gauge, thr))
     kernel = [sum(buckets[j] for j in range(i + 1)) for i in range(len(thr))]
     assert count_series(group, gauge, thr, with_volume=False).counts() == kernel
 
@@ -760,8 +784,25 @@ def test_given_elements_are_counted_as_given():
 
 
 # ---------------------------------------------------------------------------
-# which balls take a kernel
+# which walk each ball takes
 # ---------------------------------------------------------------------------
+
+WALKS = ("_sq_columns", "_sl3_orbits", "_progression_ball", "_enumerate_sl2", "_enumerate_sl3z")
+# (group, gauge) -> the one walk ball_columns may take for it
+ROUTES = {
+    ("sl2z", "rnorm:1"): "_progression_ball",
+    ("sl2z", "rnorm:2"): "_sq_columns",
+    ("sl2z", "rnorm:inf"): "_progression_ball",
+    ("sl2z", "hyperbolic"): "_sq_columns",
+    ("sl2z", "form:deg=4:coeffs=1,0,0,0,1"): "_progression_ball",
+    ("sl3z", "rnorm:1"): "_sl3_orbits",
+    ("sl3z", "rnorm:2"): "_sl3_orbits",
+    ("sl3z", "rnorm:inf"): "_sl3_orbits",
+    ("sl2z1p", "height:p=2"): "_sq_columns",
+    ("sl3z", "rnorm:3"): "_enumerate_sl3z",
+    ("sl2z", "rnorm:1.5"): "_enumerate_sl2",
+}
+
 
 @pytest.mark.parametrize("group,gauge,thr", [
     ("sl2z", rnorm_gauge(1), (3.0,)),
@@ -773,17 +814,20 @@ def test_given_elements_are_counted_as_given():
     ("sl3z", rnorm_gauge(2), (2.0,)),
     ("sl3z", rnorm_gauge(INF), (1.0,)),
     ("sl2z1p", height_gauge(2), (3.0,)),
+    ("sl3z", rnorm_gauge(3), (1.5,)),
+    ("sl2z", rnorm_gauge(1.5), (2.0, 4.0)),
 ])
-def test_kernel_routes(group, gauge, thr):
-    assert inspect.isgenerator(progression_buckets(group, gauge, thr))
+def test_kernel_routes(monkeypatch, group, gauge, thr):
+    walk = ROUTES[group, gauge.describe()]
+    oracle = Counter(ball_records(group, gauge, thr))  # enumerates, so before the patches
 
+    def boom(*args, **kwargs):
+        raise AssertionError(f"{group} {gauge.describe()} left {walk}")
 
-@pytest.mark.parametrize("group,gauge", [
-    ("sl3z", rnorm_gauge(3)),
-    ("sl2z", rnorm_gauge(1.5)),
-])
-def test_enumeration_routes(group, gauge):
-    assert progression_buckets(group, gauge, (2.0,)) is None
+    for name in WALKS:
+        if name != walk:
+            monkeypatch.setattr(lattice, name, boom)
+    assert Counter(column_records(group, gauge, thr)) == oracle
 
 
 # ---------------------------------------------------------------------------
@@ -804,12 +848,6 @@ COLUMN_CASES = [case for case in CASES if key_norm(case[1]) == "sq"] + [
 COLUMN_IDS = [f"{g}-{gauge.describe()}-T{thr[-1]:.6g}" for g, gauge, thr in COLUMN_CASES]
 
 
-def column_records(group, gauge, thr):
-    """Every row of every ball_columns chunk, as a ball_buckets record."""
-    chunks = lattice.ball_columns(group, gauge, thr)
-    return [rec for cols in chunks for rec in zip(*(col.tolist() for col in cols))]
-
-
 def oracle_records(gauge, thr):
     return sq_ball_records(gauge, [gauge_cap(gauge, t) for t in thr])
 
@@ -819,7 +857,6 @@ def test_column_records_match_the_python_walk(group, gauge, thr):
     columns = Counter(column_records(group, gauge, thr))
     assert columns == Counter(oracle_records(gauge, thr))
     assert set(columns.values()) == {1}
-    assert Counter(progression_buckets(group, gauge, thr)) == columns
 
 
 @pytest.mark.parametrize("rows", [1, 3])
@@ -907,7 +944,7 @@ def test_a_cap_above_the_int64_bound_fails_before_the_walk(monkeypatch):
     with pytest.raises(BudgetError, match="int64"):
         deviation_series("sl2z", rnorm_gauge(2), [32769.0], CosetObservable(2), budget=10**12)
     with pytest.raises(BudgetError, match="int64"):
-        list(progression_buckets("sl2z", rnorm_gauge(2), [32769.0], budget=10**12))
+        next(lattice.ball_columns("sl2z", rnorm_gauge(2), [32769.0], budget=10**12))
     assert gauge_cap(rnorm_gauge(2), 32768.0) == lattice._SQ_CAP_MAX
 
 
@@ -954,7 +991,7 @@ def test_ball_columns_cover_every_ball(monkeypatch, group, gauge, thr):
         assert all(len(cols[0]) and set(cols[1].tolist()) == {1} for cols in chunks)
     else:
         assert all(len(cols[0]) == 100 for cols in chunks[:-1]) and len(chunks[-1][0])
-    assert Counter(column_records(group, gauge, thr)) == Counter(ball_buckets(group, gauge, thr))
+    assert Counter(column_records(group, gauge, thr)) == Counter(ball_records(group, gauge, thr))
 
 
 @pytest.mark.parametrize("gauge,thr", [case[1:] for case in PACKED_CASES[-3:]],
@@ -986,7 +1023,8 @@ def test_coset_codes_past_int64_count_tuples(monkeypatch, group, thr, q):
         def boom(*args, **kwargs):
             raise AssertionError("codes past 2**62 were packed")
         monkeypatch.setattr(torus, "_tally", boom)
-    records = list(ball_buckets(group, rnorm_gauge(2), thr))
+    ball = sl3_ball(2, SL3_GRID[-1]) if group == "sl3z" else None
+    records = element_records(group, rnorm_gauge(2), thr, elements=ball)
     chunks = lattice.ball_columns(group, rnorm_gauge(2), thr)
     assert _column_residues(chunks, q, len(thr), n) == Counter(residue_keys(records, q))
 
@@ -1015,7 +1053,7 @@ def test_given_elements_chunk_by_denominator(monkeypatch):
         sizes = [len(cols[0]) for cols, d in zip(chunks, dens) if d == {den}]
         assert all(size == 3 for size in sizes[:-1]) and 1 <= sizes[-1] <= 3
     assert Counter(rec for cols in chunks for rec in zip(*(col.tolist() for col in cols))) == \
-        Counter(ball_buckets("sl2z1p", gauge, thr, elements=ball))
+        Counter(element_records("sl2z1p", gauge, thr, elements=ball))
 
 
 @pytest.mark.parametrize("group,gauge,thr", [
@@ -1050,7 +1088,7 @@ def test_large_sl3_entries_keep_exact_cofactors():
     el = GroupElement.from_rows(((1, big, big), (0, 1, big), (0, 0, 1)))
     thr = (2.0**34,)
     chi = TorusCharacter((1, 2, -1))
-    (rec,) = ball_buckets("sl3z", rnorm_gauge(2), thr, elements=[el])
+    (rec,) = element_records("sl3z", rnorm_gauge(2), thr, elements=[el])
     z = record_phase(chi.m, X3, 3)(rec)
     rows = deviation_series("sl3z", rnorm_gauge(2), thr, chi, X3, elements=[el]).rows
     assert rows == ((thr[0], abs(z), 1),)

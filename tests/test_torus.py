@@ -5,11 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from _brute import record_phase
+from _brute import column_records, record_phase
 from latcount.errors import BudgetError, SpecError
 from latcount.gauges import height_gauge, hyperbolic_gauge, rnorm_gauge
 from latcount.groups import adjugate, reduce_mod
-from latcount.lattice import coset_histogram, count_series, enumerate_ball, progression_buckets
+from latcount.lattice import coset_histogram, count_series, enumerate_ball
 from latcount.torus import (
     CosetObservable,
     DeviationSeries,
@@ -87,7 +87,7 @@ def test_unrolled_2x2_phase_is_the_generic_phase(point):
     # the 2x2 phase of every record must give the floats of _phase(_act(adjugate))
     m = (2, -1)
     phase = record_phase(m, point, 2)
-    for rec in progression_buckets("sl2z", rnorm_gauge(2), [12.0]):
+    for rec in column_records("sl2z", rnorm_gauge(2), [12.0]):
         rows = (rec[2:4], rec[4:6])
         assert phase(rec) == _phase(m, _act(adjugate(rows), point))
 
