@@ -37,7 +37,6 @@ __all__ = [
     "gauge_cap",
     "gauge_key",
     "key_norm",
-    "gauge_eval_real",
     "forms_substitute",
     "substitute_coeffs",
     "form_key",
@@ -452,14 +451,6 @@ def gauge_leq(gauge: Gauge, g: GroupElement, threshold: float) -> bool:
         _require_height_element(gauge, g)
     level = g.prime ** g.p_power if gauge.kind == "rnorm" and g.p_power else 1
     return _key(gauge, norm, g.entries_flat()) <= gauge_cap(gauge, threshold, level)
-
-
-def gauge_eval_real(gauge: Gauge, mat: Sequence[Sequence[float]]) -> float:
-    """Hyperbolic gauge value of a real 2x2 matrix (the admissibility product check)."""
-    if gauge.kind == "hyperbolic":
-        flat = [mat[0][0], mat[0][1], mat[1][0], mat[1][1]]
-        return math.acosh(max(1.0, sum(e * e for e in flat) / 2.0))
-    raise SpecError(f"real-matrix evaluation unsupported for gauge {gauge.kind!r}")
 
 
 def _require_integral_2x2(g: GroupElement, what: str) -> None:

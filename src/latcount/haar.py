@@ -24,7 +24,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import NumericalError, SpecError
-from .gauges import Gauge, gauge_eval_real
+from .gauges import Gauge
 from .groups import ext_gcd, resolve_group
 
 __all__ = [
@@ -206,6 +206,25 @@ def _sublevel_interval(u: np.ndarray, v: np.ndarray, r: float, T: np.ndarray,
     return nonempty, s_a, s_b
 
 
+def _kak_refusal(r: float, T: float) -> str:
+    """Why the KAK search cannot run at threshold T > 0, or "" when it can.
+
+    The cap 2 T^2 must fit a float, and so must the largest r-th power sum the
+    search forms: entries of k1 a_s k2 are at most 2 cosh s, and
+    2 cosh s_cap = sqrt(4 T^2 + 2) at the exponent cap, so the sum is at most
+    4 (2 cosh s_cap)^r.  r = 1 and r = inf raise no entry to a power.
+    """
+    if not math.isfinite(2.0 * T * T):
+        return f"KAK cap 2 T^2 overflows a float at T={T:g}"
+    if r == 1.0 or math.isinf(r):
+        return ""
+    try:
+        fits = math.isfinite(4.0 * math.hypot(2.0 * T, math.sqrt(2.0)) ** r)
+    except OverflowError:
+        fits = False
+    return "" if fits else f"KAK r-norm power sum overflows a float at T={T:g}"
+
+
 # (threshold, theta2) rows per sublevel search.  A search holds about five
 # (rows, 65) float arrays at once, so this bounds its memory whatever the grid
 # length; past about 128 rows the arithmetic, not the per-call overhead, sets
@@ -235,8 +254,9 @@ def _sl2_kak_raw(gauge: Gauge, thresholds: Sequence[float], *, panels: int = 4,
         cap = 2.0 * T * T
         if cap <= 1.0:
             continue
-        if not math.isfinite(cap):
-            raise NumericalError(f"KAK cap 2 T^2 overflows a float at T={T:g}")
+        refusal = _kak_refusal(gauge.r, T)
+        if refusal:
+            raise NumericalError(refusal)
         live.append((k, T, 0.5 * math.acosh(cap)))
     totals = [0.0] * len(thresholds)
     if not live:
@@ -379,13 +399,14 @@ def _sl3_volume(T: float) -> float:
 def _kak_volumes(gauge: Gauge, thresholds: Sequence[float]) -> Iterator[float]:
     """Calibrated KAK volumes in grid order, failing where a pass per threshold would.
 
-    _sl2_kak_raw refuses a grid at its first threshold whose cap 2 T^2
-    overflows, before any quadrature.  Only when a volume before that
-    threshold may overflow a float too are those thresholds integrated first,
-    so that the first overflow in grid order is the one reported.
+    _sl2_kak_raw refuses a grid at its first threshold whose cap 2 T^2 or
+    largest r-th power sum overflows, before any quadrature.  Only when a
+    volume before that threshold may overflow a float too are those thresholds
+    integrated first, so that the first overflow in grid order is the one
+    reported.
     """
     ts = list(thresholds)
-    first = next((k for k, T in enumerate(ts) if not math.isfinite(2.0 * T * T)), len(ts))
+    first = next((k for k, T in enumerate(ts) if _kak_refusal(gauge.r, T)), len(ts))
     # ||g||_2 <= 4^(1/2 - 1/r) ||g||_r for r > 2, so vol_r(T) is at most the
     # Frobenius ball's pi T^2 times 4^max(0, 1 - 2/r); 1e-3 covers the quadrature
     bound = 1.001 * math.pi * 4.0 ** max(0.0, 1.0 - 2.0 / gauge.r)
@@ -397,29 +418,30 @@ def _kak_volumes(gauge: Gauge, thresholds: Sequence[float]) -> Iterator[float]:
 
 def _volume_rule(
     group: str, gauge: Gauge
-) -> tuple[Callable[[Sequence[float]], Iterable[float]], float] | None:
+) -> tuple[Callable[[Sequence[float]], Iterable[float]], Callable[[], float]] | None:
     """(ball volumes on a grid of positive thresholds, lattice covolume), or None.
 
     SL2 rules use the geometric normalization (covolume pi/3); the SL3 chamber
     quadrature is raw, meaningful up to scale, so its covolume is 1.  The closed
     forms and the SL3 rule (numpy blocks within a threshold) yield lazily, one
     threshold at a time; the KAK rule integrates the whole grid before it yields.
+    The covolume is a function, called only where volumes are normalized by it.
     """
     desc = resolve_group(group)
     sl2 = desc.n == 2 and not desc.s_arithmetic
     if sl2 and gauge.kind == "hyperbolic":
-        return partial(map, hyperbolic_ball_area), covolume_psl2z()
+        return partial(map, hyperbolic_ball_area), covolume_psl2z
     if sl2 and gauge.kind == "rnorm" and gauge.r == 2:
-        return partial(map, frobenius_ball_volume), covolume_psl2z()
+        return partial(map, frobenius_ball_volume), covolume_psl2z
     if sl2 and gauge.kind == "rnorm":
-        return partial(_kak_volumes, gauge), covolume_psl2z()
+        return partial(_kak_volumes, gauge), covolume_psl2z
     if desc.n == 3 and gauge.kind == "rnorm" and gauge.r == 2:
-        return partial(map, _sl3_volume), 1.0
+        return partial(map, _sl3_volume), lambda: 1.0
     return None
 
 
-def _ball_volumes(group: str, gauge: Gauge,
-                  thresholds: Sequence[float]) -> tuple[list[float], float]:
+def _ball_volumes(group: str, gauge: Gauge, thresholds: Sequence[float]
+                  ) -> tuple[list[float], Callable[[], float]]:
     """Ball volumes on a threshold grid, and the covolume in the same normalization.
 
     0.0 at thresholds <= 0; a pair without a volume rule raises SpecError even
@@ -464,7 +486,8 @@ def lattice_normalized_volumes(
     """
     if _volume_rule(group, gauge) is None:
         return None
-    volumes, covol = _ball_volumes(group, gauge, thresholds)
+    volumes, covolume = _ball_volumes(group, gauge, thresholds)
+    covol = covolume()
     center = resolve_group(group).center_order
     return [center * v / covol for v in volumes]
 
@@ -547,16 +570,35 @@ def convolve_profiles(v1: VolumeProfile, v2: VolumeProfile, *,
                       t_max: float = 20.0, steps: int = 512) -> VolumeProfile:
     """Sum-gauge product volume v(t) = integral of v1(t - s) dv2(s), Stieltjes.
 
-    Tabulated on a grid of steps cells up to t_max and interpolated between;
-    the result remembers its factors for balancedness slicing.
+    Tabulated on a grid of steps cells up to t_max and interpolated between,
+    0 below the grid and the last row above it.  Rows are summed on demand:
+    a value reads the two nodes around t, each summed by _stieltjes_sum the
+    first time it is read and kept.  np.interp reads no other node of a table,
+    so every value has the bits of interpolating the full table.  The result
+    remembers its factors for balancedness slicing.
     """
     if v1.scale != "t" or v2.scale != "t":
         raise SpecError("convolution needs both profiles in t-scale")
+    if steps < 1:
+        raise SpecError(f"convolution needs at least one grid cell, got steps={steps}")
     grid = np.linspace(0.0, t_max, steps + 1)
     w = np.array([v2(s) for s in grid])
-    out = np.array([_stieltjes_sum(v1, t, grid, w) for t in grid.tolist()])
+    nodes = grid.tolist()
+    rows: list[float | None] = [None] * (steps + 1)
+
+    def row(i: int) -> float:
+        if rows[i] is None:
+            rows[i] = _stieltjes_sum(v1, nodes[i], grid, w)
+        return rows[i]
+
+    def value(t: float) -> float:
+        # the cell [grid[i], grid[i + 1]) holding t; t < 0 reads the first
+        # cell, and t >= t_max or nan the last
+        i = min(max(int(np.searchsorted(grid, t, "right")) - 1, 0), steps - 1)
+        return float(np.interp(t, grid[i:i + 2], (row(i), row(i + 1)), left=0.0))
+
     return VolumeProfile(
-        fn=lambda t: float(np.interp(t, grid, out, left=0.0)),
+        fn=value,
         scale="t",
         label=f"({v1.label})*({v2.label})",
         factors=(v1, v2),
@@ -838,78 +880,132 @@ class AdmissibilityReport:
     product_c: float | None = None
 
 
-def _exp_traceless(x: float, y: float, z: float) -> list[list[float]]:
-    """exp of [[x, y], [z, -x]] by the closed form (X^2 = (x^2 + yz) I)."""
-    delta = x * x + y * z
-    if delta > 1e-18:
-        mu = math.sqrt(delta)
-        ch, sh = math.cosh(mu), math.sinh(mu) / mu
-    elif delta < -1e-18:
-        nu = math.sqrt(-delta)
-        ch, sh = math.cos(nu), math.sin(nu) / nu
-    else:
-        ch, sh = 1.0, 1.0
-    return [[ch + sh * x, sh * y], [sh * z, ch - sh * x]]
+def _product_set_check(ts: Sequence[float], eps: Sequence[float], c_use: float,
+                       samples: int, seed: int) -> tuple[int, int, float]:
+    """(checked, violations, worst (value change) / eps) of the sampled product-set check.
 
+    Each sample draws t uniformly in [min(ts), max(ts)] and e from eps; a
+    lattice element g with hyperbolic value in (t - 1, t], from random coprime
+    top rows and the extreme of their Euclid progression (no full scan); and
+    two perturbations u = exp(X) with sqrt(2) ||X||_F <= e/2, so that each
+    moves the base point by at most e/2.  It is a violation when the value of
+    u1 g u2 exceeds that of g by more than c_use * e.
 
-def _sample_o_eps(rng: random.Random, eps: float) -> list[list[float]]:
-    """A perturbation exp(X) with sqrt(2)*||X||_F <= eps/2, so the base point
-    moves by at most eps/2 (the diagonal direction is the extremal one)."""
-    while True:
-        w = (rng.gauss(0, 1), rng.gauss(0, 1), rng.gauss(0, 1))
-        norm = math.sqrt(sum(c * c for c in w))
-        if norm > 1e-12:
-            break
-    radius = eps / (2.0 * math.sqrt(2.0)) * rng.random() ** (1.0 / 3.0)
-    scale = radius / norm
-    # ||[[x, y], [z, -x]]||_F^2 = 2 x^2 + y^2 + z^2, so rescale the x-coordinate
-    x = w[0] * scale / math.sqrt(2.0)
-    y = w[1] * scale
-    z = w[2] * scale
-    return _exp_traceless(x, y, z)
-
-
-def _sample_shell_element(rng: random.Random, t: float) -> tuple[list[list[float]], float]:
-    """A lattice element with hyperbolic value in (t-1, t], found by random
-    coprime rows plus the extreme of the Euclid progression (no full scan)."""
-    cap = 2.0 * math.cosh(t)
-    half = int(math.sqrt(cap / 2.0))
-    for _ in range(256):
-        a = rng.randint(-half, half)
-        b = rng.randint(-half, half)
-        if math.gcd(a, b) != 1:
-            continue
-        g, x, y = ext_gcd(a, b)
-        d0, c0 = x, -y
-        rem = cap - a * a - b * b
-        A = a * a + b * b
-        B = 2 * (c0 * a + d0 * b)
-        C = c0 * c0 + d0 * d0 - rem
-        disc = B * B - 4 * A * C
-        if disc < 0:
-            continue
-        root = math.sqrt(disc)
-        k = math.floor((-B + root) / (2 * A)) if rng.random() < 0.5 else math.ceil(
-            (-B - root) / (2 * A))
-        for _ in range(4):
-            c, d = c0 + k * a, d0 + k * b
-            nsq = a * a + b * b + c * c + d * d
-            if nsq <= cap:
+    The draws are those of random.Random(seed)'s uniform, choice, randint and
+    gauss, written out: choice and randint take CPython's getrandbits
+    rejection loop, gauss its Box-Muller pairs with the second value kept
+    (mu + z * sigma = z for the standard normal, up to the sign of a zero no
+    result reads).  Every float expression keeps the operation order of the
+    per-sample route in tests/_brute.py.
+    """
+    rng = random.Random(seed)
+    random_, getrandbits = rng.random, rng.getrandbits
+    t_lo, t_hi = min(ts), max(ts)
+    n_eps = len(eps)
+    k_eps = n_eps.bit_length()
+    twopi = 2.0 * math.pi
+    root2 = math.sqrt(2.0)
+    gauss_next = None
+    checked = violations = 0
+    worst = 0.0
+    for _ in range(samples):
+        t = t_lo + (t_hi - t_lo) * random_()
+        i = getrandbits(k_eps)
+        while i >= n_eps:
+            i = getrandbits(k_eps)
+        e = eps[i]
+        # g = [[a, b], [c, d]] with nsq = a^2 + b^2 + c^2 + d^2 <= 2 cosh t
+        cap = 2.0 * math.cosh(t)
+        half = int(math.sqrt(cap / 2.0))
+        width = 2 * half + 1
+        k_width = width.bit_length()
+        for _ in range(256):
+            a = getrandbits(k_width)
+            while a >= width:
+                a = getrandbits(k_width)
+            a = -half + a
+            b = getrandbits(k_width)
+            while b >= width:
+                b = getrandbits(k_width)
+            b = -half + b
+            if math.gcd(a, b) != 1:
+                continue
+            _, x, y = ext_gcd(a, b)
+            d0, c0 = x, -y
+            rem = cap - a * a - b * b
+            A = a * a + b * b
+            B = 2 * (c0 * a + d0 * b)
+            C = c0 * c0 + d0 * d0 - rem
+            disc = B * B - 4 * A * C
+            if disc < 0:
+                continue
+            root = math.sqrt(disc)
+            k = math.floor((-B + root) / (2 * A)) if random_() < 0.5 else math.ceil(
+                (-B - root) / (2 * A))
+            for _ in range(4):
+                c, d = c0 + k * a, d0 + k * b
+                nsq = a * a + b * b + c * c + d * d
+                if nsq <= cap:
+                    break
+                k += 1 if k < -B / (2 * A) else -1
+            else:
+                continue
+            value = math.acosh(max(1.0, nsq / 2.0))
+            if value > t - 1.0:
                 break
-            k += 1 if k < -B / (2 * A) else -1
         else:
-            continue
-        value = math.acosh(max(1.0, nsq / 2.0))
-        if value > t - 1.0:
-            return [[float(a), float(b)], [float(c), float(d)]], value
-    raise NumericalError(f"could not sample a shell element near t={t:g}")
-
-
-def _mat2_mul(p: list[list[float]], q: list[list[float]]) -> list[list[float]]:
-    return [
-        [p[0][0] * q[0][0] + p[0][1] * q[1][0], p[0][0] * q[0][1] + p[0][1] * q[1][1]],
-        [p[1][0] * q[0][0] + p[1][1] * q[1][0], p[1][0] * q[0][1] + p[1][1] * q[1][1]],
-    ]
+            raise NumericalError(f"could not sample a shell element near t={t:g}")
+        # u1 then u2, each exp([[x, y], [z, -x]]) as a tuple (u00, u01, u10, u11)
+        us = []
+        for _ in range(2):
+            while True:
+                w = []
+                for _ in range(3):
+                    if gauss_next is None:
+                        x2pi = random_() * twopi
+                        g2rad = math.sqrt(-2.0 * math.log(1.0 - random_()))
+                        w.append(math.cos(x2pi) * g2rad)
+                        gauss_next = math.sin(x2pi) * g2rad
+                    else:
+                        w.append(gauss_next)
+                        gauss_next = None
+                w0, w1, w2 = w
+                norm = math.sqrt(w0 * w0 + w1 * w1 + w2 * w2)
+                if norm > 1e-12:
+                    break
+            radius = e / (2.0 * root2) * random_() ** (1.0 / 3.0)
+            scale = radius / norm
+            # ||[[x, y], [z, -x]]||_F^2 = 2 x^2 + y^2 + z^2, so rescale x
+            x = w0 * scale / root2
+            y = w1 * scale
+            z = w2 * scale
+            # X^2 = (x^2 + yz) I gives exp(X) in closed form
+            delta = x * x + y * z
+            if delta > 1e-18:
+                mu = math.sqrt(delta)
+                ch, sh = math.cosh(mu), math.sinh(mu) / mu
+            elif delta < -1e-18:
+                nu = math.sqrt(-delta)
+                ch, sh = math.cos(nu), math.sin(nu) / nu
+            else:
+                ch, sh = 1.0, 1.0
+            us.append((ch + sh * x, sh * y, sh * z, ch - sh * x))
+        (p00, p01, p10, p11), (q00, q01, q10, q11) = us
+        g00, g01, g10, g11 = float(a), float(b), float(c), float(d)
+        # u1 (g u2), and its hyperbolic value acosh(||.||_F^2 / 2)
+        m00, m01 = g00 * q00 + g01 * q10, g00 * q01 + g01 * q11
+        m10, m11 = g10 * q00 + g11 * q10, g10 * q01 + g11 * q11
+        n00, n01 = p00 * m00 + p01 * m10, p00 * m01 + p01 * m11
+        n10, n11 = p10 * m00 + p11 * m10, p10 * m01 + p11 * m11
+        norm_sq = n00 * n00 + n01 * n01 + n10 * n10 + n11 * n11
+        moved_value = math.acosh(max(1.0, norm_sq / 2.0))
+        checked += 1
+        change = (moved_value - value) / e
+        if change > worst:
+            worst = change
+        if moved_value > value + c_use * e:
+            violations += 1
+    return checked, violations, worst
 
 
 def admissibility_estimate(
@@ -925,8 +1021,10 @@ def admissibility_estimate(
     c_hat = (v(t+eps) - v(t)) / (eps v(t)).  Verdict ADMISSIBLE-LIKE when the
     table is finite and the top-half-of-t sups vary by less than 2x.  When the
     profile carries the hyperbolic gauge and samples > 0, lattice elements near
-    the shell are perturbed two-sidedly and gauge(u g u') <= t + c_hat*eps is
-    verified sample by sample.
+    the shell are perturbed two-sidedly and gauge(u g u') <= t + c*eps, with
+    c = max(c_sup, 1), is verified sample by sample: _product_set_check runs
+    the samples in one loop, with the draws and the bits of the per-sample
+    route (tests/_brute.py::product_set_check_reference).
     """
     ts = [float(t) for t in t_grid]
     eps = [float(e) for e in eps_grid]
@@ -955,22 +1053,8 @@ def admissibility_estimate(
     violations = 0
     product_c: float | None = None
     if samples > 0 and profile.gauge is not None and profile.gauge.kind == "hyperbolic":
-        rng = random.Random(seed)
-        c_use = max(c_sup, 1.0)
-        worst = 0.0
-        for _ in range(samples):
-            t = rng.uniform(min(ts), max(ts))
-            e = rng.choice(eps)
-            mat, value = _sample_shell_element(rng, t)
-            u1 = _sample_o_eps(rng, e)
-            u2 = _sample_o_eps(rng, e)
-            moved = _mat2_mul(u1, _mat2_mul(mat, u2))
-            moved_value = gauge_eval_real(profile.gauge, moved)
-            checked += 1
-            worst = max(worst, (moved_value - value) / e)
-            if moved_value > value + c_use * e:
-                violations += 1
-        product_c = worst
+        checked, violations, product_c = _product_set_check(
+            ts, eps, max(c_sup, 1.0), samples, seed)
     return AdmissibilityReport(
         table=tuple(table),
         c_sup=c_sup,

@@ -18,6 +18,7 @@ from .gauges import (
     BinaryForm,
     Gauge,
     _form_weights,
+    _key,
     entry_bound,
     form_norm_sq,
     gauge_cap,
@@ -314,6 +315,11 @@ def _enumerate_sl3z(gauge: Gauge, threshold: float) -> Iterator[GroupElement]:
     exact_r2 = gauge.r == 2
     total_cap = float(threshold) ** 2 if exact_r2 else 3.0 * bound * bound
     rows = _iter_sl3z_rows(bound, total_cap - 2.0 if exact_r2 else total_cap)
+    norm = key_norm(gauge)
+    if norm in ("abs", "pow"):
+        # the other two rows are nonzero integer rows, of key >= 1 each
+        row_cap = gauge_cap(gauge, threshold) - 2
+        rows = [r for r in rows if _key(gauge, norm, r) <= row_cap]
     for r1 in rows:
         if math.gcd(math.gcd(r1[0], r1[1]), r1[2]) != 1:
             continue

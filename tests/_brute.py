@@ -4,20 +4,25 @@ Python walk of the "sq" balls, the flat SL(3) sweep over every first row,
 per-record torus phases and coset residues, residue-group and orbit counts
 by enumeration, the scalar circle scan of unit_circle_min, the KAK
 quadrature one theta1 node at a time, the per-node SL(3) chamber
-quadrature, and the SL(3) chamber integral with its a2 integral in closed
-form."""
+quadrature, the SL(3) chamber integral with its a2 integral in closed
+form, the full Stieltjes table of a profile convolution, and the
+admissibility product-set check one sample at a time through
+random.Random's own methods.  mutated plants a defect in a fast route, for
+the tests that show an oracle catches it."""
 
 from __future__ import annotations
 
 import bisect
+import inspect
 import math
+import random
 from fractions import Fraction
 from itertools import product
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from latcount.errors import SpecError
+from latcount.errors import NumericalError, SpecError
 from latcount.gauges import (
     BinaryForm,
     Gauge,
@@ -28,7 +33,7 @@ from latcount.gauges import (
     rep_form_gauge,
 )
 from latcount.groups import GroupElement, adjugate, ext_gcd, int_det
-from latcount.haar import _sl3_a1_max, gl_integrate
+from latcount.haar import VolumeProfile, _sl3_a1_max, _stieltjes_sum, gl_integrate
 from latcount.lattice import (
     _cross,
     _level_count,
@@ -38,6 +43,17 @@ from latcount.lattice import (
 )
 from latcount.torus import _act, _phase, _turn
 import latcount.lattice as lattice
+
+
+def mutated(func, old, new):
+    """func recompiled from its source with the one occurrence of old made new:
+    the planted defects that oracle tests must catch."""
+    source = inspect.getsource(func)
+    assert source.count(old) == 1
+    namespace = {}
+    exec(compile(source.replace(old, new), inspect.getsourcefile(func), "exec"),
+         vars(inspect.getmodule(func)), namespace)
+    return namespace[func.__name__]
 
 
 def _brute_ball(gauge: Gauge, threshold: float) -> tuple[int, Callable[[GroupElement], bool]]:
@@ -519,3 +535,125 @@ def sl3_raw_closed_form(T: float, *, panels: int = 48, nodes: int = 48) -> float
                         for s, g, b in _SL3_TERMS) / 8.0
             total += wk * inner
     return total
+
+
+# ---------------------------------------------------------------------------
+# the profile convolution as one full table
+# ---------------------------------------------------------------------------
+
+def convolve_profiles_eager(v1: VolumeProfile, v2: VolumeProfile, *,
+                            t_max: float = 20.0, steps: int = 512) -> Callable[[float], float]:
+    """The product profile of haar.convolve_profiles from every table row,
+    summed up front and interpolated by np.interp on the whole grid."""
+    grid = np.linspace(0.0, t_max, steps + 1)
+    w = np.array([v2(s) for s in grid])
+    out = np.array([_stieltjes_sum(v1, t, grid, w) for t in grid.tolist()])
+    return lambda t: float(np.interp(t, grid, out, left=0.0))
+
+
+# ---------------------------------------------------------------------------
+# the admissibility product-set check, one sample at a time
+# ---------------------------------------------------------------------------
+
+def gauge_eval_real(gauge: Gauge, mat: Sequence[Sequence[float]]) -> float:
+    """Hyperbolic gauge value of a real 2x2 matrix (the admissibility product check)."""
+    if gauge.kind == "hyperbolic":
+        flat = [mat[0][0], mat[0][1], mat[1][0], mat[1][1]]
+        return math.acosh(max(1.0, sum(e * e for e in flat) / 2.0))
+    raise SpecError(f"real-matrix evaluation unsupported for gauge {gauge.kind!r}")
+
+
+def _exp_traceless(x: float, y: float, z: float) -> list[list[float]]:
+    """exp of [[x, y], [z, -x]] by the closed form (X^2 = (x^2 + yz) I)."""
+    delta = x * x + y * z
+    if delta > 1e-18:
+        mu = math.sqrt(delta)
+        ch, sh = math.cosh(mu), math.sinh(mu) / mu
+    elif delta < -1e-18:
+        nu = math.sqrt(-delta)
+        ch, sh = math.cos(nu), math.sin(nu) / nu
+    else:
+        ch, sh = 1.0, 1.0
+    return [[ch + sh * x, sh * y], [sh * z, ch - sh * x]]
+
+
+def _sample_o_eps(rng: random.Random, eps: float) -> list[list[float]]:
+    """A perturbation exp(X) with sqrt(2)*||X||_F <= eps/2, so the base point
+    moves by at most eps/2 (the diagonal direction is the extremal one)."""
+    while True:
+        w = (rng.gauss(0, 1), rng.gauss(0, 1), rng.gauss(0, 1))
+        norm = math.sqrt(sum(c * c for c in w))
+        if norm > 1e-12:
+            break
+    radius = eps / (2.0 * math.sqrt(2.0)) * rng.random() ** (1.0 / 3.0)
+    scale = radius / norm
+    # ||[[x, y], [z, -x]]||_F^2 = 2 x^2 + y^2 + z^2, so rescale the x-coordinate
+    x = w[0] * scale / math.sqrt(2.0)
+    y = w[1] * scale
+    z = w[2] * scale
+    return _exp_traceless(x, y, z)
+
+
+def _sample_shell_element(rng: random.Random, t: float) -> tuple[list[list[float]], float]:
+    """A lattice element with hyperbolic value in (t-1, t], found by random
+    coprime rows plus the extreme of the Euclid progression (no full scan)."""
+    cap = 2.0 * math.cosh(t)
+    half = int(math.sqrt(cap / 2.0))
+    for _ in range(256):
+        a = rng.randint(-half, half)
+        b = rng.randint(-half, half)
+        if math.gcd(a, b) != 1:
+            continue
+        g, x, y = ext_gcd(a, b)
+        d0, c0 = x, -y
+        rem = cap - a * a - b * b
+        A = a * a + b * b
+        B = 2 * (c0 * a + d0 * b)
+        C = c0 * c0 + d0 * d0 - rem
+        disc = B * B - 4 * A * C
+        if disc < 0:
+            continue
+        root = math.sqrt(disc)
+        k = math.floor((-B + root) / (2 * A)) if rng.random() < 0.5 else math.ceil(
+            (-B - root) / (2 * A))
+        for _ in range(4):
+            c, d = c0 + k * a, d0 + k * b
+            nsq = a * a + b * b + c * c + d * d
+            if nsq <= cap:
+                break
+            k += 1 if k < -B / (2 * A) else -1
+        else:
+            continue
+        value = math.acosh(max(1.0, nsq / 2.0))
+        if value > t - 1.0:
+            return [[float(a), float(b)], [float(c), float(d)]], value
+    raise NumericalError(f"could not sample a shell element near t={t:g}")
+
+
+def _mat2_mul(p: list[list[float]], q: list[list[float]]) -> list[list[float]]:
+    return [
+        [p[0][0] * q[0][0] + p[0][1] * q[1][0], p[0][0] * q[0][1] + p[0][1] * q[1][1]],
+        [p[1][0] * q[0][0] + p[1][1] * q[1][0], p[1][0] * q[0][1] + p[1][1] * q[1][1]],
+    ]
+
+
+def product_set_check_reference(gauge: Gauge, ts: Sequence[float], eps: Sequence[float],
+                                c_use: float, samples: int, seed: int) -> tuple[int, int, float]:
+    """(checked, violations, worst) of haar._product_set_check, sampled through
+    random.Random's uniform, choice, randint and gauss, one helper per step."""
+    rng = random.Random(seed)
+    checked = violations = 0
+    worst = 0.0
+    for _ in range(samples):
+        t = rng.uniform(min(ts), max(ts))
+        e = rng.choice(eps)
+        mat, value = _sample_shell_element(rng, t)
+        u1 = _sample_o_eps(rng, e)
+        u2 = _sample_o_eps(rng, e)
+        moved = _mat2_mul(u1, _mat2_mul(mat, u2))
+        moved_value = gauge_eval_real(gauge, moved)
+        checked += 1
+        worst = max(worst, (moved_value - value) / e)
+        if moved_value > value + c_use * e:
+            violations += 1
+    return checked, violations, worst

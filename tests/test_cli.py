@@ -202,6 +202,7 @@ OVERFLOWING_VOLUME = (
     "volume --tmax 1e155",
     "volume --tmax 1e300",
     "volume --gauge rnorm:1 --tmax 1e155 --steps 5",
+    "volume --gauge rnorm:3 --tmax 1e110",
 )
 
 
@@ -352,6 +353,18 @@ def test_console_script_help():
                           capture_output=True, text=True, env=_subprocess_env())
     assert proc.returncode == 0
     assert "latcount" in proc.stdout
+
+
+def test_kak_power_sum_overflow_fails_without_a_warning():
+    # for r = 3 past T ~ 1.78e102 the r-th power sums of the KAK search do not
+    # fit a float; the grid is refused before any of them is formed
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "latcount.cli", "volume", "--gauge", "rnorm:3",
+         "--tmax", "1e110"],
+        capture_output=True, text=True, env=_subprocess_env())
+    assert (proc.returncode, proc.stdout) == (4, "")
+    assert proc.stderr == ("latcount: numerical failure: "
+                           "KAK r-norm power sum overflows a float at T=1e+108\n")
 
 
 def test_console_script_runs_count(tmp_path):

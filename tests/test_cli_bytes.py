@@ -11,8 +11,11 @@ at q = 3 and an sl2z1p coset run whose p B exclusion bites at p = 3.  Others
 pin how the CLI resolves a spec: a hyperbolic gauge on the T scale, t-scale
 runs of T-native gauges, torus flags parsed into tuples, an sl3z spectral run
 and balanced runs at four tensor powers (the default q = 3 run is in the
-benchmark's digests too).  A refactor that means to keep every
-output byte keeps these digests.
+benchmark's digests too).  The product profile is pinned on a second grid
+(balanced --tmax 7: t_max 8, where every threshold is a node), the sampled
+product-set check at a second seed and grid, and an r = 3 KAK volume grid
+just below the T where its power sums stop fitting a float.  A refactor that
+means to keep every output byte keeps these digests.
 """
 
 import hashlib
@@ -100,6 +103,15 @@ PINNED = [
     ("coset --group sl2z1p --gauge height:p=3 --q 2 --tmax 30",
      "e051a6dcd513589d8a9e9e95ee09e4046dc28bfd1cb30018c69241b76c5ec025",
      "95a29fb1ab6f4d3ce2ed1d21bbf2c205f07844f6448e49286f14e34089cc2665"),
+    ("balanced --q 4 --tmax 7",
+     "97bd53f4ddc1a33351f79670f58f8253d6818b4228429f213405406bae634596",
+     "e087213218ae4477d5699d6d8a6249cfe16b90476458b05c3c7eec2c421392c6"),
+    ("admissibility --tmax 12 --steps 4 --seed 3",
+     "ad7384d4fcf7996181aef2398a13db36ef22a5e99dab443a07eae1f8e1dd789c",
+     "188cb84b651a71c498774b9513fc48714148c56ce7bbd1644a2ebaa754199b5d"),
+    ("volume --gauge rnorm:3 --tmax 1e100",
+     "0526ca0ecd5c441741a76acdb57c3090d8af12c03d177ae048c97df35fdd547f",
+     "2540878d4c5479286f96e891930c97e0856a563cfb36b8e5dd3b365a8637a5f9"),
 ]
 
 

@@ -1,13 +1,22 @@
 """Volume quadratures against closed forms, fits, convolution, balancedness."""
 
 import math
+import random
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 import pytest
 
-from _brute import kak_raw_reference, sl3_raw_closed_form, sl3_raw_reference
+import latcount.haar as haar
+from _brute import (
+    convolve_profiles_eager,
+    kak_raw_reference,
+    mutated,
+    product_set_check_reference,
+    sl3_raw_closed_form,
+    sl3_raw_reference,
+)
 from latcount.errors import NumericalError, SpecError
 from latcount.gauges import hyperbolic_gauge, rnorm_gauge
 from latcount.haar import (
@@ -281,6 +290,26 @@ def test_overflowing_kak_cap_fails_before_the_quadrature(monkeypatch):
         lattice_normalized_volumes("sl2z", rnorm_gauge(1), grid)
 
 
+def test_overflowing_kak_power_sum_fails_before_the_quadrature(monkeypatch):
+    # r = 3: 4 (2 cosh s_cap)^3 = 4 (4 T^2 + 2)^(3/2) passes the float range
+    # near T = 1.78e102; the first such threshold in grid order is refused,
+    # though 2 T^2 and the volume bound still fit
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("sublevel search ran before the power-sum check")
+
+    monkeypatch.setattr(haar, "_sublevel_interval", no_quadrature)
+    grid = [1e100, 1.7e102, 1.8e102, 1e103, 1e160]
+    with pytest.raises(NumericalError,
+                       match=r"KAK r-norm power sum overflows a float at T=1\.8e\+102$"):
+        haar.volume_growth("sl2z", rnorm_gauge(3), grid, (grid[0], grid[-1]))
+    assert haar._kak_refusal(3.0, 1.7e102) == ""
+    # r = 1 and r = inf raise nothing to a power: only 2 T^2 bounds them, also
+    # where 4 T^2 + 2 itself overflows
+    assert haar._kak_refusal(1.0, 9e153) == haar._kak_refusal(math.inf, 9e153) == ""
+    assert haar._kak_refusal(1.5, 9e153) == ""
+    assert haar._kak_refusal(1.5, 1e154).startswith("KAK cap 2 T^2")
+
+
 @pytest.mark.parametrize("r", [1.0, 1.5, 3.0, math.inf])
 def test_kak_volume_stays_below_its_frobenius_bound(r):
     # ||g||_2 <= 4^max(0, 1/2 - 1/r) ||g||_r puts the r-ball inside a Frobenius
@@ -391,6 +420,47 @@ def test_convolution_exponential_growth_gains_polynomial_factor():
     assert fit.a == pytest.approx(2.0, abs=0.05)
 
 
+# the profile pairs of the product-profile oracle: the tensor factors, and
+# uniform and exponential growth written with Python floats, so that full
+# tables at 1024 steps stay cheap
+PRODUCT_PAIRS = {
+    **{f"tensor-{l}": lambda l=l: tensor_factor_profiles(l) for l in (2, 3, 4)},
+    "uniform": lambda: (VolumeProfile(fn=lambda t: t if t > 0 else 0.0),) * 2,
+    "exp": lambda: (VolumeProfile(fn=lambda t: math.exp(2.0 * t) - 1.0 if t > 0 else 0.0),) * 2,
+}
+
+
+def _same_float(x, y):
+    return x == y or (math.isnan(x) and math.isnan(y))
+
+
+# every pair at 512 steps on a dyadic and a non-dyadic t_max, and at 1024
+# steps on one of them (full tables at 1024 steps take about 0.2 s each)
+PRODUCT_CASES = [(pair, 512, t_max) for pair in PRODUCT_PAIRS for t_max in (16.0, 10.3)] + [
+    (pair, 1024, t_max) for pair, t_max in zip(PRODUCT_PAIRS, (16.0, 10.3) * 3)]
+
+
+@pytest.mark.parametrize("pair,steps,t_max", PRODUCT_CASES)
+def test_product_rows_on_demand_equal_the_full_table(pair, steps, t_max):
+    v1, v2 = PRODUCT_PAIRS[pair]()
+    product = convolve_profiles(v1, v2, t_max=t_max, steps=steps)
+    table = convolve_profiles_eager(v1, v2, t_max=t_max, steps=steps)
+    nodes = np.linspace(0.0, t_max, steps + 1).tolist()
+    rng = random.Random(steps)
+    points = [-1.0, -1e-300, t_max, math.nextafter(t_max, 0.0), t_max + 1.0, math.nan]
+    points += [rng.uniform(-1.0, t_max + 1.0) for _ in range(500)]
+    # the random points first, so that rows are summed out of order
+    for t in points[::-1] + nodes + [0.5 * (a + b) for a, b in zip(nodes, nodes[1:])]:
+        assert _same_float(product(t), table(t)), t
+    assert math.isnan(product(math.nan)) and product(-1.0) == 0.0
+
+
+def test_product_profile_needs_a_grid_cell():
+    u = _uniform_profile()
+    with pytest.raises(SpecError, match="grid cell"):
+        convolve_profiles(u, u, steps=0)
+
+
 # ---------------------------------------------------------------------------
 # balancedness
 # ---------------------------------------------------------------------------
@@ -495,6 +565,90 @@ def test_admissibility_seed_reproducible():
     r1 = admissibility_estimate(profile, [12.0, 16.0], [0.05], samples=500, seed=11)
     r2 = admissibility_estimate(profile, [12.0, 16.0], [0.05], samples=500, seed=11)
     assert r1.product_c == r2.product_c
+
+
+# (t grid, eps grid): the benchmark's, one eps, and a grid up to t = 40,
+# where 2 cosh t passes 2^53 and rem = cap - a^2 - b^2 rounds
+SAMPLER_GRIDS = [
+    ([10.0, 12.5, 15.0, 17.5, 20.0], [0.01, 0.02, 0.05]),
+    ([6.0, 12.0], [0.05]),
+    ([1.5, 3.0, 40.0], [0.001, 0.3, 0.02, 0.07, 0.5]),
+]
+
+
+@pytest.mark.parametrize("samples", [1, 10_000])
+@pytest.mark.parametrize("grid", range(len(SAMPLER_GRIDS)))
+@pytest.mark.parametrize("seed", [0, 7, 11, 2**31 - 1])
+def test_product_set_check_equals_the_per_sample_route(seed, grid, samples):
+    ts, eps = SAMPLER_GRIDS[grid]
+    got = haar._product_set_check(ts, eps, 1.03, samples, seed)
+    assert got == product_set_check_reference(hyperbolic_gauge(), ts, eps, 1.03, samples, seed)
+    assert got[0] == samples
+
+
+def test_admissibility_report_carries_the_per_sample_check():
+    profile = ball_volume_profile("sl2z", hyperbolic_gauge())
+    ts, eps = SAMPLER_GRIDS[0]
+    report = admissibility_estimate(profile, ts, eps, samples=3000, seed=5)
+    expected = product_set_check_reference(hyperbolic_gauge(), ts, eps,
+                                           max(report.c_sup, 1.0), 3000, 5)
+    assert (report.product_checked, report.product_violations, report.product_c) == expected
+
+
+class _ScriptedRandom(random.Random):
+    """random.Random(seed) whose first random() and getrandbits() draws are given."""
+
+    def __init__(self, seed, bits, floats):
+        super().__init__(seed)
+        self._bits, self._floats = list(bits), list(floats)
+
+    def random(self):
+        return self._floats.pop(0) if self._floats else super().random()
+
+    def getrandbits(self, k):
+        return self._bits.pop(0) if self._bits else super().getrandbits(k)
+
+
+def test_product_set_check_keeps_the_rounding_of_the_shell_search(monkeypatch):
+    # At this t, cap = 2 cosh t = 12,738,526,241,036,870 > 2^53 is the squared
+    # norm of [[a, b], [c0 + a, d0 + b]], one step along the Euclid
+    # progression of the top row below.  (cap - a^2) - b^2 rounds to one less
+    # than the exact cap - (a^2 + b^2), which puts the larger root of the
+    # progression's quadratic at 1 - 2^-53, not 1: the floor takes the element
+    # at step 0, not the one at step 1.  Scripted draws: t (a grid of one),
+    # eps (one to choose from), a, b, the floor branch; seed 0 draws the rest.
+    t, a, b = 37.08340735869586, -57368091, -54449708
+    half = int(math.sqrt(math.cosh(t)))
+    monkeypatch.setattr(random, "Random", lambda seed: _ScriptedRandom(
+        seed, bits=[0, a + half, b + half], floats=[0.5, 0.25]))
+    got = haar._product_set_check([t], [0.05], 1.0, 1, 0)
+    assert got == product_set_check_reference(hyperbolic_gauge(), [t], [0.05], 1.0, 1, 0)
+    assert got == (1, 0, 0.1403255447156937)
+
+
+# planted defects of the two fast routes, and the oracle test each must fail
+FAST_ROUTE_DEFECTS = {
+    "interpolation-window-off-by-one": (
+        "convolve_profiles", '"right")) - 1, 0)', '"right")), 0)',
+        lambda mp: test_product_rows_on_demand_equal_the_full_table("tensor-3", 512, 10.3)),
+    "box-muller-pair-cache-dropped": (
+        "_product_set_check", "gauss_next = math.sin(x2pi) * g2rad", "gauss_next = None",
+        lambda mp: test_product_set_check_equals_the_per_sample_route(0, 0, 1)),
+    "rem-regrouped": (
+        "_product_set_check", "rem = cap - a * a - b * b", "rem = cap - (a * a + b * b)",
+        test_product_set_check_keeps_the_rounding_of_the_shell_search),
+}
+
+
+@pytest.mark.parametrize("defect", list(FAST_ROUTE_DEFECTS))
+def test_fast_route_defects_fail_the_oracle_tests(monkeypatch, defect):
+    name, old, new, oracle = FAST_ROUTE_DEFECTS[defect]
+    planted = mutated(getattr(haar, name), old, new)
+    monkeypatch.setattr(haar, name, planted)
+    if name in globals():  # the oracle tests call it by the name imported here
+        monkeypatch.setitem(globals(), name, planted)
+    with pytest.raises(AssertionError):
+        oracle(monkeypatch)
 
 
 def test_admissibility_validation():

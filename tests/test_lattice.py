@@ -3,6 +3,7 @@
 import itertools
 import math
 import os
+import time
 from fractions import Fraction
 
 import pytest
@@ -52,6 +53,19 @@ def test_sl2z_matches_brute_all_gauges():
 
 def test_sl3z_matches_brute():
     assert set(enumerate_ball("sl3z", G2, 2.5)) == brute_sl3z(G2, 2.5)
+
+
+def test_sl3z_r1_ball_is_the_r2_ball_cut_and_sweeps_few_rows():
+    # each row of an r = 1 element has |row|_1 <= floor(T) - 2; the ball is
+    # the r = 2 ball at the same T (||g||_2 <= ||g||_1), cut, in its order
+    r1 = rnorm_gauge(1)
+    r2_ball = list(enumerate_ball("sl3z", G2, 4.0))
+    for T, size in ((3.0, 24), (4.0, 312)):
+        start = time.process_time()
+        ball = list(enumerate_ball("sl3z", r1, T))
+        assert time.process_time() - start < 1.0
+        assert len(ball) == size
+        assert ball == [el for el in r2_ball if gauge_leq(r1, el, T)]
 
 
 def test_sl2z1p_matches_brute():

@@ -10,7 +10,6 @@ Python walk in _brute is the record-for-record oracle, as the flat SL(3)
 sweep of _brute is for the orbit route.
 """
 
-import inspect
 import math
 import random
 import time
@@ -26,6 +25,7 @@ from _brute import (
     brute_orbit_count,
     column_records,
     element_records,
+    mutated,
     record_phase,
     residue_keys,
     sl3_ball_records,
@@ -636,25 +636,15 @@ def _without_zero_rows(half):
     return lambda *args: (rec for rec in half(*args) if rec[1] != 0)
 
 
-def _mutated(func, old, new):
-    """func recompiled from its source with the one occurrence of old made new."""
-    source = inspect.getsource(func)
-    assert source.count(old) == 1
-    namespace = {}
-    exec(compile(source.replace(old, new), inspect.getsourcefile(func), "exec"),
-         vars(inspect.getmodule(func)), namespace)
-    return namespace[func.__name__]
-
-
 # planted defects of the half walk and of the orbit pass that reads it
 HALF_WALK_DEFECTS = {
     "zero-rows-dropped": lambda: ("_progression_ball",
                                   _without_zero_rows(lattice._progression_ball)),
-    "minus-g-not-emitted": lambda: ("ball_columns", _mutated(
+    "minus-g-not-emitted": lambda: ("ball_columns", mutated(
         lattice.ball_columns, " (i, 1, -a, -b, -c, -d))", ")")),
-    "gamma-not-doubled": lambda: ("orbit_forms_series", _mutated(
+    "gamma-not-doubled": lambda: ("orbit_forms_series", mutated(
         lattice.orbit_forms_series, "gammas[i] += 2", "gammas[i] += 1")),
-    "stabilizer-not-doubled": lambda: ("orbit_forms_series", _mutated(
+    "stabilizer-not-doubled": lambda: ("orbit_forms_series", mutated(
         lattice.orbit_forms_series, "stab = 2 * sum(", "stab = sum(")),
 }
 
