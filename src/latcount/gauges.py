@@ -69,7 +69,10 @@ class BinaryForm:
 
     def evaluate(self, x: float, y: float) -> float:
         n = self.degree
-        return sum(c * x ** (n - i) * y ** i for i, c in enumerate(self.coeffs))
+        total = 0  # left to right: 3.12's sum() would compensate float sums
+        for i, c in enumerate(self.coeffs):
+            total += c * x ** (n - i) * y ** i
+        return total
 
     def is_definite(self) -> bool:
         """True iff f(x, y) != 0 for all real (x, y) != 0 (exact Sturm test)."""
@@ -341,7 +344,10 @@ def gauge_eval(gauge: Gauge, g: GroupElement) -> float:
             return math.sqrt(float(g.frobenius_sq()))
         if r == 1:
             return sum(abs(e) for e in flat) / denom
-        return sum((abs(e) / denom) ** r for e in flat) ** (1.0 / r)
+        total = 0.0  # left to right: 3.12's sum() would compensate it
+        for e in flat:
+            total += (abs(e) / denom) ** r
+        return total ** (1.0 / r)
     if gauge.kind == "hyperbolic":
         _require_integral_2x2(g, "hyperbolic gauge")
         return math.acosh(max(1.0, float(g.frobenius_sq()) / 2.0))

@@ -7,9 +7,11 @@ the center order from the group descriptor.  The KAK proportionality constant
 is calibrated once against the Frobenius closed form rather than asserted.
 
 Volumes are asked for on a whole threshold grid.  The SL2 KAK quadrature
-covers the grid in one theta1 loop: its sublevel searches run on the
-(threshold, theta2) rows of every threshold, a batch of thresholds at a time,
-and each threshold keeps the bits a pass of its own would give.
+covers the grid in one pass: its sublevel searches run on the (theta1,
+threshold, theta2) rows of the whole grid, several theta1 nodes at a time,
+and each threshold keeps the bits a pass of its own would give.  A search
+bisects each grid of its rounds for the index a scan would pick, so it keeps
+a scan's bits at a fraction of the points.
 """
 from __future__ import annotations
 
@@ -110,15 +112,14 @@ def frobenius_ball_volume(T: float) -> float:
     return 2.0 * math.pi * (T * T / 2.0 - 1.0)
 
 
-def _kak_entry_coeffs(theta1: float, cos2: np.ndarray,
-                      sin2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """u, v of shape (2, 2, m) with entries(k1 a_s k2) = u e^s + v e^{-s}.
+def _kak_entry_coeffs(c1: np.ndarray, s1: np.ndarray, c2: np.ndarray,
+                      s2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """u, v of shape (2, 2, rows) with entries(k1 a_s k2) = u e^s + v e^{-s}.
 
-    Column i belongs to the theta2 node with cosine cos2[i] and sine sin2[i].
+    Row i pairs the theta1 node (c1[i], s1[i]) with the theta2 node (c2[i], s2[i]).
     """
-    c1, s1 = math.cos(theta1), math.sin(theta1)
-    u = np.array([[c1 * cos2, -c1 * sin2], [s1 * cos2, -s1 * sin2]])
-    v = np.array([[-s1 * sin2, -s1 * cos2], [c1 * sin2, c1 * cos2]])
+    u = np.array([[c1 * c2, -c1 * s2], [s1 * c2, -s1 * s2]])
+    v = np.array([[-s1 * s2, -s1 * c2], [c1 * s2, c1 * c2]])
     return u, v
 
 
@@ -147,27 +148,59 @@ def _rnorm_of_s(u: np.ndarray, v: np.ndarray, r: float, s: np.ndarray) -> np.nda
     return acc ** (1.0 / r) if power else acc
 
 
+def _point(lo: np.ndarray, hi: np.ndarray, n: int, k: np.ndarray) -> np.ndarray:
+    """Point k of np.linspace(lo, hi, n), elementwise and bit for bit."""
+    return np.where(k == n - 1, hi, (hi - lo) / (n - 1) * k + lo)
+
+
 def _spaced(lo: np.ndarray, hi: np.ndarray, n: int) -> np.ndarray:
     """Row i holds the n points np.linspace(lo[i], hi[i], n), bit for bit."""
-    s = ((hi - lo) / (n - 1))[:, None] * np.arange(n, dtype=float)
-    s += lo[:, None]
-    s[:, -1] = hi
-    return s
+    return _point(lo[:, None], hi[:, None], n, np.arange(n))
+
+
+def _first(lo: np.ndarray, hi: np.ndarray, holds: Callable[[np.ndarray], np.ndarray]
+           ) -> np.ndarray:
+    """Row by row, the first k in [lo, hi] at which holds(k) is true, hi counted as true.
+
+    A bisection: holds must be false and then true along each row.
+    """
+    while (lo < hi).any():
+        mid = (lo + hi) // 2
+        yes = (mid == hi) | holds(mid)
+        lo, hi = np.where(yes, lo, mid + 1), np.where(yes, mid, hi)
+    return lo
+
+
+def _argmin_round(u: np.ndarray, v: np.ndarray, r: float, lo: np.ndarray, hi: np.ndarray,
+                  n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Narrow [lo, hi] to the neighbours of the profile's first argmin on its n-point grid.
+
+    On a convex profile the first argmin is the first k with f[k] <= f[k + 1].
+    """
+    def rises(k):
+        f = _rnorm_of_s(u, v, r, _point(lo[:, None], hi[:, None], n,
+                                         np.stack([k, np.minimum(k + 1, n - 1)], axis=1)))
+        return f[:, 0] <= f[:, 1]
+
+    i = _first(np.zeros(lo.shape, dtype=int), np.full(lo.shape, n - 1), rises)
+    return _point(lo, hi, n, np.maximum(i - 1, 0)), _point(lo, hi, n, np.minimum(i + 1, n - 1))
 
 
 def _refine_crossing(u: np.ndarray, v: np.ndarray, r: float, T: np.ndarray,
                      lo: np.ndarray, hi: np.ndarray, want_leq_left: bool) -> np.ndarray:
-    """Locate, row by row, the crossing of the (convex) s-profile through T in [lo, hi]."""
-    rows = np.arange(lo.shape[0])
+    """Locate, row by row, the crossing of the (convex) s-profile through T in [lo, hi].
+
+    Each of five rounds narrows [lo, hi] to the cell of its 33-point grid that
+    ends at the first point where f <= T flips (index 32 when it never does,
+    index 1 when point 0 has flipped already).
+    """
     for _ in range(5):
-        s = _spaced(lo, hi, 33)
-        inside = _rnorm_of_s(u, v, r, s) <= T[:, None]
-        if want_leq_left:
-            idx = np.where(inside.all(axis=1), 32, inside.argmin(axis=1))
-        else:
-            idx = np.where(inside.any(axis=1), inside.argmax(axis=1), 32)
-        idx = np.clip(idx, 1, 32)
-        lo, hi = s[rows, idx - 1], s[rows, idx]
+        def flipped(k, lo=lo, hi=hi):
+            f = _rnorm_of_s(u, v, r, _point(lo, hi, 33, k)[:, None])[:, 0]
+            return (f <= T) != want_leq_left
+
+        k = _first(np.ones(lo.shape, dtype=int), np.full(lo.shape, 32), flipped)
+        lo, hi = _point(lo, hi, 33, k - 1), _point(lo, hi, 33, k)
     return 0.5 * (lo + hi)
 
 
@@ -177,29 +210,28 @@ def _sublevel_interval(u: np.ndarray, v: np.ndarray, r: float, T: np.ndarray,
 
     The profile in s is convex.  Returns (nonempty, s_a, s_b); s_a and s_b
     mean nothing on rows whose sublevel set is empty.
+
+    Every round bisects for the grid index that a scan of its grid would
+    pick: the first argmin on the 65-point grid over [0, s_cap] and on three
+    33-point grids about it, then for each crossing left to find, five
+    33-point rounds.  Each point is _spaced's own value, so the search keeps
+    the bits of scanning every point (tests/_brute.py) at a few of them.
     """
-    rows = np.arange(u.shape[2])
-    grid = _spaced(np.zeros(rows.shape), s_cap, 65)
-    vals = _rnorm_of_s(u, v, r, grid)
-    # locate the profile minimum (three refinement rounds)
-    i = vals.argmin(axis=1)
-    lo, hi = grid[rows, np.maximum(i - 1, 0)], grid[rows, np.minimum(i + 1, 64)]
-    # only the end values are read again; the refinement reuses the memory
-    left_in, right_in = vals[:, 0] <= T, vals[:, -1] <= T
-    del grid, vals
+    zeros = np.zeros(u.shape[2])
+    lo, hi = _argmin_round(u, v, r, zeros, s_cap, 65)
     for _ in range(3):
-        s = _spaced(lo, hi, 33)
-        j = _rnorm_of_s(u, v, r, s).argmin(axis=1)
-        lo, hi = s[rows, np.maximum(j - 1, 0)], s[rows, np.minimum(j + 1, 32)]
+        lo, hi = _argmin_round(u, v, r, lo, hi, 33)
     s_min = 0.5 * (lo + hi)
-    nonempty = ~(_rnorm_of_s(u, v, r, s_min[:, None])[:, 0] > T)
-    s_a = np.zeros(rows.shape)
-    left = nonempty & ~left_in
+    # 0.0 and s_cap are the first and last points of the 65-point grid
+    f = _rnorm_of_s(u, v, r, np.stack([zeros, s_cap, s_min], axis=1))
+    nonempty = ~(f[:, 2] > T)
+    s_a = np.zeros_like(s_cap)
+    left = nonempty & ~(f[:, 0] <= T)
     if left.any():
         s_a[left] = _refine_crossing(u[:, :, left], v[:, :, left], r, T[left],
                                      s_a[left], s_min[left], want_leq_left=False)
     s_b = s_cap.copy()
-    right = nonempty & ~right_in
+    right = nonempty & ~(f[:, 1] <= T)
     if right.any():
         s_b[right] = _refine_crossing(u[:, :, right], v[:, :, right], r, T[right],
                                       s_min[right], s_b[right], want_leq_left=True)
@@ -225,11 +257,11 @@ def _kak_refusal(r: float, T: float) -> str:
     return "" if fits else f"KAK r-norm power sum overflows a float at T={T:g}"
 
 
-# (threshold, theta2) rows per sublevel search.  A search holds about five
-# (rows, 65) float arrays at once, so this bounds its memory whatever the grid
-# length; past about 128 rows the arithmetic, not the per-call overhead, sets
-# the time.
-_KAK_ROWS = 128
+# Rows per sublevel search, in whole (theta1, threshold) blocks of one row per
+# theta2 node: two theta1 nodes of a 9-threshold grid at the default 64 nodes.
+# A search holds a few (rows, 2) float arrays, so this bounds its memory
+# whatever the grid length, and is past where per-call overhead sets the time.
+_KAK_ROWS = 1152
 
 
 def _sl2_kak_raw(gauge: Gauge, thresholds: Sequence[float], *, panels: int = 4,
@@ -240,8 +272,9 @@ def _sl2_kak_raw(gauge: Gauge, thresholds: Sequence[float], *, panels: int = 4,
     ranges suffice: shifting either angle by pi/2 permutes the entry
     magnitudes, leaving any entrywise gauge invariant; the lost factor is
     absorbed by the calibration constant.  Every cap is checked, in grid order,
-    before the one theta1 loop; at each theta1 node the sublevel search runs
-    on the (threshold, theta2) rows of a batch of thresholds.  Each sum keeps
+    before any search.  The (theta1, threshold, theta2) rows of the whole grid
+    are then searched in theta1-major order, _KAK_ROWS at a time, so one
+    search covers several theta1 nodes of every threshold.  Each sum keeps
     theta1-major order, so a threshold's value does not depend on the grid.
     """
     if gauge.kind != "rnorm":
@@ -270,28 +303,24 @@ def _sl2_kak_raw(gauge: Gauge, thresholds: Sequence[float], *, panels: int = 4,
         theta_nodes.extend((mid + half * x).tolist())
         theta_weights.extend((half * w).tolist())
     m = len(theta_nodes)
-    per_batch = max(1, _KAK_ROWS // m)
-    batches = []
-    for at in range(0, len(live), per_batch):
-        ks, Ts, caps = zip(*live[at:at + per_batch])
-        batches.append((ks, np.repeat(Ts, m), np.repeat(caps, m)))
-    reps = len(batches[0][0])
-    cos2 = np.tile([math.cos(th) for th in theta_nodes], reps)
-    sin2 = np.tile([math.sin(th) for th in theta_nodes], reps)
-    for th1, w1 in zip(theta_nodes, theta_weights):
-        u, v = _kak_entry_coeffs(th1, cos2, sin2)
-        for ks, T_rows, cap_rows in batches:
-            n = len(ks) * m
-            nonempty, s_a, s_b = _sublevel_interval(u[:, :, :n], v[:, :, :n], gauge.r,
-                                                    T_rows, cap_rows)
-            rows = zip(nonempty.tolist(), s_a.tolist(), s_b.tolist())
-            for k in ks:
-                total = totals[k]
-                # zip stops at the m-th weight before it draws another row
-                for w2, (inside, a, b) in zip(theta_weights, rows):
-                    if inside:
-                        total += w1 * w2 * 0.5 * (math.cosh(2.0 * b) - math.cosh(2.0 * a))
-                totals[k] = total
+    cos = np.array([math.cos(th) for th in theta_nodes])
+    sin = np.array([math.sin(th) for th in theta_nodes])
+    ks, Ts, caps = (np.array(column) for column in zip(*live))
+    blocks, per_search = m * len(live), max(1, _KAK_ROWS // m)
+    for start in range(0, blocks, per_search):
+        # block (a, j): theta1 node a and live threshold j, one row per theta2 node
+        a, j = np.divmod(np.arange(start, min(start + per_search, blocks)), len(live))
+        a_rows, j_rows, b_rows = np.repeat(a, m), np.repeat(j, m), np.tile(np.arange(m), len(a))
+        u, v = _kak_entry_coeffs(cos[a_rows], sin[a_rows], cos[b_rows], sin[b_rows])
+        nonempty, s_a, s_b = _sublevel_interval(u, v, gauge.r, Ts[j_rows], caps[j_rows])
+        rows = zip(nonempty.tolist(), s_a.tolist(), s_b.tolist())
+        for a1, k in zip(a.tolist(), ks[j].tolist()):
+            w1, total = theta_weights[a1], totals[k]
+            # zip stops at the m-th weight before it draws another row
+            for w2, (inside, sa, sb) in zip(theta_weights, rows):
+                if inside:
+                    total += w1 * w2 * 0.5 * (math.cosh(2.0 * sb) - math.cosh(2.0 * sa))
+            totals[k] = total
     return totals
 
 

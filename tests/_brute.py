@@ -389,22 +389,30 @@ def _refine_crossing(u: np.ndarray, v: np.ndarray, r: float, T: float,
     return 0.5 * (lo + hi)
 
 
-def _sublevel_interval(u: np.ndarray, v: np.ndarray, r: float, T: float,
-                       s_cap: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per column, the interval {s in [0, s_cap] : rnorm(k1 a_s k2) <= T} (convex
-    profile): (nonempty, s_a, s_b), the ends meaningless where it is empty."""
+def _profile_min(u: np.ndarray, v: np.ndarray, r: float,
+                 s_cap: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per column, the profile on the 65-point grid over [0, s_cap] and the
+    point s_min the sublevel search takes for its minimum, by scanning every
+    point of that grid and of three 33-point refinement rounds."""
     m = u.shape[2]
     cols = np.arange(m)
     grid = np.linspace(0.0, s_cap, 65)
     vals = _rnorm_of_s(u, v, r, np.broadcast_to(grid, (m, 65)))
-    # locate the profile minimum (three refinement rounds)
     i = vals.argmin(axis=1)
     lo, hi = grid[np.maximum(i - 1, 0)], grid[np.minimum(i + 1, 64)]
     for _ in range(3):
         s = np.linspace(lo, hi, 33, axis=1)
         j = _rnorm_of_s(u, v, r, s).argmin(axis=1)
         lo, hi = s[cols, np.maximum(j - 1, 0)], s[cols, np.minimum(j + 1, 32)]
-    s_min = 0.5 * (lo + hi)
+    return vals, 0.5 * (lo + hi)
+
+
+def _sublevel_interval(u: np.ndarray, v: np.ndarray, r: float, T: float,
+                       s_cap: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per column, the interval {s in [0, s_cap] : rnorm(k1 a_s k2) <= T} (convex
+    profile): (nonempty, s_a, s_b), the ends meaningless where it is empty."""
+    m = u.shape[2]
+    vals, s_min = _profile_min(u, v, r, s_cap)
     nonempty = ~(_rnorm_of_s(u, v, r, s_min[:, None])[:, 0] > T)
     s_a, s_b = np.zeros(m), np.full(m, s_cap)
     left, right = nonempty & (vals[:, 0] > T), nonempty & (vals[:, -1] > T)

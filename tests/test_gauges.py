@@ -49,6 +49,15 @@ def test_rnorm_values():
     assert gauge_eval(rnorm_gauge(2), I2) == pytest.approx(math.sqrt(2.0))
 
 
+def test_float_sums_run_left_to_right():
+    # the bits of adding the terms one at a time, as the builtin sum() does
+    # up to 3.11; a compensated sum (3.12's sum()) ends an ulp off on both
+    form = BinaryForm(4, (1, 0, 1, 0, 1))
+    assert form.evaluate(0.3, 0.6).hex() == "0x1.5c5d63886594ap-3"
+    el = GroupElement.from_rows(((1, 2), (-3, -5)))
+    assert gauge_eval(rnorm_gauge(1.5), el).hex() == "0x1.dac586e34b0e6p+2"
+
+
 def test_hyperbolic_identity_and_consistency():
     g = hyperbolic_gauge()
     assert gauge_eval(g, I2) == pytest.approx(0.0)

@@ -10,6 +10,10 @@ import pytest
 
 import latcount.haar as haar
 from _brute import (
+    _kak_entry_coeffs,
+    _profile_min,
+    _rnorm_of_s,
+    _sublevel_interval,
     convolve_profiles_eager,
     kak_raw_reference,
     mutated,
@@ -98,11 +102,12 @@ ONE_PASS_GRID = (-1.0, 0.0, 0.6, 0.9, 1.2, 2.0, 3.7, 7.5, 16.05, 60.0, 150.0, 3.
 def test_kak_one_pass_equals_per_threshold_reference(r):
     from latcount.haar import _KAK_ROWS, _sl2_kak_raw
 
-    # 16 theta2 rows per threshold at panels=2, nodes=8: the grid's live
-    # thresholds span more than one batch and do not fill the last one
-    live = sum(1 for T in ONE_PASS_GRID if 2.0 * T * T > 1.0)
-    per_batch = max(1, _KAK_ROWS // 16)
-    assert live > per_batch and live % per_batch != 0
+    # 16 theta1 nodes and 16 theta2 rows per (theta1, threshold) block at
+    # panels=2, nodes=8: the grid's blocks span more than one search and do
+    # not fill the last one, and a search ends inside a theta1 node
+    live = sum(1 for T in ONE_PASS_GRID if T > 0 and 2.0 * T * T > 1.0)
+    blocks, per_search = 16 * live, max(1, _KAK_ROWS // 16)
+    assert blocks > per_search and blocks % per_search != 0 and per_search % live != 0
     gauge = rnorm_gauge(r)
     assert _sl2_kak_raw(gauge, ONE_PASS_GRID, panels=2, nodes=8) == [
         kak_raw_reference(gauge, T, panels=2, nodes=8) for T in ONE_PASS_GRID]
@@ -123,6 +128,32 @@ def test_kak_one_pass_equals_per_threshold_reference_on_the_volume_grid():
     gauge = rnorm_gauge(1)
     grid = _grid("volume", gauge, 150.0, 9)
     assert _sl2_kak_raw(gauge, grid) == [kak_raw_reference(gauge, T) for T in grid]
+
+
+# thresholds f_min (1 + eps) just above the minimum the search finds: the
+# near-flat crossings, where a bisection could first part from a scan
+NEAR_FLAT = (0.0, 1e-16, 1e-15, 1e-13, 1e-10, 1e-4)
+
+
+@pytest.mark.parametrize("r", [1.0, 1.5, 2.0, 3.0, math.inf])
+def test_sublevel_search_equals_the_scan_row_by_row(r):
+    rng = random.Random(f"sublevel {r}")
+    rows = []  # (u, v, T, s_cap), one column each
+    for _ in range(24):
+        theta1, theta2 = (rng.uniform(0.0, math.pi / 2.0) for _ in range(2))
+        u, v = _kak_entry_coeffs(theta1, [theta2])
+        s_cap = 0.5 * math.acosh(2.0 * rng.uniform(1.0, 150.0) ** 2)
+        vals, s_min = _profile_min(u, v, r, s_cap)
+        f_min = float(_rnorm_of_s(u, v, r, s_min[:, None])[0, 0])
+        # and one threshold anywhere from an empty set to past the cap
+        tops = [rng.uniform(0.5 * f_min, 1.1 * float(vals[0, -1]))]
+        rows += [(u, v, T, s_cap) for T in [f_min * (1.0 + eps) for eps in NEAR_FLAT] + tops]
+    us, vs, Ts, caps = zip(*rows)
+    got = haar._sublevel_interval(np.concatenate(us, axis=2), np.concatenate(vs, axis=2), r,
+                                  np.array(Ts), np.array(caps))
+    want = zip(*(_sublevel_interval(*row[:2], r, *row[2:]) for row in rows))
+    for name, g, w in zip(("nonempty", "s_a", "s_b"), got, want):
+        assert np.array_equal(g, np.concatenate(w)), name
 
 
 @pytest.mark.parametrize("r", [1.0, math.inf])

@@ -5,6 +5,7 @@ import math
 import os
 import time
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -51,8 +52,19 @@ def test_sl2z_matches_brute_all_gauges():
         assert set(enumerate_ball("sl2z", gauge, T)) == brute_sl2z(gauge, T)
 
 
+# the sl3z ball at T = 2.5 and its brute scan serve two tests: made once a session
+@lru_cache(maxsize=None)
+def ball(group, gauge, T):
+    return tuple(enumerate_ball(group, gauge, T))
+
+
+@lru_cache(maxsize=None)
+def brute_ball(group, gauge, T):
+    return frozenset(BRUTE[group](gauge, T))
+
+
 def test_sl3z_matches_brute():
-    assert set(enumerate_ball("sl3z", G2, 2.5)) == brute_sl3z(G2, 2.5)
+    assert set(ball("sl3z", G2, 2.5)) == brute_ball("sl3z", G2, 2.5)
 
 
 def test_sl3z_r1_ball_is_the_r2_ball_cut_and_sweeps_few_rows():
@@ -131,11 +143,11 @@ BRUTE = {"sl2z": brute_sl2z, "sl3z": brute_sl3z, "sl2z1p": brute_sl2z1p}
     ("sl3z", G2, 2.5),
 ], ids=lambda v: v.describe() if hasattr(v, "describe") else str(v))
 def test_canonical_order(group, gauge, T):
-    seq = list(enumerate_ball(group, gauge, T))
+    seq = ball(group, gauge, T)
     keys = [el.sort_key() for el in seq]
     assert keys == sorted(keys)
     assert len(keys) == len(set(keys))
-    assert set(seq) == BRUTE[group](gauge, T)
+    assert set(seq) == brute_ball(group, gauge, T)
 
 
 def test_threshold_validation_and_budget():
