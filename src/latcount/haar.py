@@ -417,7 +417,7 @@ def _sl3_volume(T: float) -> float:
         raise OverflowError(f"SL3 chamber integral overflows a float at T={T:g}")
     if fine > 0 and abs(fine - coarse) > 1e-3 * fine:
         raise NumericalError(f"SL3 chamber quadrature not converged at T={T:g}: "
-                             f"{float(coarse)!r} vs {float(fine)!r}")
+                             f"{coarse:.12g} vs {fine:.12g}")
     return fine
 
 

@@ -437,57 +437,42 @@ def enumerate_ball(
 
 def _progression_ball(gauge: Gauge, caps: Sequence[int], box: int) -> Iterator[tuple]:
     """(bisect_left(caps, key), a, b, c, d, coeffs) for every element g = (a, b; c, d)
-    of sl2z with key <= caps[-1] and a > 0 or a = 0 < b: one of each pair +-g.
+    of sl2z with form key <= caps[-1] and a > 0 or a = 0 < b: one of each pair +-g.
 
-    The Bezout walk for the "abs", "max" and "form" keys (the "sq" balls take
-    _sq_columns).  An element (a, b; c, d) is fixed by its top row (a, b) and
-    a shift k: the bottom row is (c0, d0) + k (a/g, b/g), g = gcd(a, b), with
-    a d0 - b c0 = 1 from ext_gcd.  The key (gauge_key; key_norm names it) is
-    convex in k, so the k inside the ball form an interval: _window_1d bounds
-    |c| and |d| (by caps[-1] minus the top row for "abs", caps[-1] for "max",
-    the entry bound box for "form") and the key test trims the rest.  -g has
-    g's key (entrywise; f . (-g) = f . g for rep_form's definite, so even,
-    forms).  coeffs is f . g from the "form" key, else None.  Order is unspecified.
+    The Bezout walk of the rep_form balls: the coprime top rows (a, b) with
+    |a|, |b| <= box, and the bottom rows (c0, d0) + k (a, b), a d0 - b c0 = 1
+    (ext_gcd), with |c|, |d| <= box (_window_1d); the form key (form_key) of
+    coeffs = f . g decides each.  -g has g's key: f . (-g) = f . g for
+    rep_form's definite, so even, forms.  Order is unspecified.
     """
     top = caps[-1]
-    norm = key_norm(gauge)
-    assert norm != "form" or gauge.form.degree % 2 == 0, "f . (-g) = f . g needs even degree"
-    weights, coeffs = _form_weights(gauge.form.degree) if norm == "form" else (), None
-    # top rows that leave room for a nonzero bottom row
-    amax = {"abs": top - 1, "max": top, "form": box}[norm]
-    for a in range(amax + 1):
-        bmax = amax - a if norm == "abs" else amax
-        for b in range(-bmax, bmax + 1) if a else (1,):  # gcd(0, b) = |b|
+    assert gauge.form.degree % 2 == 0, "f . (-g) = f . g needs even degree"
+    weights = _form_weights(gauge.form.degree)
+    for a in range(box + 1):
+        for b in range(-box, box + 1) if a else (1,):  # gcd(0, b) = |b|
             if math.gcd(a, b) != 1:
                 continue
             _, x, y = ext_gcd(a, b)
             c, d = -y, x  # a*d - b*c = 1
-            ab = a + abs(b) if norm == "abs" else max(a, abs(b))
-            bound = top - ab if norm == "abs" else amax
-            window = _intersect(_window_1d(c, a, bound), _window_1d(d, b, bound))
+            window = _intersect(_window_1d(c, a, box), _window_1d(d, b, box))
             if window is None:
                 continue
             klo, khi = window
             c += klo * a
             d += klo * b
             for _ in range(khi - klo + 1):
-                if norm == "abs":
-                    key = ab + abs(c) + abs(d)
-                elif norm == "max":
-                    key = max(ab, abs(c), abs(d))
-                else:
-                    coeffs = substitute_coeffs(gauge.form.coeffs, a, b, c, d)
-                    key = sum(w * e * e for w, e in zip(weights, coeffs))
+                coeffs = substitute_coeffs(gauge.form.coeffs, a, b, c, d)
+                key = sum(w * e * e for w, e in zip(weights, coeffs))
                 if key <= top:
                     yield bisect.bisect_left(caps, key), a, b, c, d, coeffs
                 c += a
                 d += b
 
 
-# _sq_columns keeps int64 exact up to this cap: every intermediate is below 2**62
-_SQ_CAP_MAX = 2**30
-# top rows per chunk of _sq_columns; bounds the walk's memory, not its output
-_SQ_CHUNK_ROWS = 2048
+# _sl2_columns keeps int64 exact up to this cap: every intermediate is below 2**62
+_SL2_CAP_MAX = 2**30
+# top rows per chunk of _sl2_columns; bounds the walk's memory, not its output
+_SL2_CHUNK_ROWS = 2048
 
 
 def _bezout(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -504,67 +489,88 @@ def _bezout(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x0, y0
 
 
-def _sq_columns(gauge: Gauge, caps: Sequence[int]) -> Iterator[tuple[np.ndarray, ...]]:
+def _window_cols(center: np.ndarray, step: np.ndarray,
+                 bound: np.ndarray | int) -> tuple[np.ndarray, np.ndarray]:
+    """_window_1d on int64 columns, the windows of the rows of center and step
+    intersected: (lo, hi), empty where lo > hi; a zero step keeps every k or none."""
+    center, step = np.where(step < 0, -center, center), np.abs(step)
+    span, div = np.where(np.abs(center) <= bound, 1 << 62, -1), np.maximum(step, 1)
+    return (np.where(step == 0, -span, -((bound + center) // div)).max(0),
+            np.where(step == 0, span, (bound - center) // div).min(0))
+
+
+def _sl2_columns(gauge: Gauge, caps: Sequence[int]) -> Iterator[tuple[np.ndarray, ...]]:
     """Chunks of int64 columns (bucket, p^l, a, b, c, d), one entry per element
-    p^(-l) (a, b; c, d) with a^2 + b^2 + c^2 + d^2 <= C = caps[-1].
+    p^(-l) (a, b; c, d) whose key (key_norm "sq", "abs" or "max") is <= C = caps[-1].
 
-    The "sq" balls of sl2z (rnorm:2, hyperbolic) and sl2z1p (height, every
-    det = p^(2l) level; level 0 alone on sl2z), walked in numpy.  The quarter
-    turn M -> M (0, -1; 1, 0) keeps det, the key and divisibility by p and
-    moves the top row (a, b) to (b, -a), so the walk takes the top rows a > 0,
-    b >= 0, a^2 + b^2 < C, _SQ_CHUNK_ROWS at a time, and each chunk holds them
-    with their three turns.  With g = gcd(a, b) dividing det, the bottom rows
-    are the Bezout progression (c0, d0) + k u, u = (a, b) / g, a d0 - b c0 =
-    det.  Shifting (c0, d0) along u makes 0 <= B = u . (c0, d0) < A = |u|^2;
-    the k inside the ball are those with |A k + B| <= isqrt(disc), disc = A (C
-    - a^2 - b^2) - (det / g)^2 (Lagrange: B^2 - A |(c0, d0)|^2 = -(det /
-    g)^2).  Above level 0, p times a matrix of the level below is not
-    canonical and is dropped.  bucket is bisect_left(caps, key).  Every chunk
-    is nonempty and lies on one level; the order of chunks and within them is
-    unspecified.
+    The entrywise balls of sl2z and sl2z1p (height: every det = p^(2l) level;
+    level 0 alone on sl2z), walked in numpy.  The quarter turn M -> M (0, -1;
+    1, 0) keeps det, the key and divisibility by p and moves the top row (a,
+    b) to (b, -a): the walk takes the top rows a > 0, b >= 0 with room for a
+    nonzero bottom row (a^2 + b^2 < C, a + b < C, a, b <= C), _SL2_CHUNK_ROWS
+    at a time, each chunk with its three turns.  With g = gcd(a, b) | det,
+    the bottom rows are (c0, d0) + k u, u = (a, b) / g, a d0 - b c0 = det, and
+    the k in the ball form one interval: "sq", with 0 <= B = u . (c0, d0) < A
+    = |u|^2 after a shift, |A k + B| <= isqrt(A (C - a^2 - b^2) - (det / g)^2)
+    (Lagrange: B^2 - A |(c0, d0)|^2 = -(det / g)^2); "max" |c|, |d| <= C;
+    "abs" |c + d|, |c - d| <= C - a - b, as |c| + |d| = max(|c + d|, |c - d|).
+    Above level 0, p times a matrix of the level below is not canonical and
+    is dropped.  bucket is bisect_left(caps, key).  Every chunk is nonempty
+    and lies on one level; the order of chunks and within them is unspecified.
 
-    A cap above _SQ_CAP_MAX raises BudgetError before any column is computed.
-    Below it a, b, x, y <= C^(1/2) and det <= C / 2, so the unshifted B, the
-    shift times u and disc all stay under C^2 <= 2**60.
+    A cap above _SL2_CAP_MAX raises BudgetError before any column is computed.
+    Below it every intermediate is under 2**60: under C^2 for "sq" (a, b, x,
+    y <= C^(1/2), det <= C / 2), at most 3 C for "abs" and "max" (det 1).
     """
     top = caps[-1]
-    if top > _SQ_CAP_MAX:
-        raise BudgetError(f"cap {top} is above {_SQ_CAP_MAX}, the int64 bound of the sq walk")
-    if top < 2:  # ||A||^2 >= 2 |det A| >= 2
-        return
+    if top > _SL2_CAP_MAX:
+        raise BudgetError(f"cap {top} is above {_SL2_CAP_MAX}, the int64 bound of the SL(2) walk")
+    norm = key_norm(gauge)
+    # the top rows a = 1 .. len(bmax), b = 0 .. bmax[a - 1], one after another
+    if norm == "sq":
+        bmax = [math.isqrt(top - 1 - a * a) for a in range(1, math.isqrt(max(top, 1) - 1) + 1)]
+    else:
+        bmax = list(range(top - 2, -1, -1)) if norm == "abs" else [top] * top
     p = gauge.prime
     cap_arr = np.asarray(caps, dtype=np.int64)
-    # the top rows a = 1 .. amax, b = 0 .. bmax[a - 1], one after another
-    amax = math.isqrt(top - 1)
-    bmax = np.array([math.isqrt(top - 1 - a * a) for a in range(1, amax + 1)], dtype=np.int64)
+    bmax = np.array(bmax, dtype=np.int64)
     ends = np.cumsum(bmax + 1)
-    rows = int(ends[-1])
+    rows = int(ends[-1]) if len(ends) else 0
     for level in range(_level_count(p, top)):
         den = p ** level if level else 1
         det = den * den
-        for start in range(0, rows, _SQ_CHUNK_ROWS):
-            idx = np.arange(start, min(start + _SQ_CHUNK_ROWS, rows), dtype=np.int64)
+        for start in range(0, rows, _SL2_CHUNK_ROWS):
+            idx = np.arange(start, min(start + _SL2_CHUNK_ROWS, rows), dtype=np.int64)
             row = np.searchsorted(ends, idx, "right")
             a, b = row + 1, idx - ends[row] + bmax[row] + 1
             g = np.gcd(a, b)
             m = det // g
             sa, sb = a // g, b // g
-            A = sa * sa + sb * sb
-            disc = A * (top - a * a - b * b) - m * m
-            ok = (det % g == 0) & (disc >= 0)
-            a, b, g, m, sa, sb, A, disc = (v[ok] for v in (a, b, g, m, sa, sb, A, disc))
+            if norm == "sq":
+                A = sa * sa + sb * sb
+                disc = A * (top - a * a - b * b) - m * m
+                ok = (det % g == 0) & (disc >= 0)
+                a, b, g, m, sa, sb, A, disc = (v[ok] for v in (a, b, g, m, sa, sb, A, disc))
+            else:  # det 1
+                a, b, g, m, sa, sb = (v[g == 1] for v in (a, b, g, m, sa, sb))
             x, y = _bezout(a, b)
             c0, d0 = -y * m, x * m  # a*d0 - b*c0 = det
-            shift = (c0 * sa + d0 * sb) // A
-            c0 -= shift * sa
-            d0 -= shift * sb
-            B = c0 * sa + d0 * sb
-            r = np.sqrt(disc.astype(np.float64)).astype(np.int64)
-            r -= r * r > disc
-            r += (r + 1) * (r + 1) <= disc
-            assert ((r * r <= disc) & (disc < (r + 1) * (r + 1))).all()
-            klo = -((B + r) // A)
-            n = (r - B) // A - klo + 1
+            if norm == "sq":
+                shift = (c0 * sa + d0 * sb) // A
+                c0 -= shift * sa
+                d0 -= shift * sb
+                B = c0 * sa + d0 * sb
+                r = np.sqrt(disc.astype(np.float64)).astype(np.int64)
+                r -= r * r > disc
+                r += (r + 1) * (r + 1) <= disc
+                assert ((r * r <= disc) & (disc < (r + 1) * (r + 1))).all()
+                klo, khi = -((B + r) // A), (r - B) // A
+            elif norm == "max":
+                klo, khi = _window_cols(np.array((c0, d0)), np.array((sa, sb)), top)
+            else:
+                klo, khi = _window_cols(np.array((c0 + d0, c0 - d0)), np.array((sa + sb, sa - sb)),
+                                        top - a - b)
+            n = np.maximum(khi - klo + 1, 0)
             src = np.repeat(np.arange(len(n)), n)
             k = klo[src] + np.arange(len(src)) - (np.cumsum(n) - n)[src]
             a, b = a[src], b[src]
@@ -575,7 +581,10 @@ def _sq_columns(gauge: Gauge, caps: Sequence[int]) -> Iterator[tuple[np.ndarray,
                 a, b, c, d = a[keep], b[keep], c[keep], d[keep]
             if not len(a):
                 continue
-            key = a * a + b * b + c * c + d * d
+            if norm == "sq":
+                key = a * a + b * b + c * c + d * d
+            else:  # a, b >= 0
+                key = a + b + abs(c) + abs(d) if norm == "abs" else np.max((a, b, abs(c), abs(d)), 0)
             assert (key <= top).all() and (a * d - b * c == det).all()
             yield (np.tile(np.searchsorted(cap_arr, key, "left"), 4),
                    np.full(4 * len(a), den, np.int64),
@@ -721,14 +730,6 @@ def _check_grid(thresholds: Sequence[float]) -> None:
         raise SpecError("thresholds must be finite, strictly increasing and nonempty")
 
 
-def _is_sq_ball(group: str, gauge: Gauge) -> bool:
-    return group in ("sl2z", "sl2z1p") and key_norm(gauge) == "sq"
-
-
-def _is_sl3_ball(group: str, gauge: Gauge) -> bool:
-    return group == "sl3z" and key_norm(gauge) in ("sq", "abs", "max")
-
-
 def _checked_caps(group: str, gauge: Gauge, thresholds: Sequence[float],
                   budget: int | None) -> list[int]:
     """The integer caps of the grid, after the grid check, the ball's checks and
@@ -793,11 +794,10 @@ def ball_columns(
     gives it.
     Every element comes once, every chunk is nonempty with one denominator,
     and order is unspecified.  This is the one place that picks the walk: the
-    "sq" balls of sl2z (rnorm:2, hyperbolic) and sl2z1p (height) come from
-    one numpy walk (_sq_columns), sl3z with rnorm:1, rnorm:2 and rnorm:inf
-    from the first-row orbit sweep (_sl3_columns), and sl2z with rnorm:1,
-    rnorm:inf and forms from the Bezout walk over one of each pair +-g
-    (_progression_ball); every other ball is enumerated (enumerate_ball).
+    entrywise keys (rnorm:1, rnorm:2, rnorm:inf, hyperbolic, height) take the
+    first-row orbit sweep _sl3_columns on sl3z and the numpy Bezout walk
+    _sl2_columns on sl2z and sl2z1p, forms the half walk _progression_ball,
+    and every other ball enumerate_ball.
     Given elements are bucketed as they are, those above thresholds[-1]
     dropped.  Records off the numpy walks are packed _CHUNK_RECORDS at a
     time (_record_chunks).  Entries must fit int64, as they do in every ball
@@ -807,11 +807,10 @@ def ball_columns(
     """
     if elements is None:
         caps = _checked_caps(group, gauge, thresholds, budget)
-        if _is_sq_ball(group, gauge):
-            return _sq_columns(gauge, caps)
-        if _is_sl3_ball(group, gauge):
-            return _sl3_columns(key_norm(gauge), caps)
-        if group == "sl2z" and key_norm(gauge) in ("abs", "max", "form"):
+        norm = key_norm(gauge)
+        if norm in ("sq", "abs", "max"):
+            return _sl3_columns(norm, caps) if group == "sl3z" else _sl2_columns(gauge, caps)
+        if norm == "form":
             half = _progression_ball(gauge, caps, entry_bound(gauge, thresholds[-1]))
             return _record_chunks(rec for i, a, b, c, d, _ in half
                                   for rec in ((i, 1, a, b, c, d), (i, 1, -a, -b, -c, -d)))
@@ -900,10 +899,11 @@ def count_series(
     that the ratio column tends to 1.
     """
     thr = [float(t) for t in thresholds]
-    if elements is None and _is_sq_ball(group, gauge):
+    norm = key_norm(gauge) if elements is None else None
+    if norm == "sq" and group != "sl3z":
         counts = _shell_counts(gauge, _shell_caps(group, gauge, thr, budget))
-    elif elements is None and _is_sl3_ball(group, gauge):
-        counts = _sl3_counts(key_norm(gauge), _checked_caps(group, gauge, thr, budget))
+    elif norm in ("sq", "abs", "max") and group == "sl3z":
+        counts = _sl3_counts(norm, _checked_caps(group, gauge, thr, budget))
     else:
         buckets = np.zeros(len(thr), np.int64)
         for cols in ball_columns(group, gauge, thr, budget, elements=elements):

@@ -1,6 +1,7 @@
 """Slow oracles the fast routes are checked against: exhaustive small-ball
 scans, per-element ball records placed by bucket_index, the per-element
-Python walk of the "sq" balls, the flat SL(3) sweep over every first row,
+Python walks of the "sq" balls and of the "abs" and "max" balls of SL(2,Z)
+(the latter over one of each pair +-g), the flat SL(3) sweep over every first row,
 per-record torus phases and coset residues, residue-group and orbit counts
 by enumeration, the scalar circle scan of unit_circle_min, the KAK
 quadrature one theta1 node at a time, the per-node SL(3) chamber
@@ -18,7 +19,7 @@ import math
 import random
 from fractions import Fraction
 from itertools import product
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -30,14 +31,17 @@ from latcount.gauges import (
     form_norm_sq,
     forms_substitute,
     gauge_leq,
+    key_norm,
     rep_form_gauge,
 )
 from latcount.groups import GroupElement, adjugate, ext_gcd, int_det
 from latcount.haar import VolumeProfile, _sl3_a1_max, _stieltjes_sum, gl_integrate
 from latcount.lattice import (
     _cross,
+    _intersect,
     _level_count,
     _third_row_candidates,
+    _window_1d,
     bucket_index,
     enumerate_ball,
 )
@@ -131,8 +135,8 @@ def brute_sl2z1p(gauge: Gauge, threshold: float) -> set[GroupElement]:
 def sq_ball_records(gauge: Gauge, caps) -> list[tuple[int, ...]]:
     """(bisect_left(caps, key), p^l, a, b, c, d) for every element of an "sq" ball.
 
-    The per-element Python Bezout walk that lattice._sq_columns replaces, kept
-    as its oracle: for each level l (det = p^(2l); level 0 alone on sl2z) and
+    The per-element Python Bezout walk that lattice._sl2_columns replaces for
+    "sq", kept as its oracle: for each level l (det = p^(2l); level 0 alone on sl2z) and
     top row (a, b), a^2 + b^2 < caps[-1], the bottom rows (c0, d0) + k (a/g,
     b/g), g = gcd(a, b), with k between the roots of the discriminant (math
     isqrt), one shift at a time.  Above level 0, p times a matrix of the level
@@ -173,6 +177,55 @@ def sq_ball_records(gauge: Gauge, caps) -> list[tuple[int, ...]]:
                     c += sa
                     d += sb
     return out
+
+
+def entrywise_half_walk(gauge: Gauge, caps) -> Iterator[tuple[int, ...]]:
+    """(bisect_left(caps, key), a, b, c, d) for every element g = (a, b; c, d)
+    of sl2z with key <= caps[-1] and a > 0 or a = 0 < b: one of each pair +-g.
+
+    The Python Bezout walk of the "abs" and "max" keys that
+    lattice._sl2_columns replaces, kept as its oracle.  An element (a, b; c,
+    d) is fixed by its top row (a, b) and a shift k: the bottom row is (c0,
+    d0) + k (a, b), with a d0 - b c0 = 1 from ext_gcd.  The key is convex in
+    k, so the k inside the ball form an interval: _window_1d bounds |c| and
+    |d| (by caps[-1] minus the top row for "abs", caps[-1] for "max") and the
+    key test trims the rest.  -g has g's key.  Order is unspecified.
+    """
+    top = caps[-1]
+    norm = key_norm(gauge)
+    # top rows that leave room for a nonzero bottom row
+    amax = {"abs": top - 1, "max": top}[norm]
+    for a in range(amax + 1):
+        bmax = amax - a if norm == "abs" else amax
+        for b in range(-bmax, bmax + 1) if a else (1,):  # gcd(0, b) = |b|
+            if math.gcd(a, b) != 1:
+                continue
+            _, x, y = ext_gcd(a, b)
+            c, d = -y, x  # a*d - b*c = 1
+            ab = a + abs(b) if norm == "abs" else max(a, abs(b))
+            bound = top - ab if norm == "abs" else amax
+            window = _intersect(_window_1d(c, a, bound), _window_1d(d, b, bound))
+            if window is None:
+                continue
+            klo, khi = window
+            c += klo * a
+            d += klo * b
+            for _ in range(khi - klo + 1):
+                if norm == "abs":
+                    key = ab + abs(c) + abs(d)
+                else:
+                    key = max(ab, abs(c), abs(d))
+                if key <= top:
+                    yield bisect.bisect_left(caps, key), a, b, c, d
+                c += a
+                d += b
+
+
+def entrywise_ball_records(gauge: Gauge, caps) -> list[tuple[int, ...]]:
+    """(bucket, 1, a, b, c, d) for every element of an "abs" or "max" ball of
+    sl2z: g and -g for each element g of entrywise_half_walk."""
+    return [rec for i, a, b, c, d in entrywise_half_walk(gauge, caps)
+            for rec in ((i, 1, a, b, c, d), (i, 1, -a, -b, -c, -d))]
 
 
 def sl3_ball_records(norm: str, caps) -> list[tuple[int, ...]]:

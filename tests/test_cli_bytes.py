@@ -15,12 +15,16 @@ benchmark's digests too).  The product profile is pinned on a second grid
 (balanced --tmax 7: t_max 8, where every threshold is a node), the sampled
 product-set check at a second seed and grid, and an r = 3 KAK volume grid
 just below the T where its power sums stop fitting a float.  A refactor that
-means to keep every output byte keeps these digests.
+means to keep every output byte keeps these digests, and they must hold under
+other OpenBLAS kernels too, as np.dot's last bit moves with the kernel.
 """
 
 import hashlib
 import importlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -145,3 +149,20 @@ def test_benchmark_coset_and_torus_lines_keep_their_digests(seed, monkeypatch):
         report = run_experiment(resolve_spec(build_parser().parse_args(lines[label])))
         got = worker.digests(render_csv(report), render_json(report))
         assert got == reference["sl2z-frobenius"][str(seed)][label], (label, lines[label])
+
+
+# OpenBLAS picks its kernels by CPU (DYNAMIC_ARCH): Haswell is the one AVX2
+# hosts get, and Prescott's np.dot rounds some sums of the SL(3) quadrature
+# differently from the AVX-512 kernel's
+@pytest.mark.parametrize("coretype", ["Haswell", "Prescott"])
+def test_pins_hold_under_other_blas_kernels(coretype):
+    # the pins above and the sl3z --tmax 1e10 failure message, re-run in a child
+    # process whose OpenBLAS is told to take another kernel
+    env = dict(os.environ, OPENBLAS_CORETYPE=coretype)
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "tests/test_cli_bytes.py::test_cli_output_bytes",
+         "tests/test_cli.py::test_large_sl3_volumes_are_numerical_failures"],
+        capture_output=True, text=True, env=env, cwd=PERFBENCH.parent, timeout=60)
+    assert proc.returncode == 0, proc.stdout[-3000:]
+    assert f"{len(PINNED) + 3} passed" in proc.stdout

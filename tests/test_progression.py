@@ -5,9 +5,10 @@ by the third rows of first-row orbit representatives and form balls by an
 integer form key, all without building elements; enumerate_ball +
 bucket_index (_brute.element_records) is the independent route it must
 reproduce exactly: per-bucket counts, residue histograms, torus rows and
-orbit counts.  For the "sq" balls, walked in numpy columns, the per-element
-Python walk in _brute is the record-for-record oracle, as the flat SL(3)
-sweep of _brute is for the orbit route.
+orbit counts.  For the entrywise SL(2) balls ("sq", "abs", "max"), walked in
+numpy columns, the per-element Python walks in _brute are the
+record-for-record oracles, as the flat SL(3) sweep of _brute is for the
+orbit route.
 """
 
 import math
@@ -25,6 +26,7 @@ from _brute import (
     brute_orbit_count,
     column_records,
     element_records,
+    entrywise_ball_records,
     mutated,
     record_phase,
     residue_keys,
@@ -259,7 +261,7 @@ def kernel_never_runs(monkeypatch):
     def boom(*args, **kwargs):
         raise AssertionError("the kernel ran before the checks")
     monkeypatch.setattr(lattice, "_progression_ball", boom)
-    monkeypatch.setattr(lattice, "_sq_columns", boom)
+    monkeypatch.setattr(lattice, "_sl2_columns", boom)
     monkeypatch.setattr(lattice, "_shell_counts", boom)
     monkeypatch.setattr(lattice, "_sl3_orbits", boom)
     monkeypatch.setattr(lattice, "_enumerate_sl2", boom)
@@ -285,7 +287,7 @@ def test_budget_gate_fires_before_the_kernel():
     with pytest.raises(BudgetError):
         deviation_series("sl3z", rnorm_gauge(2), [30.0], TorusCharacter((1, 0, 0)), X3,
                          budget=10)
-    # the half walk (rnorm:1) and enumeration (rnorm:1.5 on sl2z, rnorm:3 on sl3z)
+    # the numpy walk (rnorm:1) and enumeration (rnorm:1.5 on sl2z, rnorm:3 on sl3z)
     for group, gauge, point in (("sl2z", rnorm_gauge(1), X0), ("sl2z", rnorm_gauge(1.5), X0),
                                 ("sl3z", rnorm_gauge(3), X3)):
         with pytest.raises(BudgetError):
@@ -650,8 +652,8 @@ HALF_WALK_DEFECTS = {
 
 
 @pytest.mark.parametrize("defect,failing", [
-    ("zero-rows-dropped", ["records", "entrywise", "orbits"]),
-    ("minus-g-not-emitted", ["records", "entrywise"]),
+    ("zero-rows-dropped", ["records", "orbits"]),
+    ("minus-g-not-emitted", ["records"]),
     ("gamma-not-doubled", ["orbits"]),
     ("stabilizer-not-doubled", ["orbits"]),
 ])
@@ -659,8 +661,6 @@ def test_half_walk_defects_fail_the_oracle_tests(monkeypatch, defect, failing):
     oracle_tests = {
         "records": lambda: [test_form_records_match_enumeration(*case)
                             for case in FORM_RECORD_CASES],
-        "entrywise": lambda: [test_entrywise_records_match_enumeration_at_integer_ties(*case)
-                              for case in ENTRYWISE_TIES],
         "orbits": lambda: [test_orbit_series_matches_brute_counts(f0) for f0 in FORMS],
     }
     name, planted = HALF_WALK_DEFECTS[defect]()
@@ -756,7 +756,7 @@ def test_sq_counts_take_the_shell_route(monkeypatch):
     def boom(*args, **kwargs):
         raise AssertionError("an sq count walked the ball")
     monkeypatch.setattr(lattice, "_progression_ball", boom)
-    monkeypatch.setattr(lattice, "_sq_columns", boom)
+    monkeypatch.setattr(lattice, "_sl2_columns", boom)
     monkeypatch.setattr(lattice, "_enumerate_sl2", boom)
     assert count_series("sl2z", rnorm_gauge(2), [10.0, 37.5]).counts() == [580, 8324]
     assert count_series("sl2z", hyperbolic_gauge(), [1.0, 2.0]).counts() == [20, 52]
@@ -777,18 +777,18 @@ def test_given_elements_are_counted_as_given():
 # which walk each ball takes
 # ---------------------------------------------------------------------------
 
-WALKS = ("_sq_columns", "_sl3_orbits", "_progression_ball", "_enumerate_sl2", "_enumerate_sl3z")
+WALKS = ("_sl2_columns", "_sl3_orbits", "_progression_ball", "_enumerate_sl2", "_enumerate_sl3z")
 # (group, gauge) -> the one walk ball_columns may take for it
 ROUTES = {
-    ("sl2z", "rnorm:1"): "_progression_ball",
-    ("sl2z", "rnorm:2"): "_sq_columns",
-    ("sl2z", "rnorm:inf"): "_progression_ball",
-    ("sl2z", "hyperbolic"): "_sq_columns",
+    ("sl2z", "rnorm:1"): "_sl2_columns",
+    ("sl2z", "rnorm:2"): "_sl2_columns",
+    ("sl2z", "rnorm:inf"): "_sl2_columns",
+    ("sl2z", "hyperbolic"): "_sl2_columns",
     ("sl2z", "form:deg=4:coeffs=1,0,0,0,1"): "_progression_ball",
     ("sl3z", "rnorm:1"): "_sl3_orbits",
     ("sl3z", "rnorm:2"): "_sl3_orbits",
     ("sl3z", "rnorm:inf"): "_sl3_orbits",
-    ("sl2z1p", "height:p=2"): "_sq_columns",
+    ("sl2z1p", "height:p=2"): "_sl2_columns",
     ("sl3z", "rnorm:3"): "_enumerate_sl3z",
     ("sl2z", "rnorm:1.5"): "_enumerate_sl2",
 }
@@ -821,42 +821,78 @@ def test_kernel_routes(monkeypatch, group, gauge, thr):
 
 
 # ---------------------------------------------------------------------------
-# "sq" balls in numpy columns: the Python walk of _brute is the oracle
+# entrywise SL(2) balls in numpy columns: the Python walks of _brute are the oracles
 # ---------------------------------------------------------------------------
 
 SEED2_X0 = (0.9478274870593494, 0.05655136772680869)  # the benchmark's seed-2 torus point
 T_SEED2 = 151.43405140783386
+# the CLI's 14-threshold grid at T = 150
+CLI_GRID = tuple(2.0 * 75.0 ** (i / 13) for i in range(14))
 # the tie grids of CASES, the benchmark's T = 150 and seed-2 balls in one grid,
-# and the p B skip at p = 2, 3, 5
-COLUMN_CASES = [case for case in CASES if key_norm(case[1]) == "sq"] + [
+# the p B skip at p = 2, 3, 5, and the r = 1, inf balls of the CLI grid
+COLUMN_CASES = CASES + [
     ("sl2z", rnorm_gauge(2), (2.0, math.sqrt(50.0), 100.0, 149.9, 150.0, 151.0, T_SEED2)),
     ("sl2z", hyperbolic_gauge(), (1.0, 3.0, math.acosh(500.0), 9.0)),
     ("sl2z1p", height_gauge(2), (2.0, math.sqrt(32.0), math.sqrt(512.0), 40.0)),
     ("sl2z1p", height_gauge(3), (2.0, math.sqrt(18.0), 9.0, math.sqrt(162.0), 45.0)),
     ("sl2z1p", height_gauge(5), (2.0, math.sqrt(50.0), 20.0, math.sqrt(1250.0), 45.0)),
+    ("sl2z", rnorm_gauge(1), CLI_GRID),
+    ("sl2z", rnorm_gauge(INF), CLI_GRID),
 ]
 COLUMN_IDS = [f"{g}-{gauge.describe()}-T{thr[-1]:.6g}" for g, gauge, thr in COLUMN_CASES]
 
 
 def oracle_records(gauge, thr):
-    return sq_ball_records(gauge, [gauge_cap(gauge, t) for t in thr])
+    caps = [gauge_cap(gauge, t) for t in thr]
+    walk = sq_ball_records if key_norm(gauge) == "sq" else entrywise_ball_records
+    return walk(gauge, caps)
 
 
 @pytest.mark.parametrize("group,gauge,thr", COLUMN_CASES, ids=COLUMN_IDS)
 def test_column_records_match_the_python_walk(group, gauge, thr):
     columns = Counter(column_records(group, gauge, thr))
-    assert columns == Counter(oracle_records(gauge, thr))
+    oracle = Counter(oracle_records(gauge, thr))
+    assert dict(columns) == dict(oracle)  # Counter's own == loops in Python
     assert set(columns.values()) == {1}
 
 
 @pytest.mark.parametrize("rows", [1, 3])
-@pytest.mark.parametrize("group,gauge,thr", [case for case in CASES if key_norm(case[1]) == "sq"],
-                         ids=[i for i, case in zip(IDS, CASES) if key_norm(case[1]) == "sq"])
+@pytest.mark.parametrize("group,gauge,thr", CASES, ids=IDS)
 def test_column_records_do_not_depend_on_the_chunk_size(monkeypatch, rows, group, gauge, thr):
-    monkeypatch.setattr(lattice, "_SQ_CHUNK_ROWS", rows)
+    monkeypatch.setattr(lattice, "_SL2_CHUNK_ROWS", rows)
     chunks = list(lattice.ball_columns(group, gauge, thr))
     assert all(len(cols[0]) and len(set(cols[1].tolist())) == 1 for cols in chunks)
     assert Counter(column_records(group, gauge, thr)) == Counter(oracle_records(gauge, thr))
+
+
+# planted defects of the numpy walk that its own asserts do not see (every
+# element it still emits lies in the ball, with the right det)
+SL2_WALK_DEFECTS = {
+    "first-k-dropped": ("n = np.maximum(khi - klo + 1, 0)",
+                        "klo = klo + 1; n = np.maximum(khi - klo + 1, 0)"),
+    "non-canonical-pB-kept": ("if level:", "if False:"),
+    "abs-window-one-short": ("top - a - b)", "top - a - b - 1)"),
+}
+
+
+@pytest.mark.parametrize("defect,group,key", [
+    ("first-k-dropped", "sl2z", "sq"),
+    ("first-k-dropped", "sl2z", "max"),
+    ("non-canonical-pB-kept", "sl2z1p", "sq"),
+    ("abs-window-one-short", "sl2z", "abs"),
+])
+def test_sl2_walk_defects_fail_the_oracle_tests(monkeypatch, defect, group, key):
+    monkeypatch.setattr(lattice, "_sl2_columns",
+                        mutated(lattice._sl2_columns, *SL2_WALK_DEFECTS[defect]))
+    checks = [(test_column_records_match_the_python_walk, case) for case in CASES
+              if case[0] == group and key_norm(case[1]) == key]
+    checks += [(test_entrywise_records_match_enumeration_at_integer_ties, case)
+               for case in ENTRYWISE_TIES if key_norm(case[0]) == key]
+    assert checks
+    for check, case in checks:
+        with pytest.raises(AssertionError) as failure:
+            check(*case)
+        assert failure.traceback[-1].frame.f_globals["__name__"] == __name__  # not the walk's
 
 
 @pytest.mark.parametrize("m,point", [
@@ -915,7 +951,7 @@ def test_a_level_above_zero_stops_the_torus_columns():
     ("sl2z1p", height_gauge(5), (2.0, math.sqrt(50.0), 20.0, 30.0)),
 ], ids=["rnorm:2", "hyperbolic", "height:p=2", "height:p=5"])
 def test_column_residues_match_the_records(monkeypatch, q, group, gauge, thr):
-    monkeypatch.setattr(lattice, "_SQ_CHUNK_ROWS", 3)  # many chunks to merge
+    monkeypatch.setattr(lattice, "_SL2_CHUNK_ROWS", 3)  # many chunks to merge
     records = oracle_records(gauge, thr)
     chunks = lattice.ball_columns(group, gauge, thr)
     assert _column_residues(chunks, q, len(thr), 2) == Counter(residue_keys(records, q))
@@ -928,14 +964,14 @@ def test_a_cap_above_the_int64_bound_fails_before_the_walk(monkeypatch):
 
     monkeypatch.setattr(lattice, "np", NoNumpy())
     with pytest.raises(BudgetError, match="int64"):
-        next(lattice._sq_columns(rnorm_gauge(2), [lattice._SQ_CAP_MAX + 1]))
+        next(lattice._sl2_columns(rnorm_gauge(2), [lattice._SL2_CAP_MAX + 1]))
     monkeypatch.undo()
     # T^2 = 32769^2 > 2**30 passes a budget of 10**12 (14 T^2 = 1.5e10 elements)
     with pytest.raises(BudgetError, match="int64"):
         deviation_series("sl2z", rnorm_gauge(2), [32769.0], CosetObservable(2), budget=10**12)
     with pytest.raises(BudgetError, match="int64"):
         next(lattice.ball_columns("sl2z", rnorm_gauge(2), [32769.0], budget=10**12))
-    assert gauge_cap(rnorm_gauge(2), 32768.0) == lattice._SQ_CAP_MAX
+    assert gauge_cap(rnorm_gauge(2), 32768.0) == lattice._SL2_CAP_MAX
 
 
 def test_torus_pass_memory_stays_below_the_record_walk():
@@ -958,7 +994,7 @@ def test_torus_pass_memory_stays_below_the_record_walk():
 # every ball in column chunks: the per-record oracles of _brute
 # ---------------------------------------------------------------------------
 
-# balls off the "sq" walk: the Python kernels, and enumeration (rnorm:3, rnorm:1.5)
+# the numpy walks (rnorm:1, rnorm:inf, sl3z), forms, and enumeration (rnorm:3, rnorm:1.5)
 PACKED_CASES = [
     ("sl2z", rnorm_gauge(1), (2.0, 3.5, 5.0, 12.0, 20.0)),
     ("sl2z", rnorm_gauge(INF), (1.0, 2.0, 5.5, 11.0)),
@@ -977,7 +1013,7 @@ def test_ball_columns_cover_every_ball(monkeypatch, group, gauge, thr):
     monkeypatch.setattr(lattice, "_CHUNK_RECORDS", 100)  # many chunks
     chunks = list(lattice.ball_columns(group, gauge, thr))
     assert all(col.dtype.name == "int64" for cols in chunks for col in cols)
-    if group == "sl3z":  # _sl3_columns: one chunk per representative and rotation
+    if key_norm(gauge) in ("abs", "max", "sq"):  # chunks of the numpy walks' own sizes
         assert all(len(cols[0]) and set(cols[1].tolist()) == {1} for cols in chunks)
     else:
         assert all(len(cols[0]) == 100 for cols in chunks[:-1]) and len(chunks[-1][0])
