@@ -11,7 +11,8 @@ covers the grid in one pass: its sublevel searches run on the (theta1,
 threshold, theta2) rows of the whole grid, several theta1 nodes at a time,
 and each threshold keeps the bits a pass of its own would give.  A search
 bisects each grid of its rounds for the index a scan would pick, so it keeps
-a scan's bits at a fraction of the points.
+a scan's bits at a fraction of the points.  Its arrays are point-major,
+(points, rows), so every numpy loop runs along the rows.
 """
 from __future__ import annotations
 
@@ -124,18 +125,20 @@ def _kak_entry_coeffs(c1: np.ndarray, s1: np.ndarray, c2: np.ndarray,
 
 
 def _rnorm_of_s(u: np.ndarray, v: np.ndarray, r: float, s: np.ndarray) -> np.ndarray:
-    """rnorm(u e^s + v e^{-s}) of row i at the points s[i], shape (rows, k).
+    """rnorm(u e^s + v e^{-s}) of row i at the points s[..., i], in the shape of s.
 
-    One entry at a time on (rows, k) arrays, summed in the order (0,0), (0,1),
-    (1,0), (1,1): the bits of reducing the stacked (2, 2, rows, k) array over
-    its two leading axes, without building it.
+    Point-major, s of shape (k, rows) or (rows,), so every ufunc loop runs along
+    the rows, not along the k <= 3 points of one row.  One entry at a time in
+    the shape of s, summed in the order (0,0), (0,1), (1,0), (1,1): the bits of
+    reducing the stacked (2, 2, rows, k) array of the row-major scan over its
+    two leading axes, without building it.
     """
     E = np.exp(s)
     power = not (r == 1.0 or math.isinf(r))  # x ** 1.0 is x; r = inf takes the max
     acc = None
     for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        t = u[i, j][:, None] * E
-        t += v[i, j][:, None] / E
+        t = u[i, j] * E
+        t += v[i, j] / E
         np.abs(t, out=t)
         if power:
             t **= r
@@ -175,12 +178,13 @@ def _argmin_round(u: np.ndarray, v: np.ndarray, r: float, lo: np.ndarray, hi: np
                   n: int) -> tuple[np.ndarray, np.ndarray]:
     """Narrow [lo, hi] to the neighbours of the profile's first argmin on its n-point grid.
 
-    On a convex profile the first argmin is the first k with f[k] <= f[k + 1].
+    On a convex profile the first argmin is the first k with f[k] <= f[k + 1];
+    each bisection step reads points k and k + 1 of every row as one (2, rows)
+    array.
     """
     def rises(k):
-        f = _rnorm_of_s(u, v, r, _point(lo[:, None], hi[:, None], n,
-                                         np.stack([k, np.minimum(k + 1, n - 1)], axis=1)))
-        return f[:, 0] <= f[:, 1]
+        f = _rnorm_of_s(u, v, r, _point(lo, hi, n, np.stack([k, np.minimum(k + 1, n - 1)])))
+        return f[0] <= f[1]
 
     i = _first(np.zeros(lo.shape, dtype=int), np.full(lo.shape, n - 1), rises)
     return _point(lo, hi, n, np.maximum(i - 1, 0)), _point(lo, hi, n, np.minimum(i + 1, n - 1))
@@ -192,11 +196,12 @@ def _refine_crossing(u: np.ndarray, v: np.ndarray, r: float, T: np.ndarray,
 
     Each of five rounds narrows [lo, hi] to the cell of its 33-point grid that
     ends at the first point where f <= T flips (index 32 when it never does,
-    index 1 when point 0 has flipped already).
+    index 1 when point 0 has flipped already).  A bisection step reads one
+    point of every row.
     """
     for _ in range(5):
         def flipped(k, lo=lo, hi=hi):
-            f = _rnorm_of_s(u, v, r, _point(lo, hi, 33, k)[:, None])[:, 0]
+            f = _rnorm_of_s(u, v, r, _point(lo, hi, 33, k))
             return (f <= T) != want_leq_left
 
         k = _first(np.ones(lo.shape, dtype=int), np.full(lo.shape, 32), flipped)
@@ -223,15 +228,15 @@ def _sublevel_interval(u: np.ndarray, v: np.ndarray, r: float, T: np.ndarray,
         lo, hi = _argmin_round(u, v, r, lo, hi, 33)
     s_min = 0.5 * (lo + hi)
     # 0.0 and s_cap are the first and last points of the 65-point grid
-    f = _rnorm_of_s(u, v, r, np.stack([zeros, s_cap, s_min], axis=1))
-    nonempty = ~(f[:, 2] > T)
+    f = _rnorm_of_s(u, v, r, np.stack([zeros, s_cap, s_min]))
+    nonempty = ~(f[2] > T)
     s_a = np.zeros_like(s_cap)
-    left = nonempty & ~(f[:, 0] <= T)
+    left = nonempty & ~(f[0] <= T)
     if left.any():
         s_a[left] = _refine_crossing(u[:, :, left], v[:, :, left], r, T[left],
                                      s_a[left], s_min[left], want_leq_left=False)
     s_b = s_cap.copy()
-    right = nonempty & ~(f[:, 1] <= T)
+    right = nonempty & ~(f[1] <= T)
     if right.any():
         s_b[right] = _refine_crossing(u[:, :, right], v[:, :, right], r, T[right],
                                       s_min[right], s_b[right], want_leq_left=True)
@@ -259,8 +264,10 @@ def _kak_refusal(r: float, T: float) -> str:
 
 # Rows per sublevel search, in whole (theta1, threshold) blocks of one row per
 # theta2 node: two theta1 nodes of a 9-threshold grid at the default 64 nodes.
-# A search holds a few (rows, 2) float arrays, so this bounds its memory
-# whatever the grid length, and is past where per-call overhead sets the time.
+# A search holds a few (k, rows) float arrays, k <= 3, so this bounds its
+# memory whatever the grid length.  Larger searches still run faster, with
+# fewer numpy calls per row, but raise peak RSS, and from a few thousand rows
+# on each call frees heap pages that the next one faults back in.
 _KAK_ROWS = 1152
 
 

@@ -1,9 +1,13 @@
 """Volume quadratures against closed forms, fits, convolution, balancedness."""
 
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -154,6 +158,71 @@ def test_sublevel_search_equals_the_scan_row_by_row(r):
     want = zip(*(_sublevel_interval(*row[:2], r, *row[2:]) for row in rows))
     for name, g, w in zip(("nonempty", "s_a", "s_b"), got, want):
         assert np.array_equal(g, np.concatenate(w)), name
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 65])
+@pytest.mark.parametrize("r", [1.0, 1.5, 2.0, 3.0, math.inf])
+def test_point_major_rnorm_equals_the_row_major_scan(r, k):
+    # haar reads the points of a row as column i of a (k, rows) array, the
+    # scan as row i of a (rows, k) array: two layouts, one set of bits
+    rng = random.Random(f"point-major {r} {k}")
+    rows = 37  # not a multiple of any SIMD width
+    theta1, theta2 = ([rng.uniform(0.0, math.pi / 2.0) for _ in range(rows)] for _ in range(2))
+    c1, s1, c2, s2 = (np.array([f(t) for t in th]) for f, th in
+                      ((math.cos, theta1), (math.sin, theta1), (math.cos, theta2),
+                       (math.sin, theta2)))
+    u, v = haar._kak_entry_coeffs(c1, s1, c2, s2)
+    s_cap = [0.5 * math.acosh(2.0 * rng.uniform(1.0, 150.0) ** 2) for _ in range(rows)]
+    s = np.array([[rng.uniform(0.0, cap) for _ in range(k)] for cap in s_cap])
+    got = haar._rnorm_of_s(u, v, r, np.ascontiguousarray(s.T))
+    want = _rnorm_of_s(u, v, r, s).T
+    assert got.shape == (k, rows)
+    assert [x.hex() for x in got.ravel().tolist()] == [x.hex() for x in want.ravel().tolist()]
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("r", [1.0, 1.5, 2.0])
+def test_entry_order_defect_fails_the_sublevel_test(monkeypatch, r):
+    # the four entries summed (0,0), (1,0), (0,1), (1,1): the same sum up to
+    # rounding, which the one-pass KAK tests do not see but the row-by-row
+    # search against the scan does, as does the direct comparison
+    planted = mutated(haar._rnorm_of_s, "((0, 0), (0, 1), (1, 0), (1, 1))",
+                      "((0, 0), (1, 0), (0, 1), (1, 1))")
+    monkeypatch.setattr(haar, "_rnorm_of_s", planted)
+    for check in (lambda: test_sublevel_search_equals_the_scan_row_by_row(r),
+                  lambda: test_point_major_rnorm_equals_the_row_major_scan(r, 3)):
+        with pytest.raises(AssertionError) as failure:
+            check()
+        assert failure.traceback[-1].frame.f_globals["__name__"] == __name__
+
+
+# the volume grid of `volume --gauge rnorm:<argv[1]> --tmax 150` and the
+# calibration pass, in a fresh interpreter with one OpenBLAS thread
+PAGE_FAULT_CHILD = """
+import resource, sys
+from latcount.cli import _grid
+from latcount.gauges import rnorm_gauge
+from latcount.haar import _kak_calibration, _sl2_kak_raw
+gauge = rnorm_gauge(float(sys.argv[1]))
+grid = _grid("volume", gauge, 150.0, 9)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+_sl2_kak_raw(gauge, grid)
+_kak_calibration()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.parametrize("r", ["1", "inf", "3"])
+def test_kak_search_does_not_fault_its_heap_back_in(r):
+    # a search that frees and reallocates large arrays gets its heap top
+    # trimmed and faults it back in, thousands of pages per pass
+    src = str(Path(haar.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", PAGE_FAULT_CHILD, r], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr[-3000:]
+    assert int(proc.stdout) < 1000
 
 
 @pytest.mark.parametrize("r", [1.0, math.inf])
