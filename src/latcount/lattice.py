@@ -435,40 +435,6 @@ def enumerate_ball(
         yield from _enumerate_sl2(gauge, threshold)
 
 
-def _progression_ball(gauge: Gauge, caps: Sequence[int], box: int) -> Iterator[tuple]:
-    """(bisect_left(caps, key), a, b, c, d, coeffs) for every element g = (a, b; c, d)
-    of sl2z with form key <= caps[-1] and a > 0 or a = 0 < b: one of each pair +-g.
-
-    The Bezout walk of the rep_form balls: the coprime top rows (a, b) with
-    |a|, |b| <= box, and the bottom rows (c0, d0) + k (a, b), a d0 - b c0 = 1
-    (ext_gcd), with |c|, |d| <= box (_window_1d); the form key (form_key) of
-    coeffs = f . g decides each.  -g has g's key: f . (-g) = f . g for
-    rep_form's definite, so even, forms.  Order is unspecified.
-    """
-    top = caps[-1]
-    assert gauge.form.degree % 2 == 0, "f . (-g) = f . g needs even degree"
-    weights = _form_weights(gauge.form.degree)
-    for a in range(box + 1):
-        for b in range(-box, box + 1) if a else (1,):  # gcd(0, b) = |b|
-            if math.gcd(a, b) != 1:
-                continue
-            _, x, y = ext_gcd(a, b)
-            c, d = -y, x  # a*d - b*c = 1
-            window = _intersect(_window_1d(c, a, box), _window_1d(d, b, box))
-            if window is None:
-                continue
-            klo, khi = window
-            c += klo * a
-            d += klo * b
-            for _ in range(khi - klo + 1):
-                coeffs = substitute_coeffs(gauge.form.coeffs, a, b, c, d)
-                key = sum(w * e * e for w, e in zip(weights, coeffs))
-                if key <= top:
-                    yield bisect.bisect_left(caps, key), a, b, c, d, coeffs
-                c += a
-                d += b
-
-
 # _sl2_columns keeps int64 exact up to this cap: every intermediate is below 2**62
 _SL2_CAP_MAX = 2**30
 # top rows per chunk of _sl2_columns; bounds the walk's memory, not its output
@@ -590,6 +556,51 @@ def _sl2_columns(gauge: Gauge, caps: Sequence[int]) -> Iterator[tuple[np.ndarray
                    np.full(4 * len(a), den, np.int64),
                    np.concatenate((a, b, -a, -b)), np.concatenate((b, -a, -b, a)),
                    np.concatenate((c, d, -c, -d)), np.concatenate((d, -c, -d, c)))
+
+
+def _form_columns(gauge: Gauge, caps: Sequence[int], box: int) -> Iterator[tuple]:
+    """Chunks (bucket, a, b, c, d, coeffs), coeffs the n + 1 coefficient columns
+    of f . g, one entry per element g = (a, b; c, d) of sl2z with form key <=
+    caps[-1] and a > 0 or a = 0 < b: one of each pair +-g (f . (-g) = f . g for
+    rep_form's definite, so even, forms).
+
+    The coprime top rows (a, b), |a|, |b| <= box, _SL2_CHUNK_ROWS at a time,
+    each with the bottom rows (c0, d0) + k (a, b), a d0 - b c0 = 1 (_bezout),
+    |c|, |d| <= box (_window_cols); f . g = sum_i f_i (a x + b y)^(n-i) (c x +
+    d y)^i is expanded on the columns.  Each term and partial sum is at most S
+    = sum_i |f_i| (2 box)^n, the key (form_key) at most sum(w) S^2: on int64
+    where that and caps[-1] are below 2**63, else on Python integers.  Every
+    chunk is nonempty; order is unspecified.
+    """
+    f, n = gauge.form.coeffs, gauge.form.degree
+    assert n % 2 == 0, "f . (-g) = f . g needs even degree"
+    weights = _form_weights(n)
+    wide = max(sum(weights) * (sum(map(abs, f)) * (2 * box) ** n) ** 2, caps[-1]) >= 2**63
+    rows = (box + 1) * (2 * box + 1)  # a = 0 .. box, b = -box .. box
+    for start in range(0, rows, _SL2_CHUNK_ROWS):
+        a, b = np.divmod(np.arange(start, min(start + _SL2_CHUNK_ROWS, rows)), 2 * box + 1)
+        b -= box
+        a, b = (v[(np.gcd(a, b) == 1) & ((a > 0) | (b > 0))] for v in (a, b))
+        x, y = _bezout(a, abs(b))
+        c0, d0 = -y * np.sign(b), x  # a*d0 - b*c0 = 1
+        klo, khi = _window_cols(np.array((c0, d0)), np.array((a, b)), box)
+        n_k = np.maximum(khi - klo + 1, 0)
+        src = np.repeat(np.arange(len(n_k)), n_k)
+        k = klo[src] + np.arange(len(src)) - (np.cumsum(n_k) - n_k)[src]
+        a, b = a[src], b[src]
+        c, d = c0[src] + k * a, d0[src] + k * b
+        cols = [v.astype(object) for v in (a, b, c, d)] if wide else (a, b, c, d)
+        pa, pb, pc, pd = (list(accumulate([np.ones_like(v)] + [v] * n, np.multiply)) for v in cols)
+        e = [0] * (n + 1)
+        for i, j, l in product(range(n + 1), repeat=3):
+            if f[i] and j <= n - i and l <= i:
+                e[j + l] += f[i] * math.comb(n - i, j) * math.comb(i, l) * (
+                    pa[n - i - j] * pb[j] * pc[i - l] * pd[l])
+        key = sum(w * v * v for w, v in zip(weights, e))
+        keep = key <= caps[-1]
+        if keep.any():
+            yield (np.searchsorted(np.array(caps, key.dtype), key[keep], "left"),
+                   a[keep], b[keep], c[keep], d[keep], [v[keep] for v in e])
 
 
 # the 24 signed permutation matrices Q with det Q = 1, identity first, as (perm,
@@ -796,11 +807,11 @@ def ball_columns(
     and order is unspecified.  This is the one place that picks the walk: the
     entrywise keys (rnorm:1, rnorm:2, rnorm:inf, hyperbolic, height) take the
     first-row orbit sweep _sl3_columns on sl3z and the numpy Bezout walk
-    _sl2_columns on sl2z and sl2z1p, forms the half walk _progression_ball,
-    and every other ball enumerate_ball.
+    _sl2_columns on sl2z and sl2z1p, forms the numpy half walk _form_columns
+    (a chunk of -g after each of g), and every other ball enumerate_ball.
     Given elements are bucketed as they are, those above thresholds[-1]
-    dropped.  Records off the numpy walks are packed _CHUNK_RECORDS at a
-    time (_record_chunks).  Entries must fit int64, as they do in every ball
+    dropped.  Records off enumeration are packed _CHUNK_RECORDS at a time
+    (_record_chunks).  Entries must fit int64, as they do in every ball
     its budget admits.  The grid check (finite, strictly increasing,
     nonempty), and without elements the checks and the budget gate of
     enumerate_ball, run first, at the call.
@@ -811,9 +822,9 @@ def ball_columns(
         if norm in ("sq", "abs", "max"):
             return _sl3_columns(norm, caps) if group == "sl3z" else _sl2_columns(gauge, caps)
         if norm == "form":
-            half = _progression_ball(gauge, caps, entry_bound(gauge, thresholds[-1]))
-            return _record_chunks(rec for i, a, b, c, d, _ in half
-                                  for rec in ((i, 1, a, b, c, d), (i, 1, -a, -b, -c, -d)))
+            half = _form_columns(gauge, caps, entry_bound(gauge, thresholds[-1]))
+            return ((i, np.ones_like(i), *g) for i, a, b, c, d, _ in half
+                    for g in ((a, b, c, d), (-a, -b, -c, -d)))
         elements = enumerate_ball(group, gauge, thresholds[-1], budget=budget)
     bucket = threshold_bucketer(gauge, thresholds)  # the grid check, at the call
     placed = ((bucket(el), el) for el in elements)
@@ -1011,8 +1022,10 @@ def orbit_forms_series(
     A form's norm fixes its bucket, so the distinct forms up to a threshold are
     the distinct forms of its bucket and the buckets below; each is hit by
     exactly stabilizer_order elements, which every row checks.  It reads the half
-    walk _progression_ball after ball_columns' checks: g counts for g and -g, one
-    form (f0 has even degree).  Thresholds below ||f0|| (1 - 1e-12) give (0, 0, 0).
+    walk _form_columns (its buckets and coefficient columns) after ball_columns'
+    checks: g counts for g and -g, one form (f0 has even degree), and the same
+    walk just above ||f0|| gives the stabilizer.  Thresholds below ||f0|| (1 -
+    1e-12) give (0, 0, 0).
     """
     if f0.degree < 3:
         raise SpecError("orbit counting needs degree >= 3 (finite stabilizer)")
@@ -1021,19 +1034,21 @@ def orbit_forms_series(
     grid = sorted({float(t) for t in thresholds if float(t) >= base_norm * (1.0 - 1e-12)})
     found: dict[float, OrbitCount] = {}
     if grid:
-        gammas = [0] * len(grid)
+        gammas = np.zeros(len(grid), np.int64)
         forms: list[set[tuple[int, ...]]] = [set() for _ in grid]
         caps = _checked_caps("sl2z", gauge, grid, budget)
-        for i, *_, coeffs in _progression_ball(gauge, caps, entry_bound(gauge, grid[-1])):
-            gammas[i] += 2
-            forms[i].add(coeffs)
+        for i, *_, coeffs in _form_columns(gauge, caps, entry_bound(gauge, grid[-1])):
+            gammas += 2 * np.bincount(i, minlength=len(grid))
+            for bucket, form in zip(i.tolist(), zip(*(v.tolist() for v in coeffs))):
+                forms[bucket].add(form)
         # any threshold between ||f0|| and the next orbit value isolates the stabilizer
         near = base_norm * (1.0 + 1e-9)
         caps = _checked_caps("sl2z", gauge, [near], budget)
-        stab = 2 * sum(coeffs == f0.coeffs
-                       for *_, coeffs in _progression_ball(gauge, caps, entry_bound(gauge, near)))
+        stab = 2 * sum(form == f0.coeffs
+                       for *_, coeffs in _form_columns(gauge, caps, entry_bound(gauge, near))
+                       for form in zip(*(v.tolist() for v in coeffs)))
         gamma_count = orbit_count = 0
-        for t, n_gamma, seen in zip(grid, gammas, forms):
+        for t, n_gamma, seen in zip(grid, gammas.tolist(), forms):
             gamma_count += n_gamma
             orbit_count += len(seen)
             if stab == 0 or gamma_count != orbit_count * stab:

@@ -1,7 +1,8 @@
 """Slow oracles the fast routes are checked against: exhaustive small-ball
-scans, per-element ball records placed by bucket_index, the per-element
-Python walks of the "sq" balls and of the "abs" and "max" balls of SL(2,Z)
-(the latter over one of each pair +-g), the flat SL(3) sweep over every first row,
+scans (form balls on their own box and expansion), per-element ball records
+placed by bucket_index, the per-element Python walks of the "sq" balls and
+of the "abs", "max" and form balls of SL(2,Z) (the latter three over one of
+each pair +-g), the flat SL(3) sweep over every first row,
 per-record torus phases and coset residues, residue-group and orbit counts
 by enumeration, the scalar circle scan of unit_circle_min, the KAK
 quadrature one theta1 node at a time, the per-node SL(3) chamber
@@ -27,12 +28,14 @@ from latcount.errors import NumericalError, SpecError
 from latcount.gauges import (
     BinaryForm,
     Gauge,
+    _form_weights,
     entry_bound,
     form_norm_sq,
     forms_substitute,
     gauge_leq,
     key_norm,
     rep_form_gauge,
+    substitute_coeffs,
 )
 from latcount.groups import GroupElement, adjugate, ext_gcd, int_det
 from latcount.haar import VolumeProfile, _sl3_a1_max, _stieltjes_sum, gl_integrate
@@ -67,7 +70,13 @@ def _brute_ball(gauge: Gauge, threshold: float) -> tuple[int, Callable[[GroupEle
     r-norms with integer or infinite r are written from the definition and
     share no decision with enumerate_ball: |e| <= ||g||_r <= T gives B =
     floor(T), and inside tests sum |e|^r <= T^r (max |e| <= T for r = inf)
-    in Fractions.  Every other gauge takes entry_bound and gauge_leq.
+    in Fractions.  Form gauges are too: with mu the least |f| on the unit
+    circle (unit_circle_min_scalar), |f(u g)| >= mu |u g|^n and the sup of |f
+    . g| on the circle is at most sqrt(n + 1) ||f . g|| give |e| <= ||g||_op
+    <= (sqrt(n + 1) T / mu)^(1/n); B is twice that, and inside expands f(a x
+    + b y, c x + d y) by polynomial products and compares sum_i e_i^2 /
+    binom(n, i) <= T^2 in Fractions.  Every other gauge takes entry_bound and
+    gauge_leq.
     """
     r = gauge.r
     if gauge.kind == "rnorm" and (math.isinf(r) or r == int(r)):
@@ -76,6 +85,23 @@ def _brute_ball(gauge: Gauge, threshold: float) -> tuple[int, Callable[[GroupEle
             return math.floor(T), lambda el: max(abs(e) for e in el.entries_flat()) <= T
         n, cap = int(r), T ** int(r)
         return math.floor(T), lambda el: sum(abs(e) ** n for e in el.entries_flat()) <= cap
+    if gauge.kind == "rep_form":
+        f, n = gauge.form, gauge.form.degree
+        proven = (math.sqrt(n + 1) * max(threshold, 0.0) / unit_circle_min_scalar(f)) ** (1.0 / n)
+        cap = Fraction(threshold) ** 2
+
+        def inside(el: GroupElement) -> bool:
+            (a, b), (c, d) = el.entries
+            coeffs = [0] * (n + 1)
+            for i, fi in enumerate(f.coeffs):  # fi (a x + b y)^(n-i) (c x + d y)^i
+                poly = [fi]
+                for lin in [(a, b)] * (n - i) + [(c, d)] * i:
+                    poly = [(poly[j] if j < len(poly) else 0) * lin[0]
+                            + (poly[j - 1] * lin[1] if j else 0) for j in range(len(poly) + 1)]
+                coeffs = [x + y for x, y in zip(coeffs, poly)]
+            return sum(Fraction(e * e, math.comb(n, i)) for i, e in enumerate(coeffs)) <= cap
+
+        return math.ceil(2 * proven), inside
     return entry_bound(gauge, threshold), lambda el: gauge_leq(gauge, el, threshold)
 
 
@@ -177,6 +203,41 @@ def sq_ball_records(gauge: Gauge, caps) -> list[tuple[int, ...]]:
                     c += sa
                     d += sb
     return out
+
+
+def _progression_ball(gauge: Gauge, caps: Sequence[int], box: int) -> Iterator[tuple]:
+    """(bisect_left(caps, key), a, b, c, d, coeffs) for every element g = (a, b; c, d)
+    of sl2z with form key <= caps[-1] and a > 0 or a = 0 < b: one of each pair +-g.
+
+    The Python Bezout walk of the rep_form balls that lattice._form_columns
+    replaces, kept as its oracle: the coprime top rows (a, b) with
+    |a|, |b| <= box, and the bottom rows (c0, d0) + k (a, b), a d0 - b c0 = 1
+    (ext_gcd), with |c|, |d| <= box (_window_1d); the form key (form_key) of
+    coeffs = f . g decides each.  -g has g's key: f . (-g) = f . g for
+    rep_form's definite, so even, forms.  Order is unspecified.
+    """
+    top = caps[-1]
+    assert gauge.form.degree % 2 == 0, "f . (-g) = f . g needs even degree"
+    weights = _form_weights(gauge.form.degree)
+    for a in range(box + 1):
+        for b in range(-box, box + 1) if a else (1,):  # gcd(0, b) = |b|
+            if math.gcd(a, b) != 1:
+                continue
+            _, x, y = ext_gcd(a, b)
+            c, d = -y, x  # a*d - b*c = 1
+            window = _intersect(_window_1d(c, a, box), _window_1d(d, b, box))
+            if window is None:
+                continue
+            klo, khi = window
+            c += klo * a
+            d += klo * b
+            for _ in range(khi - klo + 1):
+                coeffs = substitute_coeffs(gauge.form.coeffs, a, b, c, d)
+                key = sum(w * e * e for w, e in zip(weights, coeffs))
+                if key <= top:
+                    yield bisect.bisect_left(caps, key), a, b, c, d, coeffs
+                c += a
+                d += b
 
 
 def entrywise_half_walk(gauge: Gauge, caps) -> Iterator[tuple[int, ...]]:

@@ -14,9 +14,14 @@ and balanced runs at four tensor powers (the default q = 3 run is in the
 benchmark's digests too).  The product profile is pinned on a second grid
 (balanced --tmax 7: t_max 8, where every threshold is a node), the sampled
 product-set check at a second seed and grid, and an r = 3 KAK volume grid
-just below the T where its power sums stop fitting a float.  A refactor that
-means to keep every output byte keeps these digests, and they must hold under
-other OpenBLAS kernels too, as np.dot's last bit moves with the kernel.
+just below the T where its power sums stop fitting a float.  Four more pin
+the form ball off the benchmark's default: forms runs of a sextic (whose
+walk expands on Python integers) and of a quartic whose stabilizer is {I,
+-I} alone, and coset and torus passes over the x^4 + y^4 ball.  A refactor
+that means to keep every output byte keeps these digests.  They must hold
+under other OpenBLAS kernels too, as np.dot's last bit moves with the
+kernel, and with numpy's AVX-512 loops turned off, as the last bits of some
+ufuncs move with those.
 """
 
 import hashlib
@@ -28,6 +33,11 @@ import sys
 from pathlib import Path
 
 import pytest
+
+try:
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+except ImportError:  # numpy 1.x
+    from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
 from latcount.cli import build_parser, render_csv, render_json, resolve_spec, run_experiment
 
@@ -116,6 +126,18 @@ PINNED = [
     ("volume --gauge rnorm:3 --tmax 1e100",
      "0526ca0ecd5c441741a76acdb57c3090d8af12c03d177ae048c97df35fdd547f",
      "2540878d4c5479286f96e891930c97e0856a563cfb36b8e5dd3b365a8637a5f9"),
+    ("forms --gauge form:deg=6:coeffs=1,0,0,1,0,0,2 --tmax 1e6",
+     "b8210addfc92dca5913384deb7d91d648966513d5f3111b6aa3d11aec30fbe0e",
+     "9bde00d377657c707066d52d1a4213e2ec23ac187cd2b734d6bc1cdf983f9fb9"),
+    ("forms --gauge form:deg=4:coeffs=2,1,3,0,5 --tmax 1e5",
+     "e2d9cc5371f39a79674ac0ed0ce8d4c497866e094302f026c448c9bafd371904",
+     "5cb1efcde75795d19ddca00e185ab0467d30d4be7893f56d881d5b0da4984ed7"),
+    ("coset --gauge form:deg=4:coeffs=1,0,0,0,1 --tmax 1e5",
+     "facfb45894af222c2e2bb62a1093986ac985768185713f0869faa37d2d7bbd42",
+     "eb69091ebdaafaa6cd419c820920db4902e41e979baaff7db616f56667dd4407"),
+    ("torus --gauge form:deg=4:coeffs=1,0,0,0,1 --tmax 1e5",
+     "210ca54a4df4b3b70df34790b9aa1e4f6581dc519172651f5cca405ce0432e8d",
+     "555844984b1db6da2ed8a0ef1a701b97e0551736b86d8f8393d589a3015c8011"),
 ]
 
 
@@ -151,14 +173,27 @@ def test_benchmark_coset_and_torus_lines_keep_their_digests(seed, monkeypatch):
         assert got == reference["sl2z-frobenius"][str(seed)][label], (label, lines[label])
 
 
+# numpy's own SIMD targets move the last bit of np.sinh, np.exp, np.cos and
+# np.log; the child takes its AVX2 loops where the host would take AVX-512
+NO_AVX512 = "X86_V4 AVX512_ICL AVX512_SPR"
+HOST_AVX512 = any(__cpu_features__.get(target) and target in __cpu_dispatch__
+                  for target in NO_AVX512.split())
+
+
 # OpenBLAS picks its kernels by CPU (DYNAMIC_ARCH): Haswell is the one AVX2
 # hosts get, and Prescott's np.dot rounds some sums of the SL(3) quadrature
 # differently from the AVX-512 kernel's
-@pytest.mark.parametrize("coretype", ["Haswell", "Prescott"])
-def test_pins_hold_under_other_blas_kernels(coretype):
+@pytest.mark.parametrize("variable,value", [
+    pytest.param("OPENBLAS_CORETYPE", "Haswell", id="Haswell"),
+    pytest.param("OPENBLAS_CORETYPE", "Prescott", id="Prescott"),
+    pytest.param("NPY_DISABLE_CPU_FEATURES", NO_AVX512, id="numpy-without-avx512",
+                 marks=pytest.mark.skipif(not HOST_AVX512,
+                                          reason="this host's numpy dispatches no AVX-512")),
+])
+def test_pins_hold_under_other_blas_kernels(variable, value):
     # the pins above and the sl3z --tmax 1e10 failure message, re-run in a child
-    # process whose OpenBLAS is told to take another kernel
-    env = dict(os.environ, OPENBLAS_CORETYPE=coretype)
+    # process told to take another OpenBLAS kernel or other numpy SIMD loops
+    env = dict(os.environ, **{variable: value})
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
          "tests/test_cli_bytes.py::test_cli_output_bytes",

@@ -5,8 +5,8 @@ by the third rows of first-row orbit representatives and form balls by an
 integer form key, all without building elements; enumerate_ball +
 bucket_index (_brute.element_records) is the independent route it must
 reproduce exactly: per-bucket counts, residue histograms, torus rows and
-orbit counts.  For the entrywise SL(2) balls ("sq", "abs", "max"), walked in
-numpy columns, the per-element Python walks in _brute are the
+orbit counts.  For the SL(2) balls walked in numpy columns ("sq", "abs",
+"max" and form keys), the per-element Python walks in _brute are the
 record-for-record oracles, as the flat SL(3) sweep of _brute is for the
 orbit route.
 """
@@ -23,6 +23,7 @@ from itertools import accumulate
 import pytest
 
 from _brute import (
+    _progression_ball,
     brute_orbit_count,
     column_records,
     element_records,
@@ -37,6 +38,7 @@ from latcount.errors import BudgetError, SpecError
 from latcount.gauges import (
     BinaryForm,
     Gauge,
+    entry_bound,
     form_norm_sq,
     forms_substitute,
     gauge_cap,
@@ -260,7 +262,7 @@ def test_bad_grids_raise(call, thr):
 def kernel_never_runs(monkeypatch):
     def boom(*args, **kwargs):
         raise AssertionError("the kernel ran before the checks")
-    monkeypatch.setattr(lattice, "_progression_ball", boom)
+    monkeypatch.setattr(lattice, "_form_columns", boom)
     monkeypatch.setattr(lattice, "_sl2_columns", boom)
     monkeypatch.setattr(lattice, "_shell_counts", boom)
     monkeypatch.setattr(lattice, "_sl3_orbits", boom)
@@ -573,6 +575,10 @@ QUARTIC = BinaryForm(4, (1, 0, 0, 0, 1))  # ||f0||^2 = 2
 MIXED = BinaryForm(4, (1, 0, 1, 0, 1))    # ||f0||^2 = 13/6
 SKEW = BinaryForm(4, (2, 1, 3, 0, 5))     # stabilizer {I, -I} alone
 SEXTIC = BinaryForm(6, (1, 0, 0, 1, 0, 0, 2))  # x^6 + x^3 y^3 + 2 y^6
+# coefficients near 10^6: sum(w) S^2 passes 2**63 at every box, so its walk
+# expands on Python integers
+WIDE = BinaryForm(8, (1000003, 0, 0, 0, 999999, 0, 0, 0, 1000001))
+WIDE_BASE = math.sqrt(form_norm_sq(WIDE))  # 1.42e6
 FORMS = [QUARTIC, MIXED, SKEW, SEXTIC]
 FORM_IDS = ["x4+y4", "x4+x2y2+y4", "2,1,3,0,5", "sextic"]
 FORM_RECORD_CASES = [
@@ -581,8 +587,12 @@ FORM_RECORD_CASES = [
     (MIXED, (1.0, math.sqrt(13 / 6), 5.0, 40.0, 300.0, 1000.0)),
     (SKEW, (math.sqrt(form_norm_sq(SKEW)), 10.0, 60.0, 250.0, 1000.0, 3000.0)),
     (SEXTIC, (math.sqrt(form_norm_sq(SEXTIC)), 10.0, 100.0, 1000.0, 5000.0)),
+    (WIDE, (WIDE_BASE, 2e6, 5e6, 3e7)),
 ]
-FORM_RECORD_IDS = ["x4+y4-base", "x4+y4-grid", "x4+x2y2+y4-grid", "2,1,3,0,5-grid", "sextic-grid"]
+FORM_RECORD_IDS = ["x4+y4-base", "x4+y4-grid", "x4+x2y2+y4-grid", "2,1,3,0,5-grid", "sextic-grid",
+                   "wide-grid"]
+# the forms CLI default: x^4 + y^4, 9 thresholds on its T-scale grid to 1e5
+FORMS_DEFAULT_GRID = [1000.0 * 100.0 ** (i / 8) for i in range(9)]
 
 
 def assert_records_match_enumeration(gauge, thr):
@@ -609,6 +619,50 @@ def test_entrywise_records_match_enumeration_at_integer_ties(gauge, thr):
     assert_records_match_enumeration(gauge, thr)
 
 
+def form_walk_records(gauge, caps, box):
+    """(bucket, a, b, c, d, coeffs) of every row of lattice._form_columns, and
+    the dtypes of its coefficient columns."""
+    records, dtypes = [], set()
+    for i, a, b, c, d, coeffs in lattice._form_columns(gauge, caps, box):
+        dtypes.update(v.dtype.name for v in coeffs)
+        records += zip(i.tolist(), a.tolist(), b.tolist(), c.tolist(), d.tolist(),
+                       zip(*(v.tolist() for v in coeffs)))
+    return records, dtypes
+
+
+# (form, thresholds, dtype at the proven box): boxes 1 to 3 cut these balls,
+# so elements lie at both ends of every window
+FORM_WALK_CASES = [
+    (QUARTIC, FORMS_DEFAULT_GRID, "int64"),
+    (SKEW, (math.sqrt(form_norm_sq(SKEW)), 60.0, 1000.0, 1e5), "int64"),
+    (SEXTIC, (10.0, 1000.0, 1e6), "object"),
+    (WIDE, (WIDE_BASE, 5e6, 3e7), "object"),
+]
+
+
+@pytest.mark.parametrize("f0,thr,dtype", FORM_WALK_CASES,
+                         ids=["x4+y4-default", "2,1,3,0,5", "sextic-1e6", "wide"])
+def test_form_columns_match_the_python_walk(f0, thr, dtype):
+    gauge = rep_form_gauge(f0)
+    caps = [gauge_cap(gauge, t) for t in thr]
+    box = entry_bound(gauge, thr[-1])
+    for b in (1, 2, 3, box):
+        records, dtypes = form_walk_records(gauge, caps, b)
+        assert sorted(records) == sorted(_progression_ball(gauge, caps, b))
+        assert len(set(records)) == len(records)
+    assert dtypes == {dtype}
+
+
+def test_form_columns_keep_int64_to_their_bound():
+    # x^4 + y^4: sum(w) S^2 = 32 * 4 * (2 box)^8 is below 2**63 up to box 63;
+    # a cap of 2**62 keeps every element of the box
+    gauge = rep_form_gauge(QUARTIC)
+    for box, dtype in ((63, "int64"), (64, "object")):
+        records, dtypes = form_walk_records(gauge, [2**40, 2**62], box)
+        assert dtypes == {dtype}
+        assert sorted(records) == sorted(_progression_ball(gauge, [2**40, 2**62], box))
+
+
 def test_orbit_series_substitutes_each_half_walk_candidate_once(monkeypatch):
     # the forms default: x^4 + y^4, 9 thresholds to 1e5; the route that walked
     # the whole ball and substituted each kept element again made 9,040 calls
@@ -626,50 +680,86 @@ def test_orbit_series_substitutes_each_half_walk_candidate_once(monkeypatch):
     assert calls["substitute"] <= 3412
 
 
+def test_orbit_series_substitutes_nothing_at_the_forms_default(monkeypatch):
+    # the numpy walk expands f . g on columns: no scalar substitution is left
+    calls = Counter()
+
+    def counted(*args):
+        calls["substitute"] += 1
+        return substitute_coeffs(*args)
+
+    monkeypatch.setattr(lattice, "substitute_coeffs", counted)
+    monkeypatch.setattr(gauges, "substitute_coeffs", counted)
+    series = orbit_forms_series(QUARTIC, FORMS_DEFAULT_GRID)
+    assert (series[-1].orbit_count, series[-1].gamma_count) == (553, 2212)
+    assert calls["substitute"] == 0
+
+
 def test_half_walk_refuses_an_odd_form():
     # rep_form_gauge admits no odd degree; a gauge built around it must not
     # reach the walk, where f . (-g) = -(f . g) would double the wrong form
     cubic = Gauge(kind="rep_form", form=BinaryForm(3, (1, 0, 0, 1)))
     with pytest.raises(AssertionError, match="even degree"):
-        next(lattice._progression_ball(cubic, [100], 3))
+        next(lattice._form_columns(cubic, [100], 3))
 
 
 def _without_zero_rows(half):
-    return lambda *args: (rec for rec in half(*args) if rec[1] != 0)
+    def walk(*args):
+        for i, a, b, c, d, coeffs in half(*args):
+            keep = a != 0
+            yield i[keep], a[keep], b[keep], c[keep], d[keep], [v[keep] for v in coeffs]
+    return walk
 
 
-# planted defects of the half walk and of the orbit pass that reads it
+def _form_walk_mutated(old, new):
+    return lambda: ("_form_columns", mutated(lattice._form_columns, old, new))
+
+
+# planted defects of the half walk and of the two passes that read it
 HALF_WALK_DEFECTS = {
-    "zero-rows-dropped": lambda: ("_progression_ball",
-                                  _without_zero_rows(lattice._progression_ball)),
+    "zero-rows-dropped": lambda: ("_form_columns", _without_zero_rows(lattice._form_columns)),
     "minus-g-not-emitted": lambda: ("ball_columns", mutated(
-        lattice.ball_columns, " (i, 1, -a, -b, -c, -d))", ")")),
+        lattice.ball_columns, ", (-a, -b, -c, -d))", ",)")),
     "gamma-not-doubled": lambda: ("orbit_forms_series", mutated(
-        lattice.orbit_forms_series, "gammas[i] += 2", "gammas[i] += 1")),
+        lattice.orbit_forms_series, "gammas += 2 * np.bincount", "gammas += np.bincount")),
     "stabilizer-not-doubled": lambda: ("orbit_forms_series", mutated(
         lattice.orbit_forms_series, "stab = 2 * sum(", "stab = sum(")),
+    "binomial-off": _form_walk_mutated("math.comb(i, l)", "(math.comb(i, l) + (l == 1))"),
+    "window-one-short": _form_walk_mutated("np.array((a, b)), box)", "np.array((a, b)), box - 1)"),
+    "a0-row-dropped": _form_walk_mutated("((a > 0) | (b > 0))", "(a > 0)"),
+    "int64-object-swapped": _form_walk_mutated(") >= 2**63", ") < 2**63"),
 }
 
 
+# (defect, {oracle test: the exception it must end in}); an AssertionError
+# must come from an assert of this module, not from the walk
 @pytest.mark.parametrize("defect,failing", [
-    ("zero-rows-dropped", ["records", "orbits"]),
-    ("minus-g-not-emitted", ["records"]),
-    ("gamma-not-doubled", ["orbits"]),
-    ("stabilizer-not-doubled", ["orbits"]),
+    ("zero-rows-dropped", {"records": AssertionError, "orbits": SpecError}),
+    ("minus-g-not-emitted", {"records": AssertionError}),
+    ("gamma-not-doubled", {"orbits": SpecError}),
+    ("stabilizer-not-doubled", {"orbits": SpecError}),
+    ("binomial-off", {"records": AssertionError, "walk": AssertionError}),
+    ("window-one-short", {"walk": AssertionError}),
+    ("a0-row-dropped", {"records": AssertionError, "walk": AssertionError}),
+    ("int64-object-swapped", {"records": AssertionError, "walk": AssertionError}),
 ])
 def test_half_walk_defects_fail_the_oracle_tests(monkeypatch, defect, failing):
     oracle_tests = {
         "records": lambda: [test_form_records_match_enumeration(*case)
                             for case in FORM_RECORD_CASES],
         "orbits": lambda: [test_orbit_series_matches_brute_counts(f0) for f0 in FORMS],
+        "walk": lambda: [test_form_columns_match_the_python_walk(*case)
+                         for case in FORM_WALK_CASES],
     }
     name, planted = HALF_WALK_DEFECTS[defect]()
     monkeypatch.setattr(lattice, name, planted)
     if name in globals():  # the oracle tests call it by the name imported here
         monkeypatch.setitem(globals(), name, planted)
-    for oracle in failing:
-        with pytest.raises((AssertionError, SpecError)):
+    for oracle, error in failing.items():
+        with pytest.raises(error) as failure:
             oracle_tests[oracle]()
+        if error is AssertionError:
+            assert failure.traceback[-1].frame.f_globals["__name__"] == __name__
 
 
 @pytest.mark.parametrize("f0", FORMS, ids=FORM_IDS)
@@ -755,7 +845,7 @@ def test_shell_count_of_a_large_ball():
 def test_sq_counts_take_the_shell_route(monkeypatch):
     def boom(*args, **kwargs):
         raise AssertionError("an sq count walked the ball")
-    monkeypatch.setattr(lattice, "_progression_ball", boom)
+    monkeypatch.setattr(lattice, "_form_columns", boom)
     monkeypatch.setattr(lattice, "_sl2_columns", boom)
     monkeypatch.setattr(lattice, "_enumerate_sl2", boom)
     assert count_series("sl2z", rnorm_gauge(2), [10.0, 37.5]).counts() == [580, 8324]
@@ -777,14 +867,14 @@ def test_given_elements_are_counted_as_given():
 # which walk each ball takes
 # ---------------------------------------------------------------------------
 
-WALKS = ("_sl2_columns", "_sl3_orbits", "_progression_ball", "_enumerate_sl2", "_enumerate_sl3z")
+WALKS = ("_sl2_columns", "_sl3_orbits", "_form_columns", "_enumerate_sl2", "_enumerate_sl3z")
 # (group, gauge) -> the one walk ball_columns may take for it
 ROUTES = {
     ("sl2z", "rnorm:1"): "_sl2_columns",
     ("sl2z", "rnorm:2"): "_sl2_columns",
     ("sl2z", "rnorm:inf"): "_sl2_columns",
     ("sl2z", "hyperbolic"): "_sl2_columns",
-    ("sl2z", "form:deg=4:coeffs=1,0,0,0,1"): "_progression_ball",
+    ("sl2z", "form:deg=4:coeffs=1,0,0,0,1"): "_form_columns",
     ("sl3z", "rnorm:1"): "_sl3_orbits",
     ("sl3z", "rnorm:2"): "_sl3_orbits",
     ("sl3z", "rnorm:inf"): "_sl3_orbits",
@@ -1013,7 +1103,7 @@ def test_ball_columns_cover_every_ball(monkeypatch, group, gauge, thr):
     monkeypatch.setattr(lattice, "_CHUNK_RECORDS", 100)  # many chunks
     chunks = list(lattice.ball_columns(group, gauge, thr))
     assert all(col.dtype.name == "int64" for cols in chunks for col in cols)
-    if key_norm(gauge) in ("abs", "max", "sq"):  # chunks of the numpy walks' own sizes
+    if key_norm(gauge) in ("abs", "max", "sq", "form"):  # chunks of the numpy walks' own sizes
         assert all(len(cols[0]) and set(cols[1].tolist()) == {1} for cols in chunks)
     else:
         assert all(len(cols[0]) == 100 for cols in chunks[:-1]) and len(chunks[-1][0])
