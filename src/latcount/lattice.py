@@ -27,7 +27,6 @@ from .gauges import (
     gauge_leq,
     key_norm,
     rep_form_gauge,
-    substitute_coeffs,
 )
 from .groups import (
     GroupElement,
@@ -212,20 +211,6 @@ def _intersect(w1: tuple[int, int] | None, w2: tuple[int, int] | None) -> tuple[
     return None if lo > hi else (lo, hi)
 
 
-def _quadratic_window(c0: int, d0: int, sa: int, sb: int, cap: float) -> tuple[int, int] | None:
-    """Float k-range with (c0+k*sa)^2 + (d0+k*sb)^2 <= cap, padded by one."""
-    A = sa * sa + sb * sb
-    B = 2 * (c0 * sa + d0 * sb)
-    C = c0 * c0 + d0 * d0 - cap
-    disc = B * B - 4 * A * C
-    if disc < 0:
-        return None
-    root = math.sqrt(disc)
-    lo = (-B - root) / (2 * A)
-    hi = (-B + root) / (2 * A)
-    return (math.floor(lo) - 1, math.ceil(hi) + 1)
-
-
 def _cross(u: tuple[int, int, int], v: tuple[int, int, int]) -> tuple[int, int, int]:
     return (
         u[1] * v[2] - u[2] * v[1],
@@ -250,16 +235,6 @@ def _solve_dot_one(w: tuple[int, int, int]) -> tuple[tuple[int, int, int], tuple
     b1 = (-w2 // g12, w1 // g12, 0)
     b2 = (u1 * w3, u2 * w3, -g12)
     return x0, b1, b2
-
-
-def _iter_sl3z_rows(bound: int, cap_sq: float) -> list[tuple[int, int, int]]:
-    rows = []
-    for r in product(range(-bound, bound + 1), repeat=3):
-        if r == (0, 0, 0):
-            continue
-        if r[0] * r[0] + r[1] * r[1] + r[2] * r[2] <= cap_sq:
-            rows.append(r)
-    return rows
 
 
 def _third_row_candidates(
@@ -308,91 +283,6 @@ def _third_row_candidates(
     return out
 
 
-def _enumerate_sl3z(gauge: Gauge, threshold: float) -> Iterator[GroupElement]:
-    bound = entry_bound(gauge, threshold)
-    if bound < 1:
-        return
-    exact_r2 = gauge.r == 2
-    total_cap = float(threshold) ** 2 if exact_r2 else 3.0 * bound * bound
-    rows = _iter_sl3z_rows(bound, total_cap - 2.0 if exact_r2 else total_cap)
-    norm = key_norm(gauge)
-    if norm in ("abs", "pow"):
-        # the other two rows are nonzero integer rows, of key >= 1 each
-        row_cap = gauge_cap(gauge, threshold) - 2
-        rows = [r for r in rows if _key(gauge, norm, r) <= row_cap]
-    for r1 in rows:
-        if math.gcd(math.gcd(r1[0], r1[1]), r1[2]) != 1:
-            continue
-        n1 = r1[0] * r1[0] + r1[1] * r1[1] + r1[2] * r1[2]
-        for r2 in rows:
-            n2 = r2[0] * r2[0] + r2[1] * r2[1] + r2[2] * r2[2]
-            if exact_r2 and n1 + n2 + 1 > total_cap:
-                continue
-            w = _cross(r1, r2)
-            if w == (0, 0, 0):
-                continue
-            if math.gcd(math.gcd(w[0], w[1]), w[2]) != 1:
-                continue
-            rem = (total_cap - n1 - n2) if exact_r2 else total_cap
-            kept = []
-            for r3 in _third_row_candidates(w, bound, rem):
-                el = GroupElement((r1, r2, r3))
-                if gauge_leq(gauge, el, threshold):
-                    kept.append(el)
-            kept.sort(key=lambda e: e.entries[2])
-            yield from kept
-
-
-def _enumerate_sl2(gauge: Gauge, threshold: float) -> Iterator[GroupElement]:
-    """The ball in canonical order, one det = p^(2k) level at a time.
-
-    Level k holds the integer matrices A with det A = p^(2k), not all entries
-    divisible by p, standing for p^(-k) A; SL(2,Z) (gauge.prime is None) is
-    level 0 alone.  For each top row (a, b) the bottom rows form the Bezout
-    progression (c0, d0) + j (a/g, b/g), g = gcd(a, b), walked in (c, d) lex
-    order inside the entry box and, for "sq" gauges, the integer cap on the
-    sum of squares; gauge_leq decides every element.
-    """
-    bound = entry_bound(gauge, threshold)
-    if bound < 1:
-        return
-    p = gauge.prime
-    cap_sq = gauge_cap(gauge, threshold) if key_norm(gauge) == "sq" else None
-    for k in range(_level_count(p, cap_sq)):
-        det = p ** (2 * k) if k else 1
-        for a in range(-bound, bound + 1):
-            aa = a * a
-            for b in range(-bound, bound + 1):
-                g = math.gcd(a, b)
-                if g == 0 or det % g:
-                    continue
-                if cap_sq is not None and aa + b * b + 1 > cap_sq:
-                    continue
-                _, x, y = ext_gcd(a, b)
-                m = det // g
-                d0, c0 = x * m, -y * m  # a*d0 - b*c0 = det
-                sa, sb = a // g, b // g
-                window = _intersect(_window_1d(c0, sa, bound), _window_1d(d0, sb, bound))
-                if cap_sq is not None:
-                    rest = cap_sq - aa - b * b
-                    window = _intersect(window, _quadratic_window(c0, d0, sa, sb, rest))
-                if window is None:
-                    continue
-                lo, hi = window
-                # ascend in (c, d) lex order: c is monotone in j unless a == 0,
-                # in which case d decides (b/g = +-1 there).
-                lead = sa if sa != 0 else sb
-                js = range(lo, hi + 1) if lead > 0 else range(hi, lo - 1, -1)
-                for j in js:
-                    c, d = c0 + j * sa, d0 + j * sb
-                    assert a * d - b * c == det
-                    if k > 0 and a % p == 0 and b % p == 0 and c % p == 0 and d % p == 0:
-                        continue
-                    el = GroupElement(((a, b), (c, d)), prime=p, p_power=k)
-                    if gauge_leq(gauge, el, threshold):
-                        yield el
-
-
 def _check_threshold(group: str, gauge: Gauge, threshold: float) -> None:
     """Reject unsupported pairs and thresholds that are not positive and finite."""
     _check_supported(group, gauge)
@@ -424,15 +314,32 @@ def enumerate_ball(
 ) -> Iterator[GroupElement]:
     """Yield all lattice elements of gauge value <= threshold in canonical order.
 
-    Canonical order is (p-power, entries row-major) lexicographic.  Raises
-    BudgetError before touching the ball if the a-priori estimate exceeds the
-    budget.
+    Canonical order is (p-power, entries row-major) lexicographic.  The ball
+    is ball_columns at the one threshold, its chunks joined and sorted by
+    np.lexsort on (denominator, entries row-major); each row becomes
+    GroupElement(rows, prime=gauge.prime, p_power=l) for its denominator
+    p^l.  So the whole ball is held as int64 columns before the first
+    element is built: 48 B per SL(2) element and 88 B per SL(3) element,
+    less than the GroupElement list of a caller that keeps the ball.
+    Raises BudgetError before touching the ball if the a-priori estimate
+    exceeds the budget, and on sl2z and sl2z1p if the integer cap is above
+    _SL2_CAP_MAX (the int64 bound of _sl2_columns), before any column is
+    built, even where the estimate passes the budget.
     """
     _check_ball(group, gauge, threshold, budget)
-    if group == "sl3z":
-        yield from _enumerate_sl3z(gauge, threshold)
-    else:
-        yield from _enumerate_sl2(gauge, threshold)
+    chunks = [cols[1:] for cols in ball_columns(group, gauge, [threshold], budget)]
+    if not chunks:
+        return
+    cols = [np.concatenate(col) for col in zip(*chunks)]  # (denom, *entries)
+    del chunks
+    order = np.lexsort(cols[::-1])  # lexsort's last key is its first: denom, then entries
+    p, n = gauge.prime, 3 if group == "sl3z" else 2
+    level = {den: round(math.log(den, p)) if den > 1 else 0 for den in np.unique(cols[0]).tolist()}
+    for start in range(0, len(order), _CHUNK_RECORDS):
+        dens, *entries = (col[order[start:start + _CHUNK_RECORDS]].tolist() for col in cols)
+        rows = zip(*(zip(*entries[i:i + n]) for i in range(0, n * n, n)))
+        for den, el in zip(dens, rows):
+            yield GroupElement(el, prime=p, p_power=level[den])
 
 
 # _sl2_columns keeps int64 exact up to this cap: every intermediate is below 2**62
@@ -775,7 +682,8 @@ def _shell_caps(group: str, gauge: Gauge, thresholds: Sequence[float],
     return [gauge_cap(gauge, t) for t in thresholds]
 
 
-# records per chunk of ball_columns off the numpy walks
+# records per chunk that ball_columns packs, and rows per batch that
+# enumerate_ball turns into elements
 _CHUNK_RECORDS = 4096
 
 
@@ -807,14 +715,18 @@ def ball_columns(
     and order is unspecified.  This is the one place that picks the walk: the
     entrywise keys (rnorm:1, rnorm:2, rnorm:inf, hyperbolic, height) take the
     first-row orbit sweep _sl3_columns on sl3z and the numpy Bezout walk
-    _sl2_columns on sl2z and sl2z1p, forms the numpy half walk _form_columns
-    (a chunk of -g after each of g), and every other ball enumerate_ball.
-    Given elements are bucketed as they are, those above thresholds[-1]
-    dropped.  Records off enumeration are packed _CHUNK_RECORDS at a time
-    (_record_chunks).  Entries must fit int64, as they do in every ball
-    its budget admits.  The grid check (finite, strictly increasing,
-    nonempty), and without elements the checks and the budget gate of
-    enumerate_ball, run first, at the call.
+    _sl2_columns on sl2z and sl2z1p, and forms the numpy half walk
+    _form_columns (a chunk of -g after each of g).  The other r-norms walk
+    the "max" ball at entry_bound (|e| <= ||g||_r <= T, so it holds every
+    r-ball) and decide each of its rows: by the integer key for integer r
+    (_key against caps[-1], bucket by bisection), by a GroupElement and
+    threshold_bucketer for fractional r.  enumerate_ball reads this
+    function, not the other way round.  Given elements are bucketed as they
+    are, those above thresholds[-1] dropped.  Decided rows and given
+    elements are packed _CHUNK_RECORDS at a time (_record_chunks).  Entries
+    must fit int64, as they do in every ball its budget admits.  The grid
+    check (finite, strictly increasing, nonempty), and without elements the
+    checks and the budget gate of enumerate_ball, run first, at the call.
     """
     if elements is None:
         caps = _checked_caps(group, gauge, thresholds, budget)
@@ -825,7 +737,15 @@ def ball_columns(
             half = _form_columns(gauge, caps, entry_bound(gauge, thresholds[-1]))
             return ((i, np.ones_like(i), *g) for i, a, b, c, d, _ in half
                     for g in ((a, b, c, d), (-a, -b, -c, -d)))
-        elements = enumerate_ball(group, gauge, thresholds[-1], budget=budget)
+        box = [entry_bound(gauge, thresholds[-1])]
+        chunks = (_sl3_columns("max", box) if group == "sl3z"
+                  else _sl2_columns(Gauge("rnorm", r=math.inf), box))
+        flats = (rec[2:] for cols in chunks for rec in zip(*(col.tolist() for col in cols)))
+        if norm == "pow":
+            placed = ((bisect.bisect_left(caps, _key(gauge, norm, e)), 1, *e) for e in flats)
+            return _record_chunks(rec for rec in placed if rec[0] < len(caps))
+        n = 3 if group == "sl3z" else 2
+        elements = (GroupElement(tuple(zip(*[iter(e)] * n))) for e in flats)
     bucket = threshold_bucketer(gauge, thresholds)  # the grid check, at the call
     placed = ((bucket(el), el) for el in elements)
     return _record_chunks((i, el.prime ** el.p_power if el.p_power else 1, *el.entries_flat())

@@ -1,6 +1,8 @@
 """Slow oracles the fast routes are checked against: exhaustive small-ball
-scans (form balls on their own box and expansion), per-element ball records
-placed by bucket_index, the per-element Python walks of the "sq" balls and
+scans (form balls on their own box and expansion), the Python walk of every
+ball in canonical order that enumerate_ball must equal
+(enumerate_ball_reference), per-element ball records placed by
+bucket_index, the per-element Python walks of the "sq" balls and
 of the "abs", "max" and form balls of SL(2,Z) (the latter three over one of
 each pair +-g), the flat SL(3) sweep over every first row,
 per-record torus phases and coset residues, residue-group and orbit counts
@@ -29,9 +31,11 @@ from latcount.gauges import (
     BinaryForm,
     Gauge,
     _form_weights,
+    _key,
     entry_bound,
     form_norm_sq,
     forms_substitute,
+    gauge_cap,
     gauge_leq,
     key_norm,
     rep_form_gauge,
@@ -46,7 +50,6 @@ from latcount.lattice import (
     _third_row_candidates,
     _window_1d,
     bucket_index,
-    enumerate_ball,
 )
 from latcount.torus import _act, _phase, _turn
 import latcount.lattice as lattice
@@ -156,6 +159,127 @@ def brute_sl2z1p(gauge: Gauge, threshold: float) -> set[GroupElement]:
                 out.add(el)
         k += 1
     return out
+
+
+def _quadratic_window(c0: int, d0: int, sa: int, sb: int, cap: float) -> tuple[int, int] | None:
+    """Float k-range with (c0+k*sa)^2 + (d0+k*sb)^2 <= cap, padded by one."""
+    A = sa * sa + sb * sb
+    B = 2 * (c0 * sa + d0 * sb)
+    C = c0 * c0 + d0 * d0 - cap
+    disc = B * B - 4 * A * C
+    if disc < 0:
+        return None
+    root = math.sqrt(disc)
+    lo = (-B - root) / (2 * A)
+    hi = (-B + root) / (2 * A)
+    return (math.floor(lo) - 1, math.ceil(hi) + 1)
+
+
+def _iter_sl3z_rows(bound: int, cap_sq: float) -> list[tuple[int, int, int]]:
+    rows = []
+    for r in product(range(-bound, bound + 1), repeat=3):
+        if r == (0, 0, 0):
+            continue
+        if r[0] * r[0] + r[1] * r[1] + r[2] * r[2] <= cap_sq:
+            rows.append(r)
+    return rows
+
+
+def _enumerate_sl3z(gauge: Gauge, threshold: float) -> Iterator[GroupElement]:
+    bound = entry_bound(gauge, threshold)
+    if bound < 1:
+        return
+    exact_r2 = gauge.r == 2
+    total_cap = float(threshold) ** 2 if exact_r2 else 3.0 * bound * bound
+    rows = _iter_sl3z_rows(bound, total_cap - 2.0 if exact_r2 else total_cap)
+    norm = key_norm(gauge)
+    if norm in ("abs", "pow"):
+        # the other two rows are nonzero integer rows, of key >= 1 each
+        row_cap = gauge_cap(gauge, threshold) - 2
+        rows = [r for r in rows if _key(gauge, norm, r) <= row_cap]
+    for r1 in rows:
+        if math.gcd(math.gcd(r1[0], r1[1]), r1[2]) != 1:
+            continue
+        n1 = r1[0] * r1[0] + r1[1] * r1[1] + r1[2] * r1[2]
+        for r2 in rows:
+            n2 = r2[0] * r2[0] + r2[1] * r2[1] + r2[2] * r2[2]
+            if exact_r2 and n1 + n2 + 1 > total_cap:
+                continue
+            w = _cross(r1, r2)
+            if w == (0, 0, 0):
+                continue
+            if math.gcd(math.gcd(w[0], w[1]), w[2]) != 1:
+                continue
+            rem = (total_cap - n1 - n2) if exact_r2 else total_cap
+            kept = []
+            for r3 in _third_row_candidates(w, bound, rem):
+                el = GroupElement((r1, r2, r3))
+                if gauge_leq(gauge, el, threshold):
+                    kept.append(el)
+            kept.sort(key=lambda e: e.entries[2])
+            yield from kept
+
+
+def _enumerate_sl2(gauge: Gauge, threshold: float) -> Iterator[GroupElement]:
+    """The ball in canonical order, one det = p^(2k) level at a time.
+
+    Level k holds the integer matrices A with det A = p^(2k), not all entries
+    divisible by p, standing for p^(-k) A; SL(2,Z) (gauge.prime is None) is
+    level 0 alone.  For each top row (a, b) the bottom rows form the Bezout
+    progression (c0, d0) + j (a/g, b/g), g = gcd(a, b), walked in (c, d) lex
+    order inside the entry box and, for "sq" gauges, the integer cap on the
+    sum of squares; gauge_leq decides every element.
+    """
+    bound = entry_bound(gauge, threshold)
+    if bound < 1:
+        return
+    p = gauge.prime
+    cap_sq = gauge_cap(gauge, threshold) if key_norm(gauge) == "sq" else None
+    for k in range(_level_count(p, cap_sq)):
+        det = p ** (2 * k) if k else 1
+        for a in range(-bound, bound + 1):
+            aa = a * a
+            for b in range(-bound, bound + 1):
+                g = math.gcd(a, b)
+                if g == 0 or det % g:
+                    continue
+                if cap_sq is not None and aa + b * b + 1 > cap_sq:
+                    continue
+                _, x, y = ext_gcd(a, b)
+                m = det // g
+                d0, c0 = x * m, -y * m  # a*d0 - b*c0 = det
+                sa, sb = a // g, b // g
+                window = _intersect(_window_1d(c0, sa, bound), _window_1d(d0, sb, bound))
+                if cap_sq is not None:
+                    rest = cap_sq - aa - b * b
+                    window = _intersect(window, _quadratic_window(c0, d0, sa, sb, rest))
+                if window is None:
+                    continue
+                lo, hi = window
+                # ascend in (c, d) lex order: c is monotone in j unless a == 0,
+                # in which case d decides (b/g = +-1 there).
+                lead = sa if sa != 0 else sb
+                js = range(lo, hi + 1) if lead > 0 else range(hi, lo - 1, -1)
+                for j in js:
+                    c, d = c0 + j * sa, d0 + j * sb
+                    assert a * d - b * c == det
+                    if k > 0 and a % p == 0 and b % p == 0 and c % p == 0 and d % p == 0:
+                        continue
+                    el = GroupElement(((a, b), (c, d)), prime=p, p_power=k)
+                    if gauge_leq(gauge, el, threshold):
+                        yield el
+
+
+def enumerate_ball_reference(group: str, gauge: Gauge, threshold: float) -> Iterator[GroupElement]:
+    """The ball of lattice.enumerate_ball in canonical order, walked element by
+    element in Python: the Bezout progressions of _enumerate_sl2 on sl2z and
+    sl2z1p, the row sweep of _enumerate_sl3z on sl3z, gauge_leq deciding every
+    candidate.  enumerate_ball sorts the numpy walks of ball_columns instead;
+    this route shares no walk with it, and is its oracle.  No check or budget
+    gate runs here."""
+    if group == "sl3z":
+        return _enumerate_sl3z(gauge, threshold)
+    return _enumerate_sl2(gauge, threshold)
 
 
 def sq_ball_records(gauge: Gauge, caps) -> list[tuple[int, ...]]:
@@ -383,14 +507,14 @@ def record_phase(m, point, n: int):
 def element_records(group: str, gauge: Gauge, thresholds,
                     elements: Iterable[GroupElement] | None = None) -> list[tuple[int, ...]]:
     """(bucket_index, denom, *entries) of every element of the ball at
-    thresholds[-1] (enumerate_ball), or of every given element inside it.
+    thresholds[-1] (enumerate_ball_reference), or of every given element inside it.
 
     The per-element route that lattice.ball_columns must reproduce: it picks
     no walk, and places each element by bucket_index.  denom = p^k for an
     element p^(-k) A, 1 on integral elements.
     """
     if elements is None:
-        elements = enumerate_ball(group, gauge, thresholds[-1])
+        elements = enumerate_ball_reference(group, gauge, thresholds[-1])
     out = []
     for el in elements:
         i = bucket_index(gauge, el, thresholds)

@@ -47,6 +47,7 @@ from latcount.spectral import (
 )
 from latcount.torus import CosetObservable, TorusCharacter, decay_fit, deviation_series
 import latcount.gauges as gauges
+import latcount.lattice as lattice
 
 X0 = (math.sqrt(2.0) - 1.0, math.sqrt(3.0) - 1.0)
 
@@ -116,6 +117,7 @@ def test_an_open_max_cap_fails_criterion_1(monkeypatch):
         return cap(gauge, threshold, level)
 
     monkeypatch.setattr(gauges, "gauge_cap", open_max_cap)
+    monkeypatch.setattr(lattice, "gauge_cap", open_max_cap)  # the caps of ball_columns
     assert [case for case, _, agrees in criterion_1_runs() if not agrees] == \
         ["sl2z rnorm:inf T=2.0"]
 

@@ -11,7 +11,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _brute import brute_sl2z, brute_sl2z1p, brute_sl3z, brute_sl_residue_order
+from _brute import (
+    _brute_ball,
+    brute_sl2z,
+    brute_sl2z1p,
+    brute_sl3z,
+    brute_sl_residue_order,
+    enumerate_ball_reference,
+    mutated,
+)
 from latcount.errors import BudgetError, SpecError
 from latcount.gauges import (
     BinaryForm,
@@ -21,6 +29,7 @@ from latcount.gauges import (
     height_gauge,
     hyperbolic_gauge,
     parse_gauge,
+    rep_form_gauge,
     rnorm_gauge,
 )
 from latcount.groups import GroupElement, group_inv, group_mul, reduce_mod
@@ -36,6 +45,7 @@ from latcount.lattice import (
     orbit_forms_count,
     sl_residue_order,
 )
+import latcount.lattice as lattice
 
 G2 = rnorm_gauge(2)
 
@@ -45,6 +55,7 @@ def test_sl2z_matches_brute_all_gauges():
         (rnorm_gauge(2), 4.0),
         (rnorm_gauge(1), 5.0),
         (rnorm_gauge(math.inf), 2.0),
+        (rnorm_gauge(3), 5.0),
         (hyperbolic_gauge(), 2.2),
         (parse_gauge("form:deg=4:coeffs=1,0,0,0,1"), 40.0),
     ]
@@ -130,10 +141,20 @@ def test_max_and_abs_balls_are_closed_at_integer_ties(group, r, grid):
 
 
 BRUTE = {"sl2z": brute_sl2z, "sl3z": brute_sl3z, "sl2z1p": brute_sl2z1p}
+# balls whose brute scan is cut from the r = inf ball at T = 1 (every |e| <=
+# 1): the three rows of an element of SL(3,Z) are nonzero integer rows, so
+# |g|_1 <= 3 leaves one entry +-1 per row, and |g|_3^3 <= 8 leaves no room
+# for an entry of 2 (2^3 = 8, and two more rows with a nonzero entry each)
+BRUTE_POOLS = {
+    ("sl3z", "rnorm:1", 3.0): (rnorm_gauge(math.inf), 1.0),
+    ("sl3z", "rnorm:3", 2.0): (rnorm_gauge(math.inf), 1.0),
+}
 
 
 @pytest.mark.parametrize("group,gauge,T", [
     ("sl2z", G2, 6.0),
+    ("sl2z", rnorm_gauge(1), 5.0),
+    ("sl2z", rnorm_gauge(math.inf), 3.0),
     ("sl2z", rnorm_gauge(3), 5.0),
     ("sl2z", rnorm_gauge(1.5), 5.0),
     ("sl2z", hyperbolic_gauge(), 3.0),
@@ -141,13 +162,78 @@ BRUTE = {"sl2z": brute_sl2z, "sl3z": brute_sl3z, "sl2z1p": brute_sl2z1p}
     ("sl2z1p", height_gauge(2), 6.0),
     ("sl2z1p", height_gauge(3), 6.0),
     ("sl3z", G2, 2.5),
+    ("sl3z", rnorm_gauge(1), 3.0),
+    ("sl3z", rnorm_gauge(math.inf), 1.0),
+    ("sl3z", rnorm_gauge(3), 2.0),
 ], ids=lambda v: v.describe() if hasattr(v, "describe") else str(v))
 def test_canonical_order(group, gauge, T):
     seq = ball(group, gauge, T)
     keys = [el.sort_key() for el in seq]
     assert keys == sorted(keys)
     assert len(keys) == len(set(keys))
-    assert set(seq) == brute_ball(group, gauge, T)
+    pool = BRUTE_POOLS.get((group, gauge.describe(), T))
+    if pool is None:
+        assert set(seq) == brute_ball(group, gauge, T)
+    else:
+        _, inside = _brute_ball(gauge, T)
+        assert set(seq) == {el for el in brute_ball(group, *pool) if inside(el)}
+
+
+# every route of ball_columns that enumerate_ball sorts: the numpy walks of
+# each entrywise key, the decided "max" box (rnorm:3, rnorm:1.5), forms, and
+# the det = p^(2l) levels of sl2z1p
+PYTHON_WALK_CASES = [
+    ("sl2z", G2, 12.0),
+    ("sl2z", rnorm_gauge(1), 9.0),
+    ("sl2z", rnorm_gauge(math.inf), 7.0),
+    ("sl2z", rnorm_gauge(3), 8.0),
+    ("sl2z", rnorm_gauge(1.5), 8.0),
+    ("sl2z", hyperbolic_gauge(), 3.0),
+    ("sl2z", rep_form_gauge(BinaryForm(4, (1, 0, 0, 0, 1))), 300.0),
+    ("sl3z", G2, 3.0),
+    ("sl3z", rnorm_gauge(1), 4.0),
+    ("sl3z", rnorm_gauge(math.inf), 1.0),
+    ("sl3z", rnorm_gauge(3), 2.0),
+    ("sl2z1p", height_gauge(2), 12.0),
+    ("sl2z1p", height_gauge(3), 12.0),
+]
+
+
+@pytest.mark.parametrize("group,gauge,T", PYTHON_WALK_CASES,
+                         ids=[f"{g}-{gauge.describe()}-{T:g}" for g, gauge, T in PYTHON_WALK_CASES])
+def test_enumerate_ball_equals_the_python_walk(group, gauge, T):
+    # the same list, order included
+    assert list(enumerate_ball(group, gauge, T)) == list(enumerate_ball_reference(group, gauge, T))
+
+
+# planted defects of enumerate_ball's sort and of the decided "max" box: each
+# must fail the named oracle test, in an assert of this module
+VIEW_DEFECTS = {
+    "denominator-not-first": ("enumerate_ball", "np.lexsort(cols[::-1])",
+                              "np.lexsort(cols[:0:-1])"),
+    "pow-rows-undecided": ("ball_columns",
+                           "_record_chunks(rec for rec in placed if rec[0] < len(caps))",
+                           "_record_chunks(placed)"),
+    "fractional-rows-undecided": ("ball_columns", "placed = ((bucket(el), el) for el in elements)",
+                                  "placed = ((0, el) for el in elements)"),
+}
+
+
+@pytest.mark.parametrize("defect,check,case", [
+    ("denominator-not-first", "test_canonical_order", ("sl2z1p", height_gauge(2), 6.0)),
+    ("denominator-not-first", "test_canonical_order", ("sl2z1p", height_gauge(3), 6.0)),
+    ("pow-rows-undecided", "test_sl2z_matches_brute_all_gauges", ()),
+    ("fractional-rows-undecided", "test_canonical_order", ("sl2z", rnorm_gauge(1.5), 5.0)),
+], ids=["denominator-not-first-p=2", "denominator-not-first-p=3", "pow-rows-undecided",
+        "fractional-rows-undecided"])
+def test_view_defects_fail_the_oracle_tests(monkeypatch, defect, check, case):
+    name, old, new = VIEW_DEFECTS[defect]
+    monkeypatch.setattr(lattice, name, mutated(getattr(lattice, name), old, new))
+    monkeypatch.setitem(globals(), "enumerate_ball", lattice.enumerate_ball)
+    monkeypatch.setitem(globals(), "ball", ball.__wrapped__)  # not the cached, sound balls
+    with pytest.raises(AssertionError) as failure:
+        globals()[check](*case)
+    assert failure.traceback[-1].frame.f_globals["__name__"] == __name__  # not the walk's
 
 
 def test_threshold_validation_and_budget():

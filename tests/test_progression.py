@@ -2,13 +2,13 @@
 
 ball_columns walks SL(2)-type balls along Bezout progressions, SL(3) balls
 by the third rows of first-row orbit representatives and form balls by an
-integer form key, all without building elements; enumerate_ball +
-bucket_index (_brute.element_records) is the independent route it must
-reproduce exactly: per-bucket counts, residue histograms, torus rows and
-orbit counts.  For the SL(2) balls walked in numpy columns ("sq", "abs",
-"max" and form keys), the per-element Python walks in _brute are the
-record-for-record oracles, as the flat SL(3) sweep of _brute is for the
-orbit route.
+integer form key, all without building elements; the Python walk of
+_brute.enumerate_ball_reference + bucket_index (_brute.element_records) is
+the independent route it must reproduce exactly: per-bucket counts, residue
+histograms, torus rows and orbit counts.  For the SL(2) balls walked in
+numpy columns ("sq", "abs", "max" and form keys), the per-element Python
+walks in _brute are the record-for-record oracles, as the flat SL(3) sweep
+of _brute is for the orbit route.
 """
 
 import math
@@ -27,6 +27,7 @@ from _brute import (
     brute_orbit_count,
     column_records,
     element_records,
+    enumerate_ball_reference,
     entrywise_ball_records,
     mutated,
     record_phase,
@@ -90,8 +91,9 @@ IDS = [f"{g}-{gauge.describe()}" for g, gauge, _ in CASES]
 
 
 def oracle_buckets(group, gauge, thr):
-    """(bucket_index, element) over the enumerated ball at the top threshold."""
-    return [(bucket_index(gauge, el, thr), el) for el in enumerate_ball(group, gauge, thr[-1])]
+    """(bucket_index, element) over the Python walk's ball at the top threshold."""
+    return [(bucket_index(gauge, el, thr), el)
+            for el in enumerate_ball_reference(group, gauge, thr[-1])]
 
 
 @pytest.mark.parametrize("group,gauge,thr", CASES, ids=IDS)
@@ -114,7 +116,7 @@ def test_kernel_elements_are_the_ball(group, gauge, thr):
         assert den == (p ** level if level else 1)
         seen[GroupElement.from_rows(((a, b), (c, d)), prime=p, p_power=level)] += 1
     assert set(seen.values()) == {1}
-    assert set(seen) == set(enumerate_ball(group, gauge, thr[-1]))
+    assert set(seen) == set(enumerate_ball_reference(group, gauge, thr[-1]))
 
 
 @pytest.mark.parametrize("q", [2, 3, 5])
@@ -266,8 +268,6 @@ def kernel_never_runs(monkeypatch):
     monkeypatch.setattr(lattice, "_sl2_columns", boom)
     monkeypatch.setattr(lattice, "_shell_counts", boom)
     monkeypatch.setattr(lattice, "_sl3_orbits", boom)
-    monkeypatch.setattr(lattice, "_enumerate_sl2", boom)
-    monkeypatch.setattr(lattice, "_enumerate_sl3z", boom)
 
 
 @pytest.mark.usefixtures("kernel_never_runs")
@@ -289,7 +289,7 @@ def test_budget_gate_fires_before_the_kernel():
     with pytest.raises(BudgetError):
         deviation_series("sl3z", rnorm_gauge(2), [30.0], TorusCharacter((1, 0, 0)), X3,
                          budget=10)
-    # the numpy walk (rnorm:1) and enumeration (rnorm:1.5 on sl2z, rnorm:3 on sl3z)
+    # the numpy walk (rnorm:1) and the decided "max" box (rnorm:1.5 on sl2z, rnorm:3 on sl3z)
     for group, gauge, point in (("sl2z", rnorm_gauge(1), X0), ("sl2z", rnorm_gauge(1.5), X0),
                                 ("sl3z", rnorm_gauge(3), X3)):
         with pytest.raises(BudgetError):
@@ -397,14 +397,14 @@ SL3_SMALL = SL3_CASES[:2] + [(rnorm_gauge(INF), (0.5, 1.0, 1.5))]
 
 @lru_cache(maxsize=None)
 def sl3_ball(r, top):
-    return tuple(enumerate_ball("sl3z", rnorm_gauge(r), top))
+    return tuple(enumerate_ball_reference("sl3z", rnorm_gauge(r), top))
 
 
 def sl3_oracle(gauge, thr):
-    """(bucket_index, element) for the enumerated ball at thr[-1].
+    """(bucket_index, element) for the Python walk's ball at thr[-1].
 
     The r = 1 ball is cut from the r = 2 ball of the same radius (|x|_2 <=
-    |x|_1): enumerate_ball sweeps the whole cube for r = 1, 6 s at T = 3.
+    |x|_1), the one sl3_ball caches for the r = 2 tests.
     """
     ball = sl3_ball(2 if gauge.r == 1 else gauge.r, thr[-1])
     pairs = ((bucket_index(gauge, el, thr), el) for el in ball)
@@ -672,8 +672,7 @@ def test_orbit_series_substitutes_each_half_walk_candidate_once(monkeypatch):
         calls["substitute"] += 1
         return substitute_coeffs(*args)
 
-    monkeypatch.setattr(lattice, "substitute_coeffs", counted)
-    monkeypatch.setattr(gauges, "substitute_coeffs", counted)  # form_key's
+    monkeypatch.setattr(gauges, "substitute_coeffs", counted)  # every caller's
     grid = [1000.0 * 100.0 ** (i / 8) for i in range(9)]  # the CLI's T-scale grid
     series = orbit_forms_series(QUARTIC, grid)
     assert (series[-1].gamma_count, series[-1].stabilizer_order) == (2212, 4)
@@ -688,7 +687,6 @@ def test_orbit_series_substitutes_nothing_at_the_forms_default(monkeypatch):
         calls["substitute"] += 1
         return substitute_coeffs(*args)
 
-    monkeypatch.setattr(lattice, "substitute_coeffs", counted)
     monkeypatch.setattr(gauges, "substitute_coeffs", counted)
     series = orbit_forms_series(QUARTIC, FORMS_DEFAULT_GRID)
     assert (series[-1].orbit_count, series[-1].gamma_count) == (553, 2212)
@@ -847,7 +845,6 @@ def test_sq_counts_take_the_shell_route(monkeypatch):
         raise AssertionError("an sq count walked the ball")
     monkeypatch.setattr(lattice, "_form_columns", boom)
     monkeypatch.setattr(lattice, "_sl2_columns", boom)
-    monkeypatch.setattr(lattice, "_enumerate_sl2", boom)
     assert count_series("sl2z", rnorm_gauge(2), [10.0, 37.5]).counts() == [580, 8324]
     assert count_series("sl2z", hyperbolic_gauge(), [1.0, 2.0]).counts() == [20, 52]
     assert count_series("sl2z1p", height_gauge(2), [3.0, 30.0]).counts() == [68, 32012]
@@ -867,7 +864,7 @@ def test_given_elements_are_counted_as_given():
 # which walk each ball takes
 # ---------------------------------------------------------------------------
 
-WALKS = ("_sl2_columns", "_sl3_orbits", "_form_columns", "_enumerate_sl2", "_enumerate_sl3z")
+WALKS = ("_sl2_columns", "_sl3_orbits", "_form_columns")
 # (group, gauge) -> the one walk ball_columns may take for it
 ROUTES = {
     ("sl2z", "rnorm:1"): "_sl2_columns",
@@ -879,8 +876,8 @@ ROUTES = {
     ("sl3z", "rnorm:2"): "_sl3_orbits",
     ("sl3z", "rnorm:inf"): "_sl3_orbits",
     ("sl2z1p", "height:p=2"): "_sl2_columns",
-    ("sl3z", "rnorm:3"): "_enumerate_sl3z",
-    ("sl2z", "rnorm:1.5"): "_enumerate_sl2",
+    ("sl3z", "rnorm:3"): "_sl3_orbits",  # the "max" box of the entry bound, decided
+    ("sl2z", "rnorm:1.5"): "_sl2_columns",
 }
 
 
@@ -1055,6 +1052,11 @@ def test_a_cap_above_the_int64_bound_fails_before_the_walk(monkeypatch):
     monkeypatch.setattr(lattice, "np", NoNumpy())
     with pytest.raises(BudgetError, match="int64"):
         next(lattice._sl2_columns(rnorm_gauge(2), [lattice._SL2_CAP_MAX + 1]))
+    # 14 T^2 = 2.24e10 elements at T = 40000 passes a budget of 10**12: the
+    # Python walk enumerate_ball once ran would have started on the ball
+    assert lattice.estimate_count("sl2z", rnorm_gauge(2), 40000.0) <= 10**12
+    with pytest.raises(BudgetError, match="int64 bound"):
+        next(enumerate_ball("sl2z", rnorm_gauge(2), 40000.0, budget=10**12))
     monkeypatch.undo()
     # T^2 = 32769^2 > 2**30 passes a budget of 10**12 (14 T^2 = 1.5e10 elements)
     with pytest.raises(BudgetError, match="int64"):
